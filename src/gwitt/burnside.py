@@ -8,25 +8,30 @@ from dataclasses import dataclass
 
 from .errors import GwittError, IntegralityError
 from .groups import Group, Subgroup, subconjugacy_poset
-from .gsets import GSet, coset_space, fixed_points, orbit_decompose, product
+from .gsets import GSet, orbit_decompose
 from .intpoly import Poly
 
 _TOM_CACHE: dict[Group, tuple[tuple[int, ...], ...]] = {}
-_BASIS_MUL_CACHE: dict[Group, dict[tuple[int, int], tuple[int, ...]]] = {}
+_CLASS_MAP_CACHE: dict[tuple[Group, Subgroup], tuple[int, ...]] = {}
 
 
 def table_of_marks(group: Group) -> tuple[tuple[int, ...], ...]:
     """Entry (row [K], column [H]) = |(G/K)^H|; rows and columns follow the
     poset class order, so the matrix is lower triangular with diagonal
-    |N_G(H)/H| > 0."""
+    |N_G(H)/H| > 0.
+
+    Read off the subgroup lattice (Pfeiffer 1997): gK is H-fixed iff
+    H <= gKg^-1, and each of the (G:N_G(K)) conjugates of K arises from
+    |N_G(K):K| cosets, so |(G/K)^H| = |N_G(K):K| * #{K' ~ K : H <= K'}.
+    """
     cached = _TOM_CACHE.get(group)
     if cached is not None:
         return cached
     poset = subconjugacy_poset(group)
     rows = []
-    for ck in poset.classes:
-        gk = coset_space(group, ck.rep)
-        rows.append(tuple(fixed_points(gk, ch.rep) for ch in poset.classes))
+    for ck, row in zip(poset.classes, poset.containing):
+        weyl = group.order // (ck.order * len(ck.members))  # |N_G(K):K|
+        rows.append(tuple(map(weyl.__mul__, row)))
     tom = tuple(rows)
     _TOM_CACHE[group] = tom
     return tom
@@ -158,51 +163,20 @@ def unmarks(group: Group, vector, exact: bool = True) -> BurnsideElement:
     return BurnsideElement(group, tuple(coeffs))
 
 
-def _basis_products(group: Group) -> dict[tuple[int, int], tuple[int, ...]]:
-    cached = _BASIS_MUL_CACHE.get(group)
-    if cached is not None:
-        return cached
-    poset = subconjugacy_poset(group)
-    spaces = [coset_space(group, c.rep) for c in poset.classes]
-    table: dict[tuple[int, int], tuple[int, ...]] = {}
-    n = len(poset)
-    for i in range(n):
-        for j in range(i, n):
-            prod, _, _ = product(spaces[i], spaces[j])
-            coeffs = [0] * n
-            for idx in orbit_decompose(prod, poset):
-                coeffs[idx] += 1
-            table[(i, j)] = tuple(coeffs)
-            table[(j, i)] = table[(i, j)]
-    _BASIS_MUL_CACHE[group] = table
-    return table
-
-
 def burnside_mul(b1: BurnsideElement, b2: BurnsideElement) -> BurnsideElement:
-    """Bilinear extension of [G/H]·[G/K] = the orbit decomposition of the
-    product G-set."""
+    """The product of virtual G-sets, through the injective ring
+    homomorphism marks: unmarks(marks(b1) * marks(b2)) componentwise."""
     b1._check(b2)
-    group = b1.group
-    basis = _basis_products(group)
-    n = len(b1.coeffs)
-    out = [0] * n
-    for i in range(n):
-        ci = b1.coeffs[i]
-        if ci == 0:
-            continue
-        for j in range(n):
-            cj = b2.coeffs[j]
-            if cj == 0:
-                continue
-            for k, mult in enumerate(basis[(i, j)]):
-                if mult:
-                    out[k] = out[k] + _scale(ci, cj) * mult
-    return BurnsideElement(group, tuple(out))
+    product = tuple(x * y for x, y in zip(marks(b1), marks(b2)))
+    return unmarks(b1.group, product)
 
 
 def subgroup_class_map(group: Group, sub: Subgroup) -> tuple[int, ...]:
     """For each class of O(H), the class index in O(G) of that subgroup seen
     inside G."""
+    cached = _CLASS_MAP_CACHE.get((group, sub))
+    if cached is not None:
+        return cached
     sub_group, embedding = sub.as_group()
     sub_poset = subconjugacy_poset(sub_group)
     poset = subconjugacy_poset(group)
@@ -210,7 +184,8 @@ def subgroup_class_map(group: Group, sub: Subgroup) -> tuple[int, ...]:
     for cls in sub_poset.classes:
         elems_in_g = tuple(sorted(embedding[i] for i in cls.rep.elements))
         out.append(poset.class_index(Subgroup(group, elems_in_g)))
-    return tuple(out)
+    _CLASS_MAP_CACHE[(group, sub)] = tuple(out)
+    return _CLASS_MAP_CACHE[(group, sub)]
 
 
 def burnside_transfer(sub: Subgroup, b: BurnsideElement) -> BurnsideElement:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GroupOrderError, GwittError
 
@@ -163,9 +164,16 @@ def group_from_generators(generators, n_points: int | None = None,
     return Group(table, labels=labels, name=name, perm_rep=perms)
 
 
+def _check_order(order: int):
+    # before any table is allocated: C(100000) would need 10^10 cells
+    if order > DEFAULT_MAX_ORDER:
+        raise GroupOrderError(f"group order {order} exceeds cap {DEFAULT_MAX_ORDER}")
+
+
 def cyclic(n: int) -> Group:
     if n < 1:
         raise GwittError("cyclic group order must be positive")
+    _check_order(n)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     labels = ["e"] + [f"r^{k}" if k > 1 else "r" for k in range(1, n)]
     return Group(table, labels=labels, name=f"C{n}")
@@ -175,6 +183,7 @@ def dihedral(n: int) -> Group:
     """Dihedral group of order 2n; elements are pairs r^a s^b in (a, b) order."""
     if n < 1:
         raise GwittError("dihedral parameter must be positive")
+    _check_order(2 * n)
     elems = [(a, b) for b in (0, 1) for a in range(n)]
     index = {e: i for i, e in enumerate(elems)}
 
@@ -254,7 +263,12 @@ class Subgroup:
         return Subgroup(grp, tuple(grp.conj(g, a) for a in self.elements))
 
     def as_group(self) -> tuple[Group, tuple[int, ...]]:
-        """This subgroup as a Group of its own, plus the element embedding."""
+        """This subgroup as a Group of its own, plus the element embedding;
+        built (and validated) once per Subgroup object."""
+        return self._own_group
+
+    @cached_property
+    def _own_group(self) -> tuple[Group, tuple[int, ...]]:
         emb = self.elements
         index = {g: i for i, g in enumerate(emb)}
         table = [[index[self.group.mul_table[a][b]] for b in emb] for a in emb]
@@ -293,37 +307,90 @@ def full_subgroup(group: Group) -> Subgroup:
 _SUBGROUPS_CACHE: dict[Group, tuple[Subgroup, ...]] = {}
 
 
+def _mask(elements) -> int:
+    """The bitset of a set of element indices."""
+    mask = 0
+    for a in elements:
+        mask |= 1 << a
+    return mask
+
+
+def _extend(group: Group, elements: list[int], mask: int, gens) -> tuple[list[int], int]:
+    """Elements and bitset of the subgroup generated by the subgroup H (given
+    by `elements` and `mask`) together with `gens`, which must include a
+    generating set of H.
+
+    Dimino's coset closure: right cosets H·t are added until every coset
+    representative times every generator lands in their union, which is then
+    closed under multiplication, hence a subgroup.
+    """
+    mul = group.mul_table
+    elements = list(elements)
+    base = tuple(elements)
+    reps = [0]
+    for r in reps:
+        row = mul[r]
+        for s in gens:
+            t = row[s]
+            if not mask >> t & 1:
+                reps.append(t)
+                for h in base:
+                    x = mul[h][t]
+                    elements.append(x)
+                    mask |= 1 << x
+    return elements, mask
+
+
 def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
     """Every subgroup exactly once, sorted by (order, element tuple).
 
-    Cyclic-extension closure: all cyclic subgroups first, then joins until a
-    fixpoint.  Intended for the desk scale |G| <= 64.
+    Cyclic-extension closure: all cyclic subgroups first, then joins with a
+    cyclic subgroup until a fixpoint.  Each subgroup carries the few
+    generators it was built from, so a join is a coset closure over those
+    generators plus one, and subgroups are compared as bitsets.
     """
     cached = _SUBGROUPS_CACHE.get(group)
     if cached is not None:
         return cached
-    cyclics = set()
+    mul = group.mul_table
+    cyclics: dict[int, tuple[list[int], list[int]]] = {}
     for a in group.elements():
-        cyclics.add(subgroup_generated(group, [a]).elements)
-    known = set(cyclics)
-    frontier = set(cyclics)
+        powers, x = [0], a
+        while x:
+            powers.append(x)
+            x = mul[x][a]
+        cyclics.setdefault(_mask(powers), (powers, [a] if a else []))
+    known = dict(cyclics)
+    frontier = list(cyclics.items())
     while frontier:
-        new = set()
-        for h in frontier:
-            for c in cyclics:
-                if set(c) <= set(h):
+        new = []
+        for h_mask, (h_elems, h_gens) in frontier:
+            for c_mask, (_, c_gens) in cyclics.items():
+                if c_mask & ~h_mask == 0:
                     continue
-                join = subgroup_generated(group, set(h) | set(c)).elements
-                if join not in known:
-                    known.add(join)
-                    new.add(join)
+                gens = h_gens + c_gens
+                elems, mask = _extend(group, h_elems, h_mask, gens)
+                if mask not in known:
+                    known[mask] = (elems, gens)
+                    new.append((mask, known[mask]))
         frontier = new
-    subs = tuple(
-        Subgroup(group, elems)
-        for elems in sorted(known, key=lambda e: (len(e), e))
-    )
+    subs = tuple(sorted(
+        (Subgroup(group, tuple(elems)) for elems, _ in known.values()),
+        key=lambda s: (s.order, s.elements),
+    ))
     _SUBGROUPS_CACHE[group] = subs
     return subs
+
+
+def _generating_set(group: Group) -> list[int]:
+    """A generating set of at most log2 |G| elements, chosen greedily."""
+    gens: list[int] = []
+    elements, mask = [0], 1
+    for a in group.elements():
+        if not mask >> a & 1:
+            gens.append(a)
+            elements, mask = _extend(group, elements, mask, gens)
+    return gens
 
 
 @dataclass(frozen=True)
@@ -344,25 +411,43 @@ class SubconjugacyPoset:
 
     Classes are sorted by subgroup order, ties broken by the representative's
     element tuple; the first class is [e] and the last is [G].
+
+    `containing[k][h]` counts the conjugates K' of the class-k representative
+    with H_h <= K' (H_h the class-h representative).  It is the one source of
+    the order relation (`leq` is `containing > 0`) and of the table of marks.
     """
 
     def __init__(self, group: Group):
         self.group = group
         subs = all_subgroups(group)
-        remaining = {s.elements: s for s in subs}
+        by_mask = {_mask(s.elements): s for s in subs}
+        mul, inv = group.mul_table, group.inv_table
+        conj_tables = [
+            tuple(mul[mul[g][a]][inv[g]] for a in group.elements())
+            for g in _generating_set(group)
+        ]
+        # subs run in (order, elements) order, so the first subgroup not yet
+        # in a class is the least member of its class: the representative
+        classified: set[int] = set()
         classes = []
-        while remaining:
-            key = min(remaining, key=lambda e: (len(e), e))
-            rep = remaining[key]
-            member_keys = {rep.conjugate(g).elements for g in group.elements()}
-            members = tuple(
-                remaining.pop(k) for k in sorted(member_keys) if k in remaining
-            )
-            classes.append((rep, members))
-        classes.sort(key=lambda rm: (rm[0].order, rm[0].elements))
+        for sub in subs:
+            rep_mask = _mask(sub.elements)
+            if rep_mask in classified:
+                continue
+            orbit = [rep_mask]
+            classified.add(rep_mask)
+            for m in orbit:
+                elems = by_mask[m].elements
+                for conj in conj_tables:
+                    image = _mask(conj[a] for a in elems)
+                    if image not in classified:
+                        classified.add(image)
+                        orbit.append(image)
+            members = tuple(sorted((by_mask[m] for m in orbit), key=lambda s: s.elements))
+            classes.append((sub, members, orbit))
         counters: dict[int, int] = {}
         built = []
-        for rep, members in classes:
+        for rep, members, _ in classes:
             idx = counters.get(rep.order, 0)
             counters[rep.order] = idx + 1
             letter = ""
@@ -379,12 +464,22 @@ class SubconjugacyPoset:
             for member in cls.members:
                 self._index[member.elements] = i
         n = len(self.classes)
-        leq = [[False] * n for _ in range(n)]
-        for i, ci in enumerate(self.classes):
-            hi = set(ci.rep.elements)
-            for j, cj in enumerate(self.classes):
-                leq[i][j] = any(hi <= set(m.elements) for m in cj.members)
-        self.leq_table: tuple[tuple[bool, ...], ...] = tuple(tuple(row) for row in leq)
+        rep_masks = [orbit[0] for _, _, orbit in classes]
+        orders = [cls.order for cls in self.classes]
+        containing = []
+        for k, (_, _, orbit) in enumerate(classes):
+            candidates = [h for h in range(n) if orders[k] % orders[h] == 0]
+            row = [0] * n
+            for member in orbit:
+                outside = ~member
+                for h in candidates:
+                    if not rep_masks[h] & outside:
+                        row[h] += 1
+            containing.append(tuple(row))
+        self.containing: tuple[tuple[int, ...], ...] = tuple(containing)
+        self.leq_table: tuple[tuple[bool, ...], ...] = tuple(
+            tuple(containing[j][i] > 0 for j in range(n)) for i in range(n)
+        )
 
     def __len__(self) -> int:
         return len(self.classes)

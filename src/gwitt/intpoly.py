@@ -154,14 +154,18 @@ class Poly:
     def __pow__(self, exp: int) -> Poly:
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Poly.const(1)
+        if exp == 0:
+            return Poly.const(1)
+        # square-and-multiply; the last bit needs no further squaring
+        result = None
         base = self
-        while exp:
+        while True:
             if exp & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exp >>= 1
-        return result
+            if not exp:
+                return result
+            base = base * base
 
     def exact_div(self, n: int) -> Poly:
         """Divide every coefficient by n, raising IntegralityError unless the

@@ -85,13 +85,13 @@ class WittContext:
         self.tom = table_of_marks(group)
         self.n = len(self.poset)
         # (K:H) wherever [H] <= [K]
-        self.index = {}
-        for k in range(self.n):
-            for h in range(self.n):
-                if self.poset.leq(h, k):
-                    self.index[(k, h)] = (
-                        self.poset.classes[k].order // self.poset.classes[h].order
-                    )
+        orders = [cls.order for cls in self.poset.classes]
+        self.index = {
+            (k, h): orders[k] // orders[h]
+            for h, row in enumerate(self.poset.leq_table)
+            for k, below in enumerate(row)
+            if below
+        }
         self.avars = tuple(f"a_{self.poset.label(i)}" for i in range(self.n))
         self.bvars = tuple(f"b_{self.poset.label(i)}" for i in range(self.n))
         self._sum_polys = None

@@ -96,6 +96,13 @@ def test_usage_error_exit_code():
     assert status == 2
 
 
+def test_group_order_cap_exit_code():
+    for argv in (["lattice", "C(70)"], ["tom", "D(33)"], ["tom", "C(100000)"]):
+        status, text = capture(argv)
+        assert status == 2
+        assert "exceeds cap 64" in text
+
+
 def test_lattice_marks_orbits():
     status, text = capture(["lattice", "S(3)"])
     assert status == 0

@@ -19,6 +19,16 @@ from gwitt.groups import (
     symmetric,
     trivial_subgroup,
 )
+from oracles import (
+    conjugates,
+    containment_leq,
+    elementary_abelian_2,
+    join_closure_subgroups,
+    s4_x_c2,
+)
+
+# the larger groups of the benchmark ladder, up to the order-64 cap
+LADDER = [symmetric(4), elementary_abelian_2(4), s4_x_c2(), dihedral(32)]
 
 
 def test_group_from_generators_examples():
@@ -60,6 +70,15 @@ def test_rejects_non_permutations_and_large_groups():
         group_from_generators([tuple(list(range(1, 65)) + [0])], max_order=64)
 
 
+def test_cyclic_and_dihedral_respect_the_order_cap():
+    # the cap is checked before a Cayley table is allocated
+    for build, arg in ((cyclic, 65), (cyclic, 10**5), (dihedral, 33), (dihedral, 10**5)):
+        with pytest.raises(GroupOrderError):
+            build(arg)
+    assert cyclic(64).order == 64
+    assert dihedral(32).order == 64
+
+
 def test_bad_cayley_tables_rejected():
     with pytest.raises(GwittError):
         Group([[0, 1], [1, 1]])  # not a latin square / no inverse
@@ -83,7 +102,8 @@ def test_cayley_validation_catches_non_associative():
 @pytest.mark.parametrize(
     "group,count",
     [(cyclic(2), 2), (cyclic(4), 3), (symmetric(3), 6), (klein_four(), 5),
-     (cyclic(6), 4), (dihedral(4), 10)],
+     (cyclic(6), 4), (dihedral(4), 10), (symmetric(4), 30),
+     (elementary_abelian_2(4), 67), (dihedral(32), 69)],
 )
 def test_subgroup_counts(group, count):
     assert len(all_subgroups(group)) == count
@@ -93,6 +113,27 @@ def test_subgroup_counts(group, count):
 def test_subgroups_match_subset_closure_oracle(group):
     oracle = brute_force_subgroups(group)
     assert [s.elements for s in all_subgroups(group)] == oracle
+
+
+@pytest.mark.parametrize("group", LADDER, ids=lambda g: g.name)
+def test_subgroups_match_join_closure_oracle(group):
+    assert [s.elements for s in all_subgroups(group)] == join_closure_subgroups(group)
+
+
+@pytest.mark.parametrize(
+    "group", [cyclic(4), klein_four(), symmetric(3), dihedral(4), cyclic(6)] + LADDER,
+    ids=lambda g: g.name,
+)
+def test_poset_matches_conjugation_and_containment_oracle(group):
+    poset = subconjugacy_poset(group)
+    seen = set()
+    for cls in poset.classes:
+        members = {frozenset(m.elements) for m in cls.members}
+        assert members == conjugates(group, cls.rep.elements)
+        assert cls.rep.elements == min(m.elements for m in cls.members)
+        seen |= members
+    assert seen == {frozenset(s.elements) for s in all_subgroups(group)}
+    assert poset.leq_table == containment_leq(group)
 
 
 def test_s3_subgroup_shapes():
