@@ -477,6 +477,13 @@ def _cmd_check(args, out: _Output) -> int:
     return 0 if report.ok else 1
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gwitt",
@@ -538,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw = wsub.add_parser("verify")
     pw.add_argument("property", choices=("factorization", "iso", "ring-axioms", "injectivity"))
     pw.add_argument("group")
-    pw.add_argument("--samples", type=int, default=100)
+    pw.add_argument("--samples", type=non_negative_int, default=100)
     add_common(pw)
     pw.set_defaults(func=_cmd_witt, witt_op="verify")
 
@@ -580,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = csub.add_parser("tambara")
     pt.add_argument("--instance", choices=("invariant", "burnside"), default="invariant")
     pt.add_argument("--group", required=True)
-    pt.add_argument("--budget", type=int, default=4)
+    pt.add_argument("--budget", type=non_negative_int, default=4)
     pt.add_argument("--base", default=None, help="base G-set for the invariant instance")
     add_common(pt)
     pt.set_defaults(func=_cmd_check)

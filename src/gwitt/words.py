@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import SupportError
+from .errors import GwittError, SupportError
 from .intpoly import Poly
 
 
@@ -138,7 +138,7 @@ class SetAssignment:
         for n, ls in self.sets:
             if n == name:
                 return ls
-        raise KeyError(name)
+        raise GwittError(f"no set assigned to variable {name!r}")
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.sets)

@@ -152,6 +152,27 @@ def test_words_commands():
     assert "bijection on 6 element(s)" in text
 
 
+def test_negative_counts_are_usage_errors():
+    for argv in (
+        ["check", "tambara", "--group", "C(2)", "--budget", "-1"],
+        ["witt", "verify", "factorization", "C(2)", "--samples", "-5"],
+        ["witt", "verify", "injectivity", "C(2)", "--samples", "-1"],
+    ):
+        status, text = capture(argv)
+        assert status == 2, argv
+        assert text == "", argv
+
+
+def test_words_unassigned_variable_is_an_error():
+    for argv in (
+        ["words", "eval", "x*y", "--assign", "x=2"],
+        ["words", "iso", "x*y", "y*x", "--assign", "x=2"],
+    ):
+        status, text = capture(argv)
+        assert status == 2, argv
+        assert "'y'" in text, argv
+
+
 def test_check_tambara_cli_pass_and_json():
     status, text = capture(
         ["check", "tambara", "--instance", "invariant", "--group", "C(2)",
@@ -188,6 +209,31 @@ GOLDEN_COMMANDS = [
     ["check", "tambara", "--instance", "invariant", "--group", "C(2)",
      "--budget", "2", "--seed", "5", "--format", "json"],
 ]
+
+
+# The bytes of the last golden command; a change in the checker's diagram
+# enumeration or sampling shows up here first.
+TAMBARA_JSON_GOLDEN = (
+    '{"budget": 2, "checks": ['
+    '{"relation": "exponential-distributivity", "status": "pass"}, '
+    '{"relation": "norm-base-change", "status": "pass"}, '
+    '{"relation": "norm-functorial", "status": "pass"}, '
+    '{"relation": "norm-multiplicative", "status": "pass"}, '
+    '{"relation": "restriction-functorial", "status": "pass"}, '
+    '{"relation": "restriction-ring-homomorphism", "status": "pass"}, '
+    '{"relation": "transfer-additive", "status": "pass"}, '
+    '{"relation": "transfer-base-change", "status": "pass"}, '
+    '{"relation": "transfer-functorial", "status": "pass"}], '
+    '"group": "C2", "instance": "invariant", "instances_checked": 676, '
+    '"ok": true, "schema": 1, "seed": 5}\n'
+)
+
+
+def test_tambara_json_golden_bytes():
+    status, text = capture(GOLDEN_COMMANDS[-1])
+    assert status == 0
+    assert len(text) == 635
+    assert text == TAMBARA_JSON_GOLDEN
 
 
 @pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=lambda a: " ".join(a))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gwitt.errors import EquivarianceError
+from gwitt.errors import EquivarianceError, GwittError
 from gwitt.groups import cyclic, subconjugacy_poset, symmetric
 from gwitt.gsets import (
     GMap,
@@ -17,13 +17,11 @@ from gwitt.gsets import (
     regular_gset,
 )
 from gwitt.tambara import (
+    RELATION_NAMES,
     BurnsideOverInstance,
     InvariantRingInstance,
     MutatedInstance,
     check_tambara_axioms,
-    invariant_norm,
-    invariant_restriction,
-    invariant_transfer,
     small_gsets,
 )
 
@@ -52,21 +50,6 @@ def test_invariant_structure_maps_examples():
     emap = GMap(empty, pt, ())
     assert inst.transfer(emap, ()) == ((0, 0),)
     assert inst.norm(emap, ()) == ((1, 1),)
-
-
-def test_invariant_free_functions_match_instance():
-    base = regular_gset(C2)
-    inst = InvariantRingInstance(C2, base)
-    free = regular_gset(C2)
-    pt = point_gset(C2)
-    f = GMap(free, pt, (0, 0))
-    v = ((2, 1), (1, 2))
-    inst.check_value(free, v)
-    assert invariant_restriction(f, inst.transfer(f, v)) == \
-        inst.restrict(f, inst.transfer(f, v))
-    assert invariant_transfer(f, v) == inst.transfer(f, v)
-    assert invariant_norm(f, v) == inst.norm(f, v)
-    assert invariant_transfer(GMap(empty_gset(C2), pt, ()), (), width=2) == ((0, 0),)
 
 
 def test_invariant_values_reject_non_equivariant():
@@ -140,9 +123,11 @@ def test_checker_passes_for_both_instances_small_budget():
         "norm-multiplicative", "transfer-base-change", "norm-base-change",
         "exponential-distributivity",
     }
+    assert report.instances_checked == 3604
     binst = BurnsideOverInstance(C2)
     report2 = check_tambara_axioms(binst, budget=3, seed=1)
     assert report2.ok
+    assert report2.instances_checked == 3604
 
 
 def test_mutated_instance_fails_with_witness():
@@ -156,6 +141,60 @@ def test_mutated_instance_fails_with_witness():
     assert check.relation == "exponential-distributivity"
     assert check.witness is not None
     assert {"diagram", "value", "lhs", "rhs"} <= set(check.witness)
+
+
+# Per-relation law counts at budget 3 over C2; they depend only on the
+# enumerated diagrams, so both instances share them.  They add up to the
+# 3604 of the full run in test_checker_passes_for_both_instances_small_budget.
+C2_BUDGET3_COUNTS = {
+    "restriction-functorial": 444,
+    "transfer-functorial": 444,
+    "norm-functorial": 444,
+    "restriction-ring-homomorphism": 324,
+    "transfer-additive": 180,
+    "norm-multiplicative": 180,
+    "transfer-base-change": 572,
+    "norm-base-change": 572,
+    "exponential-distributivity": 444,
+}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: InvariantRingInstance(C2, regular_gset(C2)),
+    lambda: BurnsideOverInstance(C2),
+], ids=["invariant", "burnside"])
+def test_checker_counts_per_relation(make):
+    inst = make()
+    for relation in RELATION_NAMES:
+        report = check_tambara_axioms(inst, budget=3, seed=1, relations=(relation,))
+        assert report.ok
+        assert report.instances_checked == C2_BUDGET3_COUNTS[relation], relation
+
+
+def test_mutated_witness_is_pinned():
+    mutated = MutatedInstance(InvariantRingInstance(C2, regular_gset(C2)))
+    report = check_tambara_axioms(
+        mutated, budget=3, seed=0, relations=("exponential-distributivity",)
+    )
+    assert report.instances_checked == 444
+    (check,) = report.checks
+    assert check.status == "fail"
+    assert check.witness == {
+        "diagram": "p=1->2:(0,) f=2->1:(0, 0)",
+        "value": "[[-3, -3]]",
+        "lhs": "[[0, 0]]",
+        "rhs": "[[-3, -3]]",
+    }
+    full = check_tambara_axioms(mutated, budget=3, seed=0)
+    assert {c.relation for c in full.checks if c.status == "fail"} == {
+        "exponential-distributivity", "norm-multiplicative",
+    }
+
+
+def test_negative_budget_is_rejected():
+    inst = InvariantRingInstance(C2, regular_gset(C2))
+    with pytest.raises(GwittError):
+        check_tambara_axioms(inst, budget=-1)
 
 
 def test_report_json_is_sorted_and_complete():
