@@ -2,8 +2,10 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +261,30 @@ def test_batch_mode_reads_stdin():
         input="witt unghost C(2) (0,1)\n", capture_output=True, text=True,
     )
     assert proc2.returncode == 3
+
+
+# Exact stdout and exit status of every subcommand in both formats, plus the
+# exit-2 and exit-3 error lines; and, through a fresh interpreter, stdout,
+# stderr and exit status of help and usage errors (argparse's text, at a
+# fixed 80-column width).  A refactor of the CLI must leave all of it as is.
+CLI_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", CLI_GOLDEN["run"], ids=lambda c: " ".join(c["argv"])
+)
+def test_cli_golden_corpus(case):
+    assert capture(case["argv"]) == (case["status"], case["stdout"])
+
+
+@pytest.mark.parametrize(
+    "case", CLI_GOLDEN["process"], ids=lambda c: " ".join(c["argv"])
+)
+def test_cli_golden_help_and_usage(case):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gwitt.cli", *case["argv"]],
+        capture_output=True, text=True, env=dict(os.environ, COLUMNS="80"),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        case["status"], case["stdout"], case["stderr"]
+    )
