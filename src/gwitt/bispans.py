@@ -209,11 +209,6 @@ def substitute_fibers(psi_poly: Poly, phi: Bispan) -> Poly:
     return psi_poly.substitute(mapping)
 
 
-def canonical_factorization(phi: Bispan) -> tuple[GMap, GMap, GMap]:
-    """(p, q, r) with T_r ∘ N_q ∘ R_p equivalent to phi."""
-    return phi.p, phi.q, phi.r
-
-
 def recompose(p: GMap, q: GMap, r: GMap) -> Bispan:
     return compose(gen_T(r), compose(gen_N(q), gen_R(p)))
 

@@ -18,17 +18,11 @@ import shlex
 import sys
 
 from . import dsl
-from .bispans import (
-    bispan_equivalent,
-    canonical_factorization,
-    fiber_polynomials,
-    is_simple,
-    recompose,
-)
+from .bispans import bispan_equivalent, fiber_polynomials, is_simple, recompose
 from .burnside import BurnsideElement, burnside_mul, marks, table_of_marks
 from .errors import DslSyntaxError, GwittError, IntegralityError
 from .groups import Group, subconjugacy_poset
-from .gsets import orbit_decompose
+from .gsets import orbit_decompose, regular_gset
 from .intpoly import Poly
 from .tambara import (
     BurnsideOverInstance,
@@ -49,20 +43,13 @@ from .witt import (
     witt_mul,
     witt_neg,
 )
+from .words import SetAssignment, Word, coherence_iso, eval_size, eval_word, supp
 
 SCHEMA = 1
 
-
-class _Output:
-    def __init__(self, stream):
-        self.stream = stream
-
-    def line(self, text=""):
-        self.stream.write(text + "\n")
-
-    def json(self, payload: dict):
-        payload = {"schema": SCHEMA, **payload}
-        self.stream.write(json.dumps(payload, sort_keys=True) + "\n")
+# the most elements a `words eval` or `words iso` evaluation may build, and
+# the largest set an --assign entry may name
+MAX_EVAL_ELEMENTS = 100_000
 
 
 def _group_from_arg(text: str) -> Group:
@@ -106,346 +93,256 @@ def _witt_from_arg(text: str, group: Group, symbolic: bool) -> WittVector:
     return WittVector(group, comps)
 
 
-def _witt_tuple_str(group: Group, comps) -> str:
-    # descending class order for display: top class first
-    return "(" + ", ".join(str(Poly.coerce(c)) for c in reversed(comps)) + ")"
-
-
-def _witt_components_json(group: Group, comps) -> dict:
+def _class_header(group: Group) -> str:
     poset = subconjugacy_poset(group)
-    return {poset.label(i): str(Poly.coerce(c)) for i, c in enumerate(comps)}
+    return f"group {group.name}; classes (poset order): " + " ".join(poset.labels())
 
 
-def _print_class_header(out: _Output, group: Group):
+def _per_class(group: Group, kind: str, key: str, values) -> dict:
+    """A JSON payload mapping each class label to its value, in poset order."""
     poset = subconjugacy_poset(group)
-    out.line(f"group {group.name}; classes (poset order): " + " ".join(poset.labels()))
+    return {
+        "kind": kind,
+        "group": group.name,
+        key: {poset.label(i): v for i, v in enumerate(values)},
+    }
 
 
 # -- subcommand handlers ------------------------------------------------------
+#
+# Each handler returns (exit status, JSON payload, table lines); run() writes
+# one of the two.
 
 
-def _cmd_lattice(args, out: _Output) -> int:
+def _cmd_lattice(args):
     group = _group_from_arg(args.group)
     poset = subconjugacy_poset(group)
-    if args.format == "json":
-        out.json({
-            "kind": "lattice",
-            "group": group.name,
-            "classes": [
-                {
-                    "label": cls.label,
-                    "order": cls.order,
-                    "size": len(cls.members),
-                    "representative": list(cls.rep.elements),
-                    "below": [
-                        poset.label(j) for j in range(len(poset))
-                        if poset.leq(i, j)
-                    ],
-                }
-                for i, cls in enumerate(poset.classes)
-            ],
-        })
-        return 0
-    _print_class_header(out, group)
+    classes, lines = [], [_class_header(group)]
     for i, cls in enumerate(poset.classes):
-        above = " ".join(
-            poset.label(j) for j in range(len(poset)) if poset.leq(i, j)
-        )
-        out.line(
-            f"{cls.label}: order {cls.order}, {len(cls.members)} conjugate(s), "
-            f"rep {{{','.join(str(e) for e in cls.rep.elements)}}}, below {above}"
-        )
-    return 0
-
-
-def _cmd_tom(args, out: _Output) -> int:
-    group = _group_from_arg(args.group)
-    poset = subconjugacy_poset(group)
-    tom = table_of_marks(group)
-    if args.format == "json":
-        out.json({
-            "kind": "table_of_marks",
-            "group": group.name,
-            "classes": list(poset.labels()),
-            "rows": [list(r) for r in tom],
+        above = [poset.label(j) for j in range(len(poset)) if poset.leq(i, j)]
+        classes.append({
+            "label": cls.label,
+            "order": cls.order,
+            "size": len(cls.members),
+            "representative": list(cls.rep.elements),
+            "below": above,
         })
-        return 0
-    labels = poset.labels()
+        lines.append(
+            f"{cls.label}: order {cls.order}, {len(cls.members)} conjugate(s), "
+            f"rep {{{','.join(str(e) for e in cls.rep.elements)}}}, below {' '.join(above)}"
+        )
+    return 0, {"kind": "lattice", "group": group.name, "classes": classes}, lines
+
+
+def _cmd_tom(args):
+    group = _group_from_arg(args.group)
+    labels = subconjugacy_poset(group).labels()
+    tom = table_of_marks(group)
     width = max(len(l) for l in labels) + 2
     num_width = max(len(str(v)) for row in tom for v in row) + 2
-    out.line(" " * width + "".join(l.rjust(num_width) for l in labels))
+    lines = [" " * width + "".join(l.rjust(num_width) for l in labels)]
     for label, row in zip(labels, tom):
-        out.line(label.ljust(width) + "".join(str(v).rjust(num_width) for v in row))
-    return 0
+        lines.append(label.ljust(width) + "".join(str(v).rjust(num_width) for v in row))
+    payload = {
+        "kind": "table_of_marks",
+        "group": group.name,
+        "classes": list(labels),
+        "rows": [list(r) for r in tom],
+    }
+    return 0, payload, lines
 
 
-def _cmd_marks(args, out: _Output) -> int:
+def _cmd_marks(args):
     group = _group_from_arg(args.group)
     coeffs = _coeffs_from_arg(args.coeffs, group)
     vec = marks(BurnsideElement(group, coeffs))
-    poset = subconjugacy_poset(group)
-    if args.format == "json":
-        out.json({
-            "kind": "marks",
-            "group": group.name,
-            "marks": {poset.label(i): v for i, v in enumerate(vec)},
-        })
-        return 0
-    _print_class_header(out, group)
-    out.line("marks: " + " ".join(f"{poset.label(i)}={v}" for i, v in enumerate(vec)))
-    return 0
+    payload = _per_class(group, "marks", "marks", vec)
+    line = "marks: " + " ".join(f"{label}={v}" for label, v in payload["marks"].items())
+    return 0, payload, [_class_header(group), line]
 
 
-def _cmd_orbits(args, out: _Output) -> int:
+def _cmd_orbits(args):
     x = dsl.build_gset(dsl.parse_gset(args.gset))
     poset = subconjugacy_poset(x.group)
-    classes = orbit_decompose(x, poset)
     counts: dict[int, int] = {}
-    for c in classes:
+    for c in orbit_decompose(x, poset):
         counts[c] = counts.get(c, 0) + 1
-    if args.format == "json":
-        out.json({
-            "kind": "orbits",
-            "group": x.group.name,
-            "size": x.size,
-            "orbit_classes": {poset.label(i): n for i, n in sorted(counts.items())},
-        })
-        return 0
-    _print_class_header(out, x.group)
-    pieces = [f"{n} x [G/{poset.label(i)}]" for i, n in sorted(counts.items())]
-    out.line(f"{x.size} point(s): " + (" + ".join(pieces) if pieces else "empty"))
-    return 0
+    by_label = {poset.label(i): n for i, n in sorted(counts.items())}
+    pieces = [f"{n} x [G/{label}]" for label, n in by_label.items()]
+    payload = {
+        "kind": "orbits",
+        "group": x.group.name,
+        "size": x.size,
+        "orbit_classes": by_label,
+    }
+    line = f"{x.size} point(s): " + (" + ".join(pieces) if pieces else "empty")
+    return 0, payload, [_class_header(x.group), line]
 
 
-def _cmd_burnside_mul(args, out: _Output) -> int:
+def _cmd_burnside_mul(args):
     group = _group_from_arg(args.group)
     b1 = BurnsideElement(group, _coeffs_from_arg(args.left, group))
     b2 = BurnsideElement(group, _coeffs_from_arg(args.right, group))
     prod = burnside_mul(b1, b2)
-    poset = subconjugacy_poset(group)
-    if args.format == "json":
-        out.json({
-            "kind": "burnside_product",
-            "group": group.name,
-            "coefficients": {poset.label(i): c for i, c in enumerate(prod.coeffs)},
-        })
-        return 0
-    _print_class_header(out, group)
-    out.line("product: " + ",".join(str(c) for c in prod.coeffs))
-    return 0
+    payload = _per_class(group, "burnside_product", "coefficients", prod.coeffs)
+    line = "product: " + ",".join(str(c) for c in prod.coeffs)
+    return 0, payload, [_class_header(group), line]
 
 
-def _cmd_witt(args, out: _Output) -> int:
+def _unghost(w: WittVector) -> WittVector:
+    return unghost(GhostVector(w.group, w.components))
+
+
+# witt subcommand -> (operation on WittVector operands, JSON kind)
+_WITT_OPS = {
+    "ghost": (ghost, "ghost"),
+    "unghost": (_unghost, "witt"),
+    "neg": (witt_neg, "witt"),
+    "add": (witt_add, "witt"),
+    "mul": (witt_mul, "witt"),
+}
+
+
+def _cmd_witt(args):
     group = _group_from_arg(args.group)
-    poset = subconjugacy_poset(group)
-    op = args.witt_op
-
-    if op == "verify":
-        runner = {
-            "factorization": lambda: verify_ghost_factorization(
-                group, samples=args.samples, seed=args.seed),
-            "iso": lambda: verify_dress_siebeneicher_iso(group),
-            "ring-axioms": lambda: verify_ring_axioms(group),
-            "injectivity": lambda: verify_injectivity(
-                group, samples=args.samples, seed=args.seed),
-        }[args.property]
-        report = runner()
-        if args.format == "json":
-            out.json(report.to_json())
-        else:
-            out.line(
-                f"{report.name} on {report.group_name}: "
-                f"{'ok' if report.ok else 'FAILED'} ({report.checked} checks)"
-            )
-            for witness in report.failures:
-                out.line(f"  counterexample: {witness}")
-        return 0 if report.ok else 1
-
-    symbolic = args.symbolic
-    w1 = _witt_from_arg(args.vector, group, symbolic)
-    if op == "ghost":
-        gvec = ghost(w1)
-        if args.format == "json":
-            out.json({
-                "kind": "ghost",
-                "group": group.name,
-                "components": _witt_components_json(group, gvec.components),
-            })
-        else:
-            out.line(_witt_tuple_str(group, gvec.components))
-        return 0
-    if op == "unghost":
-        w = unghost(GhostVector(group, w1.components))
-        if args.format == "json":
-            out.json({
-                "kind": "witt",
-                "group": group.name,
-                "components": _witt_components_json(group, w.components),
-            })
-        else:
-            out.line(_witt_tuple_str(group, w.components))
-        return 0
-    if op == "tau":
-        element = teichmuller_tau(w1)
-        if args.format == "json":
-            out.json({
-                "kind": "burnside_element",
-                "group": group.name,
-                "coefficients": {
-                    poset.label(i): str(Poly.coerce(c))
-                    for i, c in enumerate(element.coeffs)
-                },
-            })
-        else:
-            _print_class_header(out, group)
-            out.line("tau: " + ",".join(str(Poly.coerce(c)) for c in element.coeffs))
-        return 0
-    if op == "neg":
-        w = witt_neg(w1)
-        if args.format == "json":
-            out.json({
-                "kind": "witt",
-                "group": group.name,
-                "components": _witt_components_json(group, w.components),
-            })
-        else:
-            out.line(_witt_tuple_str(group, w.components))
-        return 0
-    # binary add / mul
-    w2 = _witt_from_arg(args.vector2, group, symbolic)
-    w = witt_add(w1, w2) if op == "add" else witt_mul(w1, w2)
-    if args.format == "json":
-        out.json({
-            "kind": "witt",
-            "group": group.name,
-            "components": _witt_components_json(group, w.components),
-        })
-    else:
-        out.line(_witt_tuple_str(group, w.components))
-    return 0
+    operation, kind = _WITT_OPS[args.witt_op]
+    texts = [args.vector] + ([args.vector2] if "vector2" in args else [])
+    result = operation(*(_witt_from_arg(t, group, args.symbolic) for t in texts))
+    comps = [str(Poly.coerce(c)) for c in result.components]
+    # table output lists the top class first
+    line = "(" + ", ".join(reversed(comps)) + ")"
+    return 0, _per_class(group, kind, "components", comps), [line]
 
 
-def _fiber_poly_lines(phi) -> list[str]:
-    return [
-        f"phi_y{fp.base_point} = {fp.poly}"
-        for fp in fiber_polynomials(phi)
+def _cmd_tau(args):
+    group = _group_from_arg(args.group)
+    element = teichmuller_tau(_witt_from_arg(args.vector, group, args.symbolic))
+    coeffs = [str(Poly.coerce(c)) for c in element.coeffs]
+    payload = _per_class(group, "burnside_element", "coefficients", coeffs)
+    return 0, payload, [_class_header(group), "tau: " + ",".join(coeffs)]
+
+
+_VERIFIERS = {
+    "factorization": lambda group, args: verify_ghost_factorization(
+        group, samples=args.samples, seed=args.seed),
+    "iso": lambda group, args: verify_dress_siebeneicher_iso(group),
+    "ring-axioms": lambda group, args: verify_ring_axioms(group),
+    "injectivity": lambda group, args: verify_injectivity(
+        group, samples=args.samples, seed=args.seed),
+}
+
+
+def _cmd_verify(args):
+    report = _VERIFIERS[args.property](_group_from_arg(args.group), args)
+    lines = [
+        f"{report.name} on {report.group_name}: "
+        f"{'ok' if report.ok else 'FAILED'} ({report.checked} checks)"
     ]
+    lines += [f"  counterexample: {witness}" for witness in report.failures]
+    return (0 if report.ok else 1), report.to_json(), lines
 
 
-def _cmd_compose(args, out: _Output) -> int:
+def _fiber_polys(phi) -> tuple[dict, list[str]]:
+    """The fiber polynomials of a bispan as a JSON map and as table lines."""
+    fps = fiber_polynomials(phi)
+    return (
+        {f"y{fp.base_point}": str(fp.poly) for fp in fps},
+        [f"phi_y{fp.base_point} = {fp.poly}" for fp in fps],
+    )
+
+
+def _cmd_compose(args):
     phi = dsl.build_bispan(dsl.parse_bispan(args.bispan))
-    if args.format == "json":
-        out.json({
-            "kind": "bispan",
-            "sizes": [phi.x.size, phi.a.size, phi.b.size, phi.y.size],
-            "fiber_polynomials": {
-                f"y{fp.base_point}": str(fp.poly) for fp in fiber_polynomials(phi)
-            },
-            "simple": is_simple(phi),
-        })
-        return 0
-    out.line(f"bispan: {phi.x.size} <- {phi.a.size} -> {phi.b.size} -> {phi.y.size}")
-    for line in _fiber_poly_lines(phi):
-        out.line(line)
-    return 0
+    polys, lines = _fiber_polys(phi)
+    payload = {
+        "kind": "bispan",
+        "sizes": [phi.x.size, phi.a.size, phi.b.size, phi.y.size],
+        "fiber_polynomials": polys,
+        "simple": is_simple(phi),
+    }
+    head = f"bispan: {phi.x.size} <- {phi.a.size} -> {phi.b.size} -> {phi.y.size}"
+    return 0, payload, [head] + lines
 
 
-def _cmd_simple(args, out: _Output) -> int:
+def _cmd_simple(args):
     phi = dsl.build_bispan(dsl.parse_bispan(args.bispan))
     simple = is_simple(phi)
-    if args.format == "json":
-        out.json({
-            "kind": "simplicity",
-            "simple": simple,
-            "fiber_polynomials": {
-                f"y{fp.base_point}": str(fp.poly) for fp in fiber_polynomials(phi)
-            },
-        })
-        return 0
-    out.line("simple" if simple else "not simple")
-    for line in _fiber_poly_lines(phi):
-        out.line(line)
-    return 0
+    polys, lines = _fiber_polys(phi)
+    payload = {"kind": "simplicity", "simple": simple, "fiber_polynomials": polys}
+    return 0, payload, ["simple" if simple else "not simple"] + lines
 
 
-def _cmd_factor(args, out: _Output) -> int:
+def _cmd_factor(args):
     phi = dsl.build_bispan(dsl.parse_bispan(args.bispan))
-    p, q, r = canonical_factorization(phi)
-    equivalent = bispan_equivalent(recompose(p, q, r), phi)
-    if args.format == "json":
-        out.json({
-            "kind": "factorization",
-            "p": list(p.images),
-            "q": list(q.images),
-            "r": list(r.images),
-            "recomposition_equivalent": equivalent,
-        })
-        return 0 if equivalent else 1
-    out.line(f"p: {list(p.images)}")
-    out.line(f"q: {list(q.images)}")
-    out.line(f"r: {list(r.images)}")
-    out.line(f"recomposition equivalent: {'yes' if equivalent else 'NO'}")
-    return 0 if equivalent else 1
+    equivalent = bispan_equivalent(recompose(phi.p, phi.q, phi.r), phi)
+    legs = {"p": list(phi.p.images), "q": list(phi.q.images), "r": list(phi.r.images)}
+    payload = {"kind": "factorization", **legs, "recomposition_equivalent": equivalent}
+    lines = [f"{name}: {images}" for name, images in legs.items()]
+    lines.append(f"recomposition equivalent: {'yes' if equivalent else 'NO'}")
+    return (0 if equivalent else 1), payload, lines
 
 
-def _parse_assignment(text: str) -> dict[str, int]:
-    out: dict[str, int] = {}
-    if not text.strip():
-        return out
-    for part in text.split(","):
+def _parse_assignment(text: str) -> SetAssignment:
+    sizes: dict[str, int] = {}
+    for part in text.split(",") if text.strip() else ():
         if "=" not in part:
             raise GwittError(f"assignment entry {part!r} is not name=size")
         name, size = part.split("=", 1)
+        name = name.strip()
+        if name in sizes:
+            raise GwittError(f"variable {name!r} is assigned twice")
         try:
-            out[name.strip()] = int(size)
+            sizes[name] = int(size)
         except ValueError:
             raise GwittError(f"assignment size {size!r} is not an integer") from None
-    return out
+        if not 0 <= sizes[name] <= MAX_EVAL_ELEMENTS:
+            raise GwittError(
+                f"set size {sizes[name]} for {name!r} is outside 0..{MAX_EVAL_ELEMENTS}"
+            )
+    return SetAssignment.of(sizes)
 
 
-def _cmd_words(args, out: _Output) -> int:
-    from .words import SetAssignment, coherence_iso, eval_word, supp
+def _word_within_cap(text: str, assignment: SetAssignment) -> Word:
+    w = dsl.build_word(dsl.parse_word(text))
+    size = eval_size(w, assignment)
+    if size > MAX_EVAL_ELEMENTS:
+        raise GwittError(
+            f"evaluating {text!r} builds {size} elements, above the cap {MAX_EVAL_ELEMENTS}"
+        )
+    return w
 
-    if args.words_op == "supp":
-        w = dsl.build_word(dsl.parse_word(args.word))
-        poly = supp(w)
-        if args.format == "json":
-            out.json({"kind": "supp", "polynomial": str(poly)})
-        else:
-            out.line(str(poly))
-        return 0
-    assignment = SetAssignment.of(_parse_assignment(args.assign))
-    if args.words_op == "eval":
-        w = dsl.build_word(dsl.parse_word(args.word))
-        elems = eval_word(w, assignment)
-        if args.format == "json":
-            out.json({
-                "kind": "word_eval",
-                "cardinality": len(elems),
-                "elements": [repr(e) for e in elems],
-            })
-        else:
-            out.line(f"{len(elems)} element(s)")
-            for e in elems:
-                out.line(f"  {e!r}")
-        return 0
-    # iso
-    w = dsl.build_word(dsl.parse_word(args.word))
-    w2 = dsl.build_word(dsl.parse_word(args.word2))
+
+def _cmd_words_supp(args):
+    poly = supp(dsl.build_word(dsl.parse_word(args.word)))
+    return 0, {"kind": "supp", "polynomial": str(poly)}, [str(poly)]
+
+
+def _cmd_words_eval(args):
+    assignment = _parse_assignment(args.assign)
+    elems = eval_word(_word_within_cap(args.word, assignment), assignment)
+    payload = {
+        "kind": "word_eval",
+        "cardinality": len(elems),
+        "elements": [repr(e) for e in elems],
+    }
+    return 0, payload, [f"{len(elems)} element(s)"] + [f"  {e!r}" for e in elems]
+
+
+def _cmd_words_iso(args):
+    assignment = _parse_assignment(args.assign)
+    w = _word_within_cap(args.word, assignment)
+    w2 = _word_within_cap(args.word2, assignment)
     bij = coherence_iso(w, w2, assignment)
-    if args.format == "json":
-        out.json({
-            "kind": "coherence_iso",
-            "pairs": [[repr(k), repr(v)] for k, v in bij.items()],
-        })
-        return 0
-    out.line(f"bijection on {len(bij)} element(s)")
-    for k, v in bij.items():
-        out.line(f"  {k!r} -> {v!r}")
-    return 0
+    payload = {
+        "kind": "coherence_iso",
+        "pairs": [[repr(k), repr(v)] for k, v in bij.items()],
+    }
+    lines = [f"bijection on {len(bij)} element(s)"]
+    lines += [f"  {k!r} -> {v!r}" for k, v in bij.items()]
+    return 0, payload, lines
 
 
-def _cmd_check(args, out: _Output) -> int:
+def _cmd_check(args):
     group = _group_from_arg(args.group)
     if args.instance == "invariant":
         if args.base:
@@ -453,7 +350,6 @@ def _cmd_check(args, out: _Output) -> int:
             if base.group != group:
                 raise GwittError("--base must live over --group")
         else:
-            from .gsets import regular_gset
             base = regular_gset(group)
         instance = InvariantRingInstance(group, base)
     else:
@@ -461,20 +357,16 @@ def _cmd_check(args, out: _Output) -> int:
     report = check_tambara_axioms(
         instance, budget=args.budget, seed=args.seed
     )
-    if args.format == "json":
-        out.json(report.to_json())
-    else:
-        out.line(
-            f"tambara axioms for {report.instance} over {report.group_name} "
-            f"(budget {report.budget}, seed {report.seed}): "
-            f"{report.instances_checked} instances"
-        )
-        for check in report.checks:
-            out.line(f"  {check.relation}: {check.status}")
-            if check.witness:
-                for key in sorted(check.witness):
-                    out.line(f"    {key}: {check.witness[key]}")
-    return 0 if report.ok else 1
+    lines = [
+        f"tambara axioms for {report.instance} over {report.group_name} "
+        f"(budget {report.budget}, seed {report.seed}): "
+        f"{report.instances_checked} instances"
+    ]
+    for check in report.checks:
+        lines.append(f"  {check.relation}: {check.status}")
+        if check.witness:
+            lines += [f"    {key}: {check.witness[key]}" for key in sorted(check.witness)]
+    return (0 if report.ok else 1), report.to_json(), lines
 
 
 def non_negative_int(text: str) -> int:
@@ -491,30 +383,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, handler):
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=handler)
 
     p = sub.add_parser("lattice", help="conjugacy classes of subgroups and subconjugacy")
     p.add_argument("group")
-    add_common(p)
-    p.set_defaults(func=_cmd_lattice)
+    add_common(p, _cmd_lattice)
 
     p = sub.add_parser("tom", help="table of marks")
     p.add_argument("group")
-    add_common(p)
-    p.set_defaults(func=_cmd_tom)
+    add_common(p, _cmd_tom)
 
     p = sub.add_parser("marks", help="mark vector of a Burnside element")
     p.add_argument("group")
     p.add_argument("coeffs", help="comma-separated coefficients, poset order")
-    add_common(p)
-    p.set_defaults(func=_cmd_marks)
+    add_common(p, _cmd_marks)
 
     p = sub.add_parser("orbits", help="orbit decomposition of a G-set expression")
     p.add_argument("gset")
-    add_common(p)
-    p.set_defaults(func=_cmd_orbits)
+    add_common(p, _cmd_orbits)
 
     p = sub.add_parser("burnside", help="Burnside ring operations")
     bsub = p.add_subparsers(dest="burnside_op", required=True)
@@ -522,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("group")
     pm.add_argument("left")
     pm.add_argument("right")
-    add_common(pm)
-    pm.set_defaults(func=_cmd_burnside_mul)
+    add_common(pm, _cmd_burnside_mul)
 
     p = sub.add_parser("witt", help="Witt vector operations")
     wsub = p.add_subparsers(dest="witt_op", required=True)
@@ -532,55 +420,46 @@ def build_parser() -> argparse.ArgumentParser:
         pw.add_argument("group")
         pw.add_argument("vector", help="components, top class first")
         pw.add_argument("--symbolic", action="store_true")
-        add_common(pw)
-        pw.set_defaults(func=_cmd_witt, witt_op=name)
+        add_common(pw, _cmd_tau if name == "tau" else _cmd_witt)
     for name in ("add", "mul"):
         pw = wsub.add_parser(name)
         pw.add_argument("group")
         pw.add_argument("vector")
         pw.add_argument("vector2")
         pw.add_argument("--symbolic", action="store_true")
-        add_common(pw)
-        pw.set_defaults(func=_cmd_witt, witt_op=name)
+        add_common(pw, _cmd_witt)
     pw = wsub.add_parser("verify")
     pw.add_argument("property", choices=("factorization", "iso", "ring-axioms", "injectivity"))
     pw.add_argument("group")
     pw.add_argument("--samples", type=non_negative_int, default=100)
-    add_common(pw)
-    pw.set_defaults(func=_cmd_witt, witt_op="verify")
+    add_common(pw, _cmd_verify)
 
     p = sub.add_parser("compose", help="evaluate a bispan expression")
     p.add_argument("bispan")
-    add_common(p)
-    p.set_defaults(func=_cmd_compose)
+    add_common(p, _cmd_compose)
 
     p = sub.add_parser("simple", help="test simplicity of a bispan expression")
     p.add_argument("bispan")
-    add_common(p)
-    p.set_defaults(func=_cmd_simple)
+    add_common(p, _cmd_simple)
 
     p = sub.add_parser("factor", help="generator factorization of a bispan")
     p.add_argument("bispan")
-    add_common(p)
-    p.set_defaults(func=_cmd_factor)
+    add_common(p, _cmd_factor)
 
     p = sub.add_parser("words", help="free {+,*}-algebra words")
     wsub = p.add_subparsers(dest="words_op", required=True)
     ps = wsub.add_parser("supp")
     ps.add_argument("word")
-    add_common(ps)
-    ps.set_defaults(func=_cmd_words, words_op="supp")
+    add_common(ps, _cmd_words_supp)
     pe = wsub.add_parser("eval")
     pe.add_argument("word")
     pe.add_argument("--assign", required=True, help="x=2,y=3 set sizes")
-    add_common(pe)
-    pe.set_defaults(func=_cmd_words, words_op="eval")
+    add_common(pe, _cmd_words_eval)
     pi = wsub.add_parser("iso")
     pi.add_argument("word")
     pi.add_argument("word2")
     pi.add_argument("--assign", required=True)
-    add_common(pi)
-    pi.set_defaults(func=_cmd_words, words_op="iso")
+    add_common(pi, _cmd_words_iso)
 
     p = sub.add_parser("check", help="axiom checkers")
     csub = p.add_subparsers(dest="check_op", required=True)
@@ -589,33 +468,36 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--group", required=True)
     pt.add_argument("--budget", type=non_negative_int, default=4)
     pt.add_argument("--base", default=None, help="base G-set for the invariant instance")
-    add_common(pt)
-    pt.set_defaults(func=_cmd_check)
+    add_common(pt, _cmd_check)
 
     return parser
 
 
 def run(argv: list[str], stream=None) -> int:
-    """Dispatch one command; returns the exit status."""
+    """Dispatch one command, write its result to `stream` (stdout by
+    default) and return the exit status.  This is the only writer: JSON as
+    one sorted object with the schema number, the table lines, or one error
+    line."""
     stream = stream if stream is not None else sys.stdout
-    out = _Output(stream)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args, out)
+        status, payload, lines = args.func(args)
+        if args.format == "json":
+            lines = [json.dumps({"schema": SCHEMA, **payload}, sort_keys=True)]
     except DslSyntaxError as exc:
         expected = f" (expected: {', '.join(exc.expected)})" if exc.expected else ""
-        out.line(f"syntax error at line {exc.line}, column {exc.column}: {exc}{expected}")
-        return 2
+        status, lines = 2, [
+            f"syntax error at line {exc.line}, column {exc.column}: {exc}{expected}"
+        ]
     except IntegralityError as exc:
-        out.line(f"integrality error: {exc}")
-        return 3
+        status, lines = 3, [f"integrality error: {exc}"]
     except GwittError as exc:
-        out.line(f"error: {exc}")
-        return 2
+        status, lines = 2, [f"error: {exc}"]
+    stream.write("".join(line + "\n" for line in lines))
+    return status
 
 
 def main() -> int:

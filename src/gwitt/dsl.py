@@ -8,7 +8,7 @@ Grammar (LL(1), whitespace-insensitive):
     gset     := gsum;  gsum := gprod ("+" gprod)*;  gprod := gatom ("*" gatom)*
     gatom    := group "/" subgroup | "(" gset ")"
     map      := "id(" gset ")" | "fold(" gset ")" | "pt(" gset ")"
-              | gset "->" gset "[" [num ("," num)*] "]" | ident
+              | gset "->" gset "[" [num ("," num)*] "]"
     bispan   := bterm (";" bterm)*                   phi ; psi  =  psi ∘ phi
     bterm    := "R(" map ")" | "T(" map ")" | "N(" map ")"
               | "<" bispan "," bispan ">" | "(" bispan ")"
@@ -20,7 +20,7 @@ Grammar (LL(1), whitespace-insensitive):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import groups as _groups
 from .bispans import Bispan, compose, gen_N, gen_R, gen_T, pair
@@ -31,6 +31,15 @@ from .intpoly import Poly
 from .words import Word
 
 _PUNCT = ("->", "(", ")", "<", ">", "[", "]", ",", ";", "+", "*", "/", "^", "-")
+
+# Fixed input bounds, checked while parsing so that no input builds an
+# unbounded structure: bracket nesting and parse-tree depth (which bound
+# every recursive walk over the tree), the digits of a number, the point
+# labels of perm[...] and the exponent after ^.
+MAX_DEPTH = 100
+MAX_DIGITS = 1000
+MAX_PERM_POINTS = 64
+MAX_EXPONENT = 64
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,15 @@ class Node:
     value: object
     children: tuple
     span: tuple[int, int]
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        depth = 1 + max((c.depth for c in self.children), default=0)
+        if depth > MAX_DEPTH:
+            raise DslSyntaxError(
+                f"expression tree is deeper than {MAX_DEPTH} levels", *self.span
+            )
+        object.__setattr__(self, "depth", depth)
 
     def __repr__(self):
         return f"Node({self.kind}, {self.value}, {len(self.children)} children)"
@@ -79,6 +97,8 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise DslSyntaxError(f"number has more than {MAX_DIGITS} digits", line, col)
             tokens.append(Token("num", text[i:j], line, col))
             col += j - i
             i = j
@@ -105,6 +125,7 @@ class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -138,6 +159,15 @@ class Parser:
         if not self.at_end():
             self.error("expected end of input", expected={"end of input"})
 
+    def nested(self, parse) -> Node:
+        """Run `parse` one bracket (or unary minus) level deeper."""
+        if self.nesting == MAX_DEPTH:
+            self.error(f"brackets are nested deeper than {MAX_DEPTH} levels")
+        self.nesting += 1
+        node = parse()
+        self.nesting -= 1
+        return node
+
     # -- groups and subgroups -------------------------------------------------
 
     def parse_group(self) -> Node:
@@ -167,6 +197,8 @@ class Parser:
         self.expect("(", "(")
         nums = []
         while self.peek().kind == "num":
+            if int(self.peek().text) >= MAX_PERM_POINTS:
+                self.error(f"permutation points must be below {MAX_PERM_POINTS}")
             nums.append(int(self.advance().text))
         self.expect(")", ")")
         if not nums:
@@ -207,7 +239,7 @@ class Parser:
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
-            node = self.parse_gset()
+            node = self.nested(self.parse_gset)
             self.expect(")", ")")
             return node
         group = self.parse_group()
@@ -226,9 +258,6 @@ class Parser:
             inner = self.parse_gset()
             self.expect(")", ")")
             return Node(f"map_{tok.text}", None, (inner,), span)
-        if tok.kind == "ident" and self.peek(1).kind not in ("(", "/"):
-            self.advance()
-            return Node("map_ref", tok.text, (), span)
         source = self.parse_gset()
         self.expect("->", "->")
         target = self.parse_gset()
@@ -263,14 +292,14 @@ class Parser:
             return Node(f"bispan_{tok.text}", None, (inner,), span)
         if tok.kind == "<":
             self.advance()
-            first = self.parse_bispan()
+            first = self.nested(self.parse_bispan)
             self.expect(",", ",")
-            second = self.parse_bispan()
+            second = self.nested(self.parse_bispan)
             self.expect(">", ">")
             return Node("bispan_pair", None, (first, second), span)
         if tok.kind == "(":
             self.advance()
-            node = self.parse_bispan()
+            node = self.nested(self.parse_bispan)
             self.expect(")", ")")
             return node
         self.error("expected a bispan", expected={"R(", "T(", "N(", "<", "("})
@@ -304,7 +333,7 @@ class Parser:
             return Node("word_var", tok.text, (), span)
         if tok.kind == "(":
             self.advance()
-            node = self.parse_word()
+            node = self.nested(self.parse_word)
             self.expect(")", ")")
             return node
         self.error("expected a word", expected={"0", "1", "identifier", "("})
@@ -327,7 +356,7 @@ class Parser:
         span = (tok.line, tok.col)
         if tok.kind == "-":
             self.advance()
-            inner = self._parse_poly_term()
+            inner = self.nested(self._parse_poly_term)
             return Node("poly_neg", None, (inner,), span)
         node = self._parse_poly_factor()
         while self.peek().kind == "*":
@@ -347,13 +376,15 @@ class Parser:
             node = Node("poly_var", tok.text, (), span)
         elif tok.kind == "(":
             self.advance()
-            node = self.parse_poly()
+            node = self.nested(self.parse_poly)
             self.expect(")", ")")
         else:
             self.error("expected a polynomial factor",
                        expected={"number", "identifier", "("})
         if self.peek().kind == "^":
             self.advance()
+            if self.peek().kind == "num" and int(self.peek().text) > MAX_EXPONENT:
+                self.error(f"exponents are at most {MAX_EXPONENT}")
             exp = self.expect("num", "number")
             node = Node("poly_pow", int(exp.text), (node,), span)
         return node
@@ -403,28 +434,6 @@ def parse_vector(text: str) -> Node:
     return _run(text, "parse_vector")
 
 
-def parse(text: str) -> Node:
-    """Parse any DSL fragment, dispatching on the leading tokens."""
-    parser = Parser(text)
-    tok = parser.peek()
-    if tok.kind == "ident" and tok.text in ("R", "T", "N") and parser.peek(1).kind == "(":
-        node = parser.parse_bispan()
-    elif tok.kind == "<":
-        node = parser.parse_bispan()
-    elif tok.kind == "ident" and tok.text in ("C", "S", "D", "V4", "perm"):
-        start = parser.pos
-        group = parser.parse_group()
-        if parser.peek().kind in ("/", "+", "*"):
-            parser.pos = start
-            node = parser.parse_gset()
-        else:
-            node = group
-    else:
-        node = parser.parse_word()
-    parser.require_end()
-    return node
-
-
 # -- canonical printing ------------------------------------------------------------
 
 
@@ -453,8 +462,6 @@ def to_text(node: Node) -> str:
         return " * ".join(parts)
     if k in ("map_id", "map_fold", "map_pt"):
         return f"{k[4:]}({to_text(node.children[0])})"
-    if k == "map_ref":
-        return str(node.value)
     if k == "map_table":
         src, tgt = node.children
         return (f"{to_text(src)} -> {to_text(tgt)} "
@@ -579,8 +586,6 @@ def build_map(node: Node) -> GMap:
                 f"map table has {len(node.value)} entries for {source.size} points"
             )
         return GMap(source, target, node.value)
-    if node.kind == "map_ref":
-        raise GwittError(f"unbound map name {node.value!r}")
     raise GwittError(f"not a map node: {node.kind}")
 
 

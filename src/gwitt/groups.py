@@ -207,6 +207,13 @@ def dihedral(n: int) -> Group:
 def symmetric(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     if n < 1:
         raise GwittError("symmetric group needs at least one point")
+    # n! against the cap before any generator is built: S(10^8) would need
+    # permutations of 10^8 points
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > max_order:
+            raise GroupOrderError(f"group order {n}! exceeds cap {max_order}")
     if n == 1:
         return group_from_generators([], n_points=1, name="S1")
     gens = [tuple([1, 0] + list(range(2, n)))]
@@ -298,10 +305,6 @@ def subgroup_generated(group: Group, gens) -> Subgroup:
 
 def trivial_subgroup(group: Group) -> Subgroup:
     return Subgroup(group, (0,))
-
-
-def full_subgroup(group: Group) -> Subgroup:
-    return Subgroup(group, tuple(range(group.order)))
 
 
 _SUBGROUPS_CACHE: dict[Group, tuple[Subgroup, ...]] = {}
@@ -499,14 +502,6 @@ class SubconjugacyPoset:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.classes)
-
-    def index(self, j: int, i: int) -> int:
-        """The index (K_j : H_i) of a conjugate of H_i inside K_j."""
-        if not self.leq(i, j):
-            raise GwittError(
-                f"class {self.label(i)} is not subconjugate to {self.label(j)}"
-            )
-        return self.classes[j].order // self.classes[i].order
 
 
 _POSET_CACHE: dict[Group, SubconjugacyPoset] = {}

@@ -97,11 +97,6 @@ class Poly:
             raise ValueError("not a constant polynomial")
         return self.terms.get((), 0)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self.terms)
-
     def is_simple(self) -> bool:
         """True iff this is a sum of distinct square-free monomials."""
         return all(

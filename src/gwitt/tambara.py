@@ -521,6 +521,8 @@ def check_tambara_axioms(instance: TambaraInstance, budget: int = 4,
         raise GwittError(f"unknown relations: {sorted(unknown)}")
     if budget < 0:
         raise GwittError(f"budget must be non-negative, got {budget}")
+    if value_samples < 0:
+        raise GwittError(f"value_samples must be non-negative, got {value_samples}")
     report = TambaraReport(instance.name, instance.group.name, budget, seed)
     objects = small_gsets(instance.group, budget)
     auts = [_automorphisms(x) for x in objects]

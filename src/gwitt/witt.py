@@ -304,10 +304,16 @@ def random_witt_vector(group: Group, rng: random.Random,
     return WittVector(group, tuple(_random_component(rng, poly_vars) for _ in range(n)))
 
 
+def _check_samples(samples: int):
+    if samples < 0:
+        raise GwittError(f"samples must be non-negative, got {samples}")
+
+
 def verify_ghost_factorization(group: Group, samples: int = 100,
                                seed: int = 0) -> Report:
     """marks(tau(alpha)) = ghost(alpha): once symbolically over Z[a_[K]],
     then on seeded random integer vectors."""
+    _check_samples(samples)
     ctx = witt_context(group)
     report = Report("ghost-factorization", group.name, seed=seed)
     sym = tuple(Poly.var(v) for v in ctx.avars)
@@ -487,6 +493,7 @@ def verify_injectivity(group: Group, samples: int = 1000, seed: int = 0,
                        poly_vars: tuple[str, ...] = ("x", "y")) -> Report:
     """unghost∘ghost = id on seeded random vectors over Z[x, y]; distinct
     samples never share a ghost; the triangular diagonal is nonzero."""
+    _check_samples(samples)
     ctx = witt_context(group)
     report = Report("ghost-injectivity", group.name, seed=seed)
     rng = random.Random(seed)

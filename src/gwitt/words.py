@@ -140,12 +140,27 @@ class SetAssignment:
                 return ls
         raise GwittError(f"no set assigned to variable {name!r}")
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.sets)
 
-    def restrict_inject(self, other: "SetAssignment") -> bool:
-        """True when every labeled set here is a prefix-wise subset of other's."""
-        return all(set(self.labels(n)) <= set(other.labels(n)) for n in self.names())
+def eval_size(w: Word, a: SetAssignment) -> int:
+    """The size of the largest evaluation that eval_word(w, a) builds, over w
+    and its subwords: supp evaluated at the set sizes, counted without
+    building any element.  An unassigned variable counts as empty here;
+    eval_word reports it."""
+    sizes = {name: len(labels) for name, labels in a.sets}
+
+    def walk(v: Word) -> tuple[int, int]:  # (|eval(v)|, largest inside v)
+        if v.kind == "zero":
+            return 0, 0
+        if v.kind == "one":
+            return 1, 1
+        if v.kind == "var":
+            n = sizes.get(v.name, 0)
+            return n, n
+        (left, peak_left), (right, peak_right) = walk(v.left), walk(v.right)
+        n = left + right if v.kind == "add" else left * right
+        return n, max(n, peak_left, peak_right)
+
+    return walk(w)[1]
 
 
 def eval_word(w: Word, a: SetAssignment) -> tuple:

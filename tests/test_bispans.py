@@ -10,7 +10,6 @@ from randgen import random_bispan
 from gwitt.bispans import (
     Bispan,
     bispan_equivalent,
-    canonical_factorization,
     compose,
     fiber_polynomial,
     fiber_polynomials,
@@ -304,13 +303,11 @@ def test_generators_transform_fiber_polynomials_as_predicted():
 
 def test_canonical_factorization_round_trip_examples():
     ident = identity_bispan(FREE)
-    p, q, r = canonical_factorization(ident)
-    assert p.images == q.images == r.images == tuple(FREE.points())
-    assert bispan_equivalent(recompose(p, q, r), ident)
+    assert ident.p.images == ident.q.images == ident.r.images == tuple(FREE.points())
+    assert bispan_equivalent(recompose(ident.p, ident.q, ident.r), ident)
     n = gen_N(TO_PT)
-    p, q, r = canonical_factorization(n)
-    assert p.images == tuple(FREE.points()) and q is n.q
-    assert bispan_equivalent(recompose(p, q, r), n)
+    assert n.p.images == tuple(FREE.points())
+    assert bispan_equivalent(recompose(n.p, n.q, n.r), n)
 
 
 def test_canonical_factorization_random_round_trip():
@@ -318,7 +315,7 @@ def test_canonical_factorization_random_round_trip():
     for group in (C2, symmetric(3)):
         for _ in range(15):
             phi = random_bispan(group, rng, 3)
-            assert bispan_equivalent(recompose(*canonical_factorization(phi)), phi)
+            assert bispan_equivalent(recompose(phi.p, phi.q, phi.r), phi)
 
 
 def test_compose_associativity_enumerated_generator_triples():

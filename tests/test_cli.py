@@ -175,6 +175,41 @@ def test_words_unassigned_variable_is_an_error():
         assert "'y'" in text, argv
 
 
+@pytest.mark.parametrize("assign,word", [
+    ("x=-3", "x"),                # negative size
+    ("x=3,x=4", "x"),             # repeated name
+    ("x=100000000", "x"),         # one set above the cap
+    ("x=1000", "x * x * x"),      # an evaluation of 10^9 elements
+    ("x=1000", "(x * x) * 0"),    # empty result, 10^6-element subword
+])
+def test_words_assign_rejects_bad_input(assign, word):
+    status, text = capture(["words", "eval", word, "--assign", assign])
+    assert status == 2
+    assert text.startswith("error: ") and text.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["words", "supp", "(" * 3000 + "x" + ")" * 3000],
+    ["words", "supp", " + ".join(["x"] * 3000)],
+    ["orbits", " + ".join(["C(2)/<>"] * 1500)],
+    ["compose", " ; ".join(["T(id(C(2)/<>))"] * 1200)],
+    ["witt", "ghost", "C(2)", "(" + "-" * 3000 + "1, 2)"],
+    ["witt", "ghost", "C(2)", "(x^100000, 1)", "--symbolic"],
+    ["tom", "C(" + "1" * 5000 + ")"],
+    ["tom", "S(300000000)"],
+    ["tom", "perm[(0 300000000)]"],
+], ids=[
+    "nested-parens", "long-sum", "long-gset-sum", "long-bispan-chain",
+    "unary-minus-chain", "huge-exponent", "huge-number", "huge-symmetric",
+    "huge-perm-point",
+])
+def test_oversized_input_is_a_usage_error(argv):
+    status, text = capture(argv)
+    assert status == 2
+    assert text.startswith(("error: ", "syntax error at line 1, column "))
+    assert text.count("\n") == 1
+
+
 def test_check_tambara_cli_pass_and_json():
     status, text = capture(
         ["check", "tambara", "--instance", "invariant", "--group", "C(2)",

@@ -9,7 +9,6 @@ from gwitt.dsl import (
     build_map,
     build_vector,
     build_word,
-    parse,
     parse_bispan,
     parse_gset,
     parse_group,
@@ -25,26 +24,27 @@ from gwitt.words import supp
 
 
 def test_parse_gset_example():
-    node = parse("C(2)/<>")
+    node = parse_gset("C(2)/<>")
     assert node.kind == "gset_cosets"
     x = build_gset(node)
     assert x.size == 2 and x.group == cyclic(2)
 
 
 def test_parse_bispan_structure_only():
-    node = parse("T(f) ; N(g)")
+    node = parse_bispan("T(fold(C(2)/<>)) ; N(pt(C(2)/<>))")
     assert node.kind == "bispan_seq"
     kinds = [c.kind for c in node.children]
     assert kinds == ["bispan_T", "bispan_N"]
-    assert node.children[0].children[0].kind == "map_ref"
-    # unresolved references are a usage error at evaluation time
-    with pytest.raises(GwittError):
-        build_bispan(node)
+    assert node.children[0].children[0].kind == "map_fold"
+    # maps are written inline; a bare name is a syntax error at its position
+    with pytest.raises(DslSyntaxError) as exc:
+        parse_bispan("T(fold(C(2)/<>)) ; R(f)")
+    assert (exc.value.line, exc.value.column) == (1, 22)
 
 
 def test_parse_error_positions():
     with pytest.raises(DslSyntaxError) as exc:
-        parse("C(2/")
+        parse_group("C(2/")
     assert exc.value.line == 1 and exc.value.column == 4
     assert ")" in exc.value.expected
     with pytest.raises(DslSyntaxError) as exc2:
@@ -139,8 +139,8 @@ def test_build_word_and_poly():
     assert v[1] == -(Poly.var("a0") ** 2) + 2
 
 
-def test_generic_parse_dispatch():
-    assert parse("C(4)").kind == "group"
-    assert parse("C(4)/<>").kind == "gset_cosets"
-    assert parse("x + y").kind == "word_add"
-    assert parse("<T(f), N(g)>").kind == "bispan_pair"
+def test_entry_point_node_kinds():
+    assert parse_group("C(4)").kind == "group"
+    assert parse_gset("C(4)/<>").kind == "gset_cosets"
+    assert parse_word("x + y").kind == "word_add"
+    assert parse_bispan("<T(id(C(2)/<>)), N(id(C(2)/<>))>").kind == "bispan_pair"

@@ -197,6 +197,14 @@ def test_negative_budget_is_rejected():
         check_tambara_axioms(inst, budget=-1)
 
 
+def test_negative_value_samples_are_rejected():
+    # with no sampled values only the unit laws would run, and the mutated
+    # norm would pass exponential distributivity
+    mutated = MutatedInstance(InvariantRingInstance(C2, regular_gset(C2)))
+    with pytest.raises(GwittError):
+        check_tambara_axioms(mutated, budget=2, value_samples=-1)
+
+
 def test_report_json_is_sorted_and_complete():
     inst = InvariantRingInstance(C2, regular_gset(C2))
     report = check_tambara_axioms(inst, budget=2, seed=0)

@@ -143,6 +143,12 @@ def test_injectivity_sampled():
         assert report.ok, report.failures[:3]
 
 
+def test_negative_samples_are_rejected():
+    for verify in (verify_ghost_factorization, verify_injectivity):
+        with pytest.raises(GwittError):
+            verify(C2, samples=-5)
+
+
 def test_component_count_validation():
     with pytest.raises(GwittError):
         WittVector(C2, (1,))
