@@ -5,14 +5,54 @@ norm maps needed by the Teichmueller homomorphism."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GwittError, IntegralityError
-from .groups import Group, Subgroup, subconjugacy_poset
+from .groups import ClassCensus, Group, Subgroup, subconjugacy_poset, subgroup_censuses
 from .gsets import GSet, orbit_decompose
 from .intpoly import Poly
 
 _TOM_CACHE: dict[Group, tuple[tuple[int, ...], ...]] = {}
+_COLUMNS_CACHE: dict[Group, MarkColumns] = {}
+_SUBGROUP_RINGS_CACHE: dict[Group, tuple] = {}
 _CLASS_MAP_CACHE: dict[tuple[Group, Subgroup], tuple[int, ...]] = {}
+
+
+class MarkColumns(NamedTuple):
+    """A table of marks by columns, holding only its nonzero entries.
+
+    `diag[h]` is the mark |N(H_h):H_h| of [H_h] on itself, and `above[h]`
+    the flat list k1, m1, i1, k2, m2, i2, ... of the classes k > h with
+    mark m = |(G/H_k)^{H_h}| != 0, where i = |H_k|/|H_h| is the exponent
+    (K:H) of the ghost map.
+    """
+
+    diag: tuple[int, ...]
+    above: tuple[tuple[int, ...], ...]
+
+
+def _columns(census: ClassCensus) -> MarkColumns:
+    """Pfeiffer's marks |(K/L_k)^{L_h}| = |N_K(L_k):L_k| * #{L' ~ L_k :
+    L_h <= L'} from the census of K."""
+    orders = census.orders
+    # |N_K(L):L| = |K| / (|L| * #K-conjugates of L)
+    weyl = [orders[-1] // (order * size) for order, size in zip(orders, census.sizes)]
+    above = []
+    for order, counts in zip(orders, census.above):
+        column = []
+        for k, n in zip(counts[::2], counts[1::2]):
+            column += (k, weyl[k] * n, orders[k] // order)
+        above.append(tuple(column))
+    return MarkColumns(tuple(weyl), tuple(above))
+
+
+def mark_columns(group: Group) -> MarkColumns:
+    """The table of marks of G by sparse columns; cached per group."""
+    columns = _COLUMNS_CACHE.get(group)
+    if columns is None:
+        columns = _columns(subconjugacy_poset(group).census)
+        _COLUMNS_CACHE[group] = columns
+    return columns
 
 
 def table_of_marks(group: Group) -> tuple[tuple[int, ...], ...]:
@@ -27,19 +67,15 @@ def table_of_marks(group: Group) -> tuple[tuple[int, ...], ...]:
     cached = _TOM_CACHE.get(group)
     if cached is not None:
         return cached
-    poset = subconjugacy_poset(group)
-    rows = []
-    for ck, row in zip(poset.classes, poset.containing):
-        weyl = group.order // (ck.order * len(ck.members))  # |N_G(K):K|
-        rows.append(tuple(map(weyl.__mul__, row)))
-    tom = tuple(rows)
+    diag, above = mark_columns(group)
+    rows = [[0] * len(diag) for _ in diag]
+    for h, column in enumerate(above):
+        rows[h][h] = diag[h]
+        for j in range(0, len(column), 3):
+            rows[column[j]][h] = column[j + 1]
+    tom = tuple(map(tuple, rows))
     _TOM_CACHE[group] = tom
     return tom
-
-
-def _scale(coeff, value):
-    # works for int and Poly coefficients alike
-    return coeff * value
 
 
 @dataclass(frozen=True)
@@ -71,7 +107,7 @@ class BurnsideElement:
         return BurnsideElement(self.group, tuple(-a for a in self.coeffs))
 
     def scale(self, value) -> "BurnsideElement":
-        return BurnsideElement(self.group, tuple(_scale(c, value) for c in self.coeffs))
+        return BurnsideElement(self.group, tuple(c * value for c in self.coeffs))
 
     def _check(self, other: "BurnsideElement"):
         if self.group != other.group:
@@ -108,12 +144,15 @@ def burnside_of_gset(x: GSet) -> BurnsideElement:
 
 def marks(b: BurnsideElement) -> tuple:
     """The fixed-point vector over the poset; a ring homomorphism."""
-    tom = table_of_marks(b.group)
-    n = len(tom)
-    return tuple(
-        sum(_scale(b.coeffs[k], tom[k][h]) for k in range(n))
-        for h in range(n)
-    )
+    diag, above = mark_columns(b.group)
+    coeffs = b.coeffs
+    out = []
+    for h, column in enumerate(above):
+        total = coeffs[h] * diag[h]
+        for j in range(0, len(column), 3):
+            total = total + coeffs[column[j]] * column[j + 1]
+        out.append(total)
+    return tuple(out)
 
 
 def _exact_div(value, n: int):
@@ -133,6 +172,24 @@ def _rational_div(value, n: int):
     return int(q) if q.denominator == 1 else q
 
 
+def _solve(vector, columns: MarkColumns, div) -> list:
+    """The coefficients whose marks are `vector`, by triangular solve from
+    the top class down; an IntegralityError carries the failing class index
+    in `where`."""
+    diag, above = columns
+    coeffs = [0] * len(diag)
+    for h in range(len(diag) - 1, -1, -1):
+        residue = vector[h]
+        column = above[h]
+        for j in range(0, len(column), 3):
+            residue = residue - coeffs[column[j]] * column[j + 1]
+        try:
+            coeffs[h] = div(residue, diag[h])
+        except IntegralityError:
+            raise IntegralityError(f"not integral at class {h}", where=h) from None
+    return coeffs
+
+
 def unmarks(group: Group, vector, exact: bool = True) -> BurnsideElement:
     """The unique preimage under marks, by exact triangular solve along the
     poset order; raises IntegralityError when the vector is not a mark
@@ -143,23 +200,15 @@ def unmarks(group: Group, vector, exact: bool = True) -> BurnsideElement:
     verifications need as an intermediate step.
     """
     poset = subconjugacy_poset(group)
-    tom = table_of_marks(group)
-    n = len(poset)
-    if len(vector) != n:
+    if len(vector) != len(poset):
         raise GwittError("mark vector has wrong length")
-    div = _exact_div if exact else _rational_div
-    coeffs = [0] * n
-    for h in range(n - 1, -1, -1):
-        residue = vector[h]
-        for k in range(h + 1, n):
-            residue = residue - _scale(coeffs[k], tom[k][h])
-        try:
-            coeffs[h] = div(residue, tom[h][h])
-        except IntegralityError:
-            raise IntegralityError(
-                f"mark vector not integral at class {poset.label(h)}",
-                where=poset.label(h),
-            ) from None
+    try:
+        coeffs = _solve(vector, mark_columns(group), _exact_div if exact else _rational_div)
+    except IntegralityError as exc:
+        label = poset.label(exc.where)
+        raise IntegralityError(
+            f"mark vector not integral at class {label}", where=label
+        ) from None
     return BurnsideElement(group, tuple(coeffs))
 
 
@@ -217,3 +266,33 @@ def norm_from_trivial(group: Group, x, exact: bool = True) -> BurnsideElement:
         x ** (group.order // cls.order) for cls in poset.classes
     )
     return unmarks(group, vector, exact=exact)
+
+
+def _subgroup_rings(group: Group) -> tuple:
+    """For each class [K] of G: the G-class of each class [L] of K, which is
+    the transfer [K/L] -> [G/L] on the basis, the index |K:L| of each, and
+    the mark columns of A(K), all read off G's lattice; cached per group."""
+    rings = _SUBGROUP_RINGS_CACHE.get(group)
+    if rings is None:
+        rings = tuple(
+            (class_map, tuple(census.orders[-1] // o for o in census.orders), _columns(census))
+            for class_map, census in subgroup_censuses(group)
+        )
+        _SUBGROUP_RINGS_CACHE[group] = rings
+    return rings
+
+
+def transferred_norms(group: Group, values) -> BurnsideElement:
+    """The sum over the classes [K] of G of T_K^G N_e^K(x_K), for integers
+    x_K in poset order.
+
+    N_e^K(x) is the exact triangular solve in A(K) of the mark vector
+    [L] -> x^|K:L| (see `norm_from_trivial`), and T_K^G sends [K/L] to
+    [G/L] (see `burnside_transfer`).
+    """
+    total = [0] * len(subconjugacy_poset(group))
+    for x, (class_map, indices, columns) in zip(values, _subgroup_rings(group)):
+        norm = _solve([x ** i for i in indices], columns, _exact_div)
+        for g_class, c in zip(class_map, norm):
+            total[g_class] += c
+    return BurnsideElement(group, tuple(total))

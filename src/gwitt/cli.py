@@ -7,12 +7,14 @@ the subconjugacy poset (trivial class first).  Table output labels every
 class, so the orientation is always visible.
 
 Exit codes: 0 success, 1 verification counterexample, 2 usage or parse
-error, 3 integrality failure.
+error, 3 integrality failure.  Only a successful run writes to stdout; the
+report of a failed verification and every error line go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shlex
 import sys
@@ -108,6 +110,29 @@ def _per_class(group: Group, kind: str, key: str, values) -> dict:
     }
 
 
+@functools.cache
+def _digit_bound(limit: int) -> int:
+    return 10 ** limit
+
+
+def _check_printable(values) -> None:
+    """Raise GwittError if an integer among `values`, or a coefficient of a
+    polynomial among them, has more decimal digits than Python converts to
+    text (`sys.get_int_max_str_digits`, absent before Python 3.10.7).  The
+    limit is interpreter-wide state, so it is reported, not raised."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    bound = _digit_bound(limit)
+    for value in values:
+        for c in value.terms.values() if isinstance(value, Poly) else (value,):
+            if abs(c) >= bound:
+                raise GwittError(
+                    f"a result has more than {limit} decimal digits, "
+                    "Python's integer-to-text limit"
+                )
+
+
 # -- subcommand handlers ------------------------------------------------------
 #
 # Each handler returns (exit status, JSON payload, table lines); run() writes
@@ -156,6 +181,7 @@ def _cmd_marks(args):
     group = _group_from_arg(args.group)
     coeffs = _coeffs_from_arg(args.coeffs, group)
     vec = marks(BurnsideElement(group, coeffs))
+    _check_printable(vec)
     payload = _per_class(group, "marks", "marks", vec)
     line = "marks: " + " ".join(f"{label}={v}" for label, v in payload["marks"].items())
     return 0, payload, [_class_header(group), line]
@@ -184,6 +210,7 @@ def _cmd_burnside_mul(args):
     b1 = BurnsideElement(group, _coeffs_from_arg(args.left, group))
     b2 = BurnsideElement(group, _coeffs_from_arg(args.right, group))
     prod = burnside_mul(b1, b2)
+    _check_printable(prod.coeffs)
     payload = _per_class(group, "burnside_product", "coefficients", prod.coeffs)
     line = "product: " + ",".join(str(c) for c in prod.coeffs)
     return 0, payload, [_class_header(group), line]
@@ -208,6 +235,7 @@ def _cmd_witt(args):
     operation, kind = _WITT_OPS[args.witt_op]
     texts = [args.vector] + ([args.vector2] if "vector2" in args else [])
     result = operation(*(_witt_from_arg(t, group, args.symbolic) for t in texts))
+    _check_printable(result.components)
     comps = [str(Poly.coerce(c)) for c in result.components]
     # table output lists the top class first
     line = "(" + ", ".join(reversed(comps)) + ")"
@@ -217,6 +245,7 @@ def _cmd_witt(args):
 def _cmd_tau(args):
     group = _group_from_arg(args.group)
     element = teichmuller_tau(_witt_from_arg(args.vector, group, args.symbolic))
+    _check_printable(element.coeffs)
     coeffs = [str(Poly.coerce(c)) for c in element.coeffs]
     payload = _per_class(group, "burnside_element", "coefficients", coeffs)
     return 0, payload, [_class_header(group), "tau: " + ",".join(coeffs)]
@@ -473,14 +502,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: list[str], stream=None) -> int:
-    """Dispatch one command, write its result to `stream` (stdout by
-    default) and return the exit status.  This is the only writer: JSON as
-    one sorted object with the schema number, the table lines, or one error
-    line."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building it is most of a warm command's time
+    return build_parser()
+
+
+def run(argv: list[str], stream=None, err_stream=None) -> int:
+    """Dispatch one command and return the exit status.  This is the only
+    writer: on success, JSON as one sorted object with the schema number or
+    the table lines go to `stream` (stdout by default); on any other exit
+    status they, or the one error line, go to `err_stream` (stderr by
+    default) and `stream` stays empty."""
     stream = stream if stream is not None else sys.stdout
+    err_stream = err_stream if err_stream is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -496,7 +533,8 @@ def run(argv: list[str], stream=None) -> int:
         status, lines = 3, [f"integrality error: {exc}"]
     except GwittError as exc:
         status, lines = 2, [f"error: {exc}"]
-    stream.write("".join(line + "\n" for line in lines))
+    out = stream if status == 0 else err_stream
+    out.write("".join(line + "\n" for line in lines))
     return status
 
 

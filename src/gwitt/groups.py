@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import GroupOrderError, GwittError
 
@@ -385,15 +386,121 @@ def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
     return subs
 
 
-def _generating_set(group: Group) -> list[int]:
-    """A generating set of at most log2 |G| elements, chosen greedily."""
+def _generating_set(group: Group, elements) -> list[int]:
+    """A generating set of at most log2 |K| elements of the subgroup K of
+    `group` with the given elements, chosen greedily."""
     gens: list[int] = []
-    elements, mask = [0], 1
-    for a in group.elements():
+    closure, mask = [0], 1
+    for a in elements:
         if not mask >> a & 1:
             gens.append(a)
-            elements, mask = _extend(group, elements, mask, gens)
+            closure, mask = _extend(group, closure, mask, gens)
     return gens
+
+
+class ClassCensus(NamedTuple):
+    """The conjugacy classes of the subgroups of one K <= G and how they lie
+    in each other, read off G's subgroup bitsets.
+
+    Classes run in the (order, elements) order of their representatives, so
+    they match the classes of K's own subconjugacy poset.  `reps[c]` is the
+    class-c representative as an index into `all_subgroups(G)`, `orders[c]`
+    its order, `sizes[c]` its number of K-conjugates, and `above[h]` the
+    flat list k1, n1, k2, n2, ... of the classes k > h with
+    n = #{L' ~_K L_k : L_h <= L'} > 0.
+    """
+
+    reps: tuple[int, ...]
+    orders: tuple[int, ...]
+    sizes: tuple[int, ...]
+    above: tuple[tuple[int, ...], ...]
+
+
+class _Lattice:
+    """The subgroups of G as bitsets, each with its down-set (the indices of
+    its subgroups, ascending), and the conjugation tables needed so far;
+    built for one pass and dropped after it."""
+
+    def __init__(self, group: Group):
+        self.group = group
+        self.subgroups = all_subgroups(group)
+        elements = [s.elements for s in self.subgroups]
+        masks = [_mask(e) for e in elements]
+        self.elements = elements
+        self.position = {m: i for i, m in enumerate(masks)}
+        # subgroups run by order, so a proper subgroup of L comes before the
+        # first subgroup of L's order
+        first: dict[int, int] = {}
+        self.down = []
+        for t, mask in enumerate(masks):
+            outside = ~mask
+            start = first.setdefault(len(elements[t]), t)
+            below = [i for i in range(start) if not masks[i] & outside]
+            below.append(t)
+            self.down.append(below)
+        self._conj: dict[int, tuple[int, ...]] = {}
+
+    def conjugations(self, elements) -> list[tuple[int, ...]]:
+        """The tables a -> g a g^-1 for a greedy generating set of the
+        subgroup with these elements, leaving out generators central in it
+        (they fix every subgroup)."""
+        mul, inv = self.group.mul_table, self.group.inv_table
+        gens = _generating_set(self.group, elements)
+        tables = []
+        for g in gens:
+            if all(mul[g][x] == mul[x][g] for x in gens):
+                continue
+            if g not in self._conj:
+                self._conj[g] = tuple(mul[mul[g][a]][inv[g]] for a in self.group.elements())
+            tables.append(self._conj[g])
+        return tables
+
+    def classify(self, top: int) -> tuple[list[list[int]], ClassCensus]:
+        """The conjugacy classes of the subgroups of the subgroup K with
+        index `top`: orbits under conjugation by a generating set of K.
+
+        Returns the orbits in class order, each a list of subgroup indices
+        headed by its least member, the class representative, and K's
+        census.
+        """
+        elements, position, down = self.elements, self.position, self.down
+        conjugations = self.conjugations(elements[top])
+        # down-sets ascend in (order, elements) order, so the first member
+        # of an orbit met is its least
+        classified: set[int] = set()
+        orbits = []
+        for i in down[top]:
+            if i in classified:
+                continue
+            orbit = [i]
+            classified.add(i)
+            for m in orbit:
+                elems = elements[m]
+                for conj in conjugations:
+                    image = position[_mask(conj[a] for a in elems)]
+                    if image not in classified:
+                        classified.add(image)
+                        orbit.append(image)
+            orbits.append(orbit)
+        class_of_rep = {orbit[0]: c for c, orbit in enumerate(orbits)}
+        above: list[list[int]] = [[] for _ in orbits]
+        for k, orbit in enumerate(orbits):
+            counts: dict[int, int] = {}
+            for m in orbit:
+                for i in down[m]:
+                    h = class_of_rep.get(i)
+                    if h is not None:
+                        counts[h] = counts.get(h, 0) + 1
+            del counts[k]  # of its own class, L_k lies in itself only
+            for h, n in counts.items():
+                above[h] += (k, n)
+        census = ClassCensus(
+            reps=tuple(orbit[0] for orbit in orbits),
+            orders=tuple(len(elements[orbit[0]]) for orbit in orbits),
+            sizes=tuple(map(len, orbits)),
+            above=tuple(map(tuple, above)),
+        )
+        return orbits, census
 
 
 @dataclass(frozen=True)
@@ -415,42 +522,20 @@ class SubconjugacyPoset:
     Classes are sorted by subgroup order, ties broken by the representative's
     element tuple; the first class is [e] and the last is [G].
 
-    `containing[k][h]` counts the conjugates K' of the class-k representative
-    with H_h <= K' (H_h the class-h representative).  It is the one source of
-    the order relation (`leq` is `containing > 0`) and of the table of marks.
+    `census` is the `ClassCensus` of G itself.  Its containment counts are
+    the one source of the order relation (`leq`) and of the table of marks.
     """
 
     def __init__(self, group: Group):
         self.group = group
-        subs = all_subgroups(group)
-        by_mask = {_mask(s.elements): s for s in subs}
-        mul, inv = group.mul_table, group.inv_table
-        conj_tables = [
-            tuple(mul[mul[g][a]][inv[g]] for a in group.elements())
-            for g in _generating_set(group)
-        ]
-        # subs run in (order, elements) order, so the first subgroup not yet
-        # in a class is the least member of its class: the representative
-        classified: set[int] = set()
-        classes = []
-        for sub in subs:
-            rep_mask = _mask(sub.elements)
-            if rep_mask in classified:
-                continue
-            orbit = [rep_mask]
-            classified.add(rep_mask)
-            for m in orbit:
-                elems = by_mask[m].elements
-                for conj in conj_tables:
-                    image = _mask(conj[a] for a in elems)
-                    if image not in classified:
-                        classified.add(image)
-                        orbit.append(image)
-            members = tuple(sorted((by_mask[m] for m in orbit), key=lambda s: s.elements))
-            classes.append((sub, members, orbit))
+        lattice = _Lattice(group)
+        subs = lattice.subgroups
+        orbits, self.census = lattice.classify(len(subs) - 1)
         counters: dict[int, int] = {}
         built = []
-        for rep, members, _ in classes:
+        for orbit in orbits:
+            rep = subs[orbit[0]]
+            members = tuple(sorted((subs[m] for m in orbit), key=lambda s: s.elements))
             idx = counters.get(rep.order, 0)
             counters[rep.order] = idx + 1
             letter = ""
@@ -467,22 +552,12 @@ class SubconjugacyPoset:
             for member in cls.members:
                 self._index[member.elements] = i
         n = len(self.classes)
-        rep_masks = [orbit[0] for _, _, orbit in classes]
-        orders = [cls.order for cls in self.classes]
-        containing = []
-        for k, (_, _, orbit) in enumerate(classes):
-            candidates = [h for h in range(n) if orders[k] % orders[h] == 0]
-            row = [0] * n
-            for member in orbit:
-                outside = ~member
-                for h in candidates:
-                    if not rep_masks[h] & outside:
-                        row[h] += 1
-            containing.append(tuple(row))
-        self.containing: tuple[tuple[int, ...], ...] = tuple(containing)
-        self.leq_table: tuple[tuple[bool, ...], ...] = tuple(
-            tuple(containing[j][i] > 0 for j in range(n)) for i in range(n)
-        )
+        leq = [[False] * n for _ in range(n)]
+        for h, column in enumerate(self.census.above):
+            leq[h][h] = True
+            for k in column[::2]:
+                leq[h][k] = True
+        self.leq_table: tuple[tuple[bool, ...], ...] = tuple(map(tuple, leq))
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -513,6 +588,21 @@ def subconjugacy_poset(group: Group) -> SubconjugacyPoset:
         poset = SubconjugacyPoset(group)
         _POSET_CACHE[group] = poset
     return poset
+
+
+def subgroup_censuses(group: Group):
+    """For each class [K] of G in poset order, the G-class of every K-class
+    and the `ClassCensus` of K, read off G's lattice: the subgroups of K are
+    the G-subgroups whose bitset lies inside K's, and no subgroup of G is
+    built as a group of its own.  A generator: the down-sets of the pass are
+    dropped when it ends."""
+    poset = subconjugacy_poset(group)
+    lattice = _Lattice(group)
+    class_of = [poset._index[e] for e in lattice.elements]
+    for cls in poset.classes[:-1]:
+        _, census = lattice.classify(lattice.position[_mask(cls.rep.elements)])
+        yield tuple(class_of[r] for r in census.reps), census
+    yield tuple(range(len(poset))), poset.census
 
 
 def subgroup_index(k: Subgroup, h: Subgroup) -> int:

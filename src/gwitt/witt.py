@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 from .burnside import (
     BurnsideElement,
     burnside_transfer,
-    burnside_zero,
+    mark_columns,
     marks,
     norm_from_trivial,
     table_of_marks,
+    transferred_norms,
 )
 from .errors import GwittError, IntegralityError
 from .groups import Group, subconjugacy_poset
@@ -76,22 +77,15 @@ class GhostVector:
 
 
 class WittContext:
-    """Per-group cache: poset, marks table, subgroup embeddings for the
-    Teichmueller sum, and the universal structure polynomials."""
+    """Per-group cache: poset, the table of marks densely and by sparse
+    columns, and the universal structure polynomials."""
 
     def __init__(self, group: Group):
         self.group = group
         self.poset = subconjugacy_poset(group)
         self.tom = table_of_marks(group)
+        self.columns = mark_columns(group)
         self.n = len(self.poset)
-        # (K:H) wherever [H] <= [K]
-        orders = [cls.order for cls in self.poset.classes]
-        self.index = {
-            (k, h): orders[k] // orders[h]
-            for h, row in enumerate(self.poset.leq_table)
-            for k, below in enumerate(row)
-            if below
-        }
         self.avars = tuple(f"a_{self.poset.label(i)}" for i in range(self.n))
         self.bvars = tuple(f"b_{self.poset.label(i)}" for i in range(self.n))
         self._sum_polys = None
@@ -101,35 +95,34 @@ class WittContext:
     # -- ghost / unghost on raw component tuples ----------------------------
 
     def ghost_components(self, comps: tuple) -> tuple:
+        """Phi_H(a) = sum over [K] >= [H] of |(G/K)^H| * a_K^(K:H)."""
+        diag, above = self.columns
         out = []
-        for h in range(self.n):
-            total = 0
-            for k in range(self.n):
-                m = self.tom[k][h]
-                if m:
-                    total = total + m * (comps[k] ** self.index[(k, h)])
+        for h, column in enumerate(above):
+            total = diag[h] * comps[h]
+            for j in range(0, len(column), 3):
+                total = total + column[j + 1] * comps[column[j]] ** column[j + 2]
             out.append(total)
         return tuple(out)
 
     def unghost_components(self, vector: tuple) -> tuple:
+        diag, above = self.columns
         comps = [0] * self.n
         for h in range(self.n - 1, -1, -1):
             residue = vector[h]
-            for k in range(h + 1, self.n):
-                m = self.tom[k][h]
-                if m:
-                    residue = residue - m * (comps[k] ** self.index[(k, h)])
-            diag = self.tom[h][h]
+            column = above[h]
+            for j in range(0, len(column), 3):
+                residue = residue - column[j + 1] * comps[column[j]] ** column[j + 2]
             if isinstance(residue, Poly):
                 try:
-                    comps[h] = residue.exact_div(diag)
+                    comps[h] = residue.exact_div(diag[h])
                 except IntegralityError:
                     raise IntegralityError(
                         f"ghost vector not integral at class {self.poset.label(h)}",
                         where=self.poset.label(h),
                     ) from None
             else:
-                q, r = divmod(residue, diag)
+                q, r = divmod(residue, diag[h])
                 if r:
                     raise IntegralityError(
                         f"ghost vector not integral at class {self.poset.label(h)}",
@@ -236,21 +229,16 @@ def teichmuller_tau(w: WittVector) -> BurnsideElement:
     version of the composite marks identity lives in
     `verify_ghost_factorization`.
     """
-    ctx = witt_context(w.group)
-    total = burnside_zero(w.group)
-    for k in range(ctx.n):
-        comp = w.components[k]
+    values = []
+    for comp in w.components:
         if isinstance(comp, Poly):
             if not comp.is_constant():
                 raise GwittError(
                     "the Teichmuller homomorphism needs integer components"
                 )
             comp = comp.constant_value()
-        sub = ctx.poset.classes[k].rep
-        sub_group, _ = sub.as_group()
-        n_k = norm_from_trivial(sub_group, comp)
-        total = total + burnside_transfer(sub, n_k)
-    return total
+        values.append(comp)
+    return transferred_norms(w.group, values)
 
 
 # -- verification reports ------------------------------------------------------
@@ -397,7 +385,8 @@ def ghost_injectivity_double_coset_identity(group: Group) -> Report:
         for h in range(ctx.n):
             report.checked += 1
             if ctx.poset.leq(h, k):
-                want = Poly.const(ctx.tom[k][h]) * a ** ctx.index[(k, h)]
+                index = ctx.poset.classes[k].order // ctx.poset.classes[h].order
+                want = Poly.const(ctx.tom[k][h]) * a ** index
             else:
                 want = Poly()
             got = Poly.coerce(mk[h])

@@ -1,9 +1,11 @@
 """Slow, independent constructions that the fast library paths are checked
 against: subgroups by joining whole element sets, conjugacy classes and
 subconjugacy by conjugating with every group element, the table of marks by
-counting fixed cosets, and Burnside products by decomposing product G-sets.
+counting fixed cosets, Burnside products by decomposing product G-sets, and
+the Teichmueller map by building every subgroup as a group of its own.
 Also the larger groups of the benchmark ladder."""
 
+from gwitt.burnside import BurnsideElement, burnside_transfer, burnside_zero, norm_from_trivial
 from gwitt.groups import Group, group_from_generators, subconjugacy_poset, subgroup_generated
 from gwitt.gsets import coset_space, fixed_points, orbit_decompose, product
 
@@ -83,3 +85,14 @@ def product_basis_decomposition(group: Group, i: int, j: int) -> tuple[int, ...]
     for idx in orbit_decompose(prod, poset):
         coeffs[idx] += 1
     return tuple(coeffs)
+
+
+def tau_via_subgroup_groups(w) -> BurnsideElement:
+    """tau(alpha) = sum over the classes [K] of T_K^G N_e^K(alpha_K), with
+    each representative K built as a validated group of its own, its norm
+    solved in K's own Burnside ring and transferred along K's class map."""
+    total = burnside_zero(w.group)
+    for cls, comp in zip(subconjugacy_poset(w.group).classes, w.components):
+        sub_group, _ = cls.rep.as_group()
+        total = total + burnside_transfer(cls.rep, norm_from_trivial(sub_group, comp))
+    return total

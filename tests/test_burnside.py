@@ -8,6 +8,7 @@ import pytest
 
 from gwitt.burnside import (
     BurnsideElement,
+    _subgroup_rings,
     burnside_basis,
     burnside_mul,
     burnside_of_gset,
@@ -16,6 +17,7 @@ from gwitt.burnside import (
     burnside_zero,
     marks,
     norm_from_trivial,
+    subgroup_class_map,
     table_of_marks,
     unmarks,
 )
@@ -80,6 +82,35 @@ def test_burnside_mul_matches_product_gset_oracle(group):
         for j in range(n):
             got = burnside_mul(burnside_basis(group, i), burnside_basis(group, j))
             assert got.coeffs == product_basis_decomposition(group, i, j)
+
+
+@pytest.mark.parametrize(
+    "group", [symmetric(4), s4_x_c2(), dihedral(32), elementary_abelian_2(4)],
+    ids=lambda g: g.name,
+)
+def test_subgroup_marks_match_the_subgroups_own_tables(group):
+    """For every class [K], the Burnside ring of K read off G's lattice, with
+    each class of K sent to its class in G, is K's own table of marks and
+    K's own class map, computed from K built as a group."""
+    poset = subconjugacy_poset(group)
+    split = 0
+    for cls, (class_map, indices, (diag, above)) in zip(poset.classes, _subgroup_rings(group)):
+        sub_group, _ = cls.rep.as_group()
+        sub_classes = subconjugacy_poset(sub_group).classes
+        n = len(sub_classes)
+        dense = [[0] * n for _ in range(n)]
+        for h, column in enumerate(above):
+            dense[h][h] = diag[h]
+            for j in range(0, len(column), 3):
+                k = column[j]
+                dense[k][h] = column[j + 1]
+                assert column[j + 2] == sub_classes[k].order // sub_classes[h].order
+        assert tuple(map(tuple, dense)) == table_of_marks(sub_group)
+        assert class_map == subgroup_class_map(group, cls.rep)
+        assert indices == tuple(cls.order // c.order for c in sub_classes)
+        split += len(set(class_map)) < n
+    # some G-class splits into several K-classes (only where G is non-abelian)
+    assert split > 0 or all(len(c.members) == 1 for c in poset.classes)
 
 
 def test_table_of_marks_triangular_with_weyl_diagonal():

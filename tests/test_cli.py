@@ -12,10 +12,24 @@ import pytest
 from gwitt.cli import run
 
 
+def capture_streams(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    status = run(argv, stream=stdout, err_stream=stderr)
+    return status, stdout.getvalue(), stderr.getvalue()
+
+
 def capture(argv):
-    stream = io.StringIO()
-    status = run(argv, stream=stream)
-    return status, stream.getvalue()
+    """Exit status and stdout of a run that writes nothing to stderr."""
+    status, out, err = capture_streams(argv)
+    assert err == ""
+    return status, out
+
+
+def capture_error(argv):
+    """Exit status and stderr of a run that writes nothing to stdout."""
+    status, out, err = capture_streams(argv)
+    assert out == ""
+    return status, err
 
 
 def test_tom_golden():
@@ -61,13 +75,13 @@ def test_witt_ghost_and_unghost_integer():
 
 
 def test_integrality_exit_code():
-    status, text = capture(["witt", "unghost", "C(2)", "(0,1)"])
+    status, text = capture_error(["witt", "unghost", "C(2)", "(0,1)"])
     assert status == 3
     assert "integrality" in text
 
 
 def test_symbolic_requires_flag():
-    status, text = capture(["witt", "ghost", "C(2)", "(a0,a1)"])
+    status, text = capture_error(["witt", "ghost", "C(2)", "(a0,a1)"])
     assert status == 2
     assert "--symbolic" in text
 
@@ -88,19 +102,19 @@ def test_witt_tau():
 
 
 def test_parse_error_exit_code_and_position():
-    status, text = capture(["tom", "C(2"])
+    status, text = capture_error(["tom", "C(2"])
     assert status == 2
     assert "line 1, column 4" in text
 
 
 def test_usage_error_exit_code():
-    status, _ = capture(["unknown-subcommand"])
+    status, _ = capture_error(["unknown-subcommand"])
     assert status == 2
 
 
 def test_group_order_cap_exit_code():
     for argv in (["lattice", "C(70)"], ["tom", "D(33)"], ["tom", "C(100000)"]):
-        status, text = capture(argv)
+        status, text = capture_error(argv)
         assert status == 2
         assert "exceeds cap 64" in text
 
@@ -160,7 +174,7 @@ def test_negative_counts_are_usage_errors():
         ["witt", "verify", "factorization", "C(2)", "--samples", "-5"],
         ["witt", "verify", "injectivity", "C(2)", "--samples", "-1"],
     ):
-        status, text = capture(argv)
+        status, text = capture_error(argv)
         assert status == 2, argv
         assert text == "", argv
 
@@ -170,7 +184,7 @@ def test_words_unassigned_variable_is_an_error():
         ["words", "eval", "x*y", "--assign", "x=2"],
         ["words", "iso", "x*y", "y*x", "--assign", "x=2"],
     ):
-        status, text = capture(argv)
+        status, text = capture_error(argv)
         assert status == 2, argv
         assert "'y'" in text, argv
 
@@ -183,7 +197,7 @@ def test_words_unassigned_variable_is_an_error():
     ("x=1000", "(x * x) * 0"),    # empty result, 10^6-element subword
 ])
 def test_words_assign_rejects_bad_input(assign, word):
-    status, text = capture(["words", "eval", word, "--assign", assign])
+    status, text = capture_error(["words", "eval", word, "--assign", assign])
     assert status == 2
     assert text.startswith("error: ") and text.count("\n") == 1
 
@@ -204,7 +218,7 @@ def test_words_assign_rejects_bad_input(assign, word):
     "huge-perm-point",
 ])
 def test_oversized_input_is_a_usage_error(argv):
-    status, text = capture(argv)
+    status, text = capture_error(argv)
     assert status == 2
     assert text.startswith(("error: ", "syntax error at line 1, column "))
     assert text.count("\n") == 1
@@ -299,7 +313,7 @@ def test_batch_mode_reads_stdin():
 
 
 # Exact stdout and exit status of every subcommand in both formats, plus the
-# exit-2 and exit-3 error lines; and, through a fresh interpreter, stdout,
+# exit-2 and exit-3 error lines on stderr; and, through a fresh interpreter, stdout,
 # stderr and exit status of help and usage errors (argparse's text, at a
 # fixed 80-column width).  A refactor of the CLI must leave all of it as is.
 CLI_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
@@ -309,7 +323,9 @@ CLI_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
     "case", CLI_GOLDEN["run"], ids=lambda c: " ".join(c["argv"])
 )
 def test_cli_golden_corpus(case):
-    assert capture(case["argv"]) == (case["status"], case["stdout"])
+    assert capture_streams(case["argv"]) == (
+        case["status"], case["stdout"], case.get("stderr", "")
+    )
 
 
 @pytest.mark.parametrize(
@@ -323,3 +339,35 @@ def test_cli_golden_help_and_usage(case):
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         case["status"], case["stdout"], case["stderr"]
     )
+
+
+def test_one_parser_serves_a_sequence_of_runs(capsys, monkeypatch):
+    """The parser is built once per process and reused: a usage error, an
+    error line, a success and a help text in a row each print their golden
+    bytes to the real stdout and stderr."""
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = CLI_GOLDEN["run"]
+    error = next(case for case in runs if case["status"] == 2)
+    usage = next(case for case in CLI_GOLDEN["process"] if case["status"] == 2)
+    help_text = CLI_GOLDEN["process"][0]
+    for case in (usage, error, runs[0], help_text, runs[1]):
+        status = run(case["argv"])
+        captured = capsys.readouterr()
+        assert (status, captured.out, captured.err) == (
+            case["status"], case["stdout"], case.get("stderr", "")
+        ), case["argv"]
+
+
+HUGE_COMPONENT = "1" + "0" * 999   # the most digits the DSL accepts
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_result_past_the_digit_limit_is_a_usage_error(fmt):
+    # the 8th power of a 1000-digit component has 8001 digits, past
+    # Python's 4300-digit integer-to-text limit
+    status, text = capture_error(
+        ["witt", "ghost", "C(8)", f"({HUGE_COMPONENT},0,0,0)", "--format", fmt]
+    )
+    assert status == 2
+    assert text.startswith("error: ") and text.count("\n") == 1
+    assert "decimal digits" in text

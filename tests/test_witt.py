@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from gwitt import burnside, groups
 from gwitt.burnside import marks
 from gwitt.errors import GwittError, IntegralityError
-from gwitt.groups import cyclic, dihedral, klein_four, symmetric
+from gwitt.groups import Group, cyclic, dihedral, klein_four, subconjugacy_poset, symmetric
 from gwitt.intpoly import Poly
 from gwitt.witt import (
     GhostVector,
@@ -29,6 +30,7 @@ from gwitt.witt import (
     witt_one,
     witt_zero,
 )
+from oracles import elementary_abelian_2, s4_x_c2, tau_via_subgroup_groups
 
 C2 = cyclic(2)
 GROUPS = [cyclic(1), C2, cyclic(3), cyclic(4), klein_four(), cyclic(6),
@@ -222,3 +224,42 @@ def test_cyclic_two_groups_match_classical_witt(group):
             want = classical[i].substitute(rename)
             got = Poly.coerce(polys[n - i])
             assert got == want
+
+
+TAU_GROUPS = [C2, klein_four(), cyclic(6), symmetric(3), dihedral(4), symmetric(4),
+              elementary_abelian_2(4), s4_x_c2(), dihedral(32), elementary_abelian_2(5)]
+
+
+@pytest.mark.parametrize("group", TAU_GROUPS, ids=lambda g: g.name)
+def test_tau_matches_the_subgroup_group_oracle(group):
+    n = len(subconjugacy_poset(group))
+    rng = random.Random(f"tau:{group.name}")
+    vectors = [tuple((-1) ** i * (i % 3) for i in range(n))]  # 0, -1, 2, 0, ...
+    vectors += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(2)]
+    for comps in vectors:
+        w = WittVector(group, comps)
+        assert teichmuller_tau(w) == tau_via_subgroup_groups(w), comps
+
+
+@pytest.mark.parametrize("group", [elementary_abelian_2(5), s4_x_c2()], ids=lambda g: g.name)
+def test_tau_builds_no_group_and_no_subgroup_lattice(monkeypatch, group):
+    n = len(subconjugacy_poset(group))
+    burnside._SUBGROUP_RINGS_CACHE.pop(group, None)
+    cached = len(groups._SUBGROUPS_CACHE), len(groups._POSET_CACHE)
+    built = []
+    original_init = Group.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original_init(self, *args, **kwargs)
+
+    def no_unmarks(*args, **kwargs):
+        raise AssertionError("tau called unmarks")
+
+    monkeypatch.setattr(Group, "__init__", counting_init)
+    monkeypatch.setattr(burnside, "unmarks", no_unmarks)
+    w = WittVector(group, tuple(range(-3, n - 3)))
+    teichmuller_tau(w)
+    assert built == []
+    assert (len(groups._SUBGROUPS_CACHE), len(groups._POSET_CACHE)) == cached
+    assert group in burnside._SUBGROUP_RINGS_CACHE
