@@ -144,15 +144,7 @@ def burnside_of_gset(x: GSet) -> BurnsideElement:
 
 def marks(b: BurnsideElement) -> tuple:
     """The fixed-point vector over the poset; a ring homomorphism."""
-    diag, above = mark_columns(b.group)
-    coeffs = b.coeffs
-    out = []
-    for h, column in enumerate(above):
-        total = coeffs[h] * diag[h]
-        for j in range(0, len(column), 3):
-            total = total + coeffs[column[j]] * column[j + 1]
-        out.append(total)
-    return tuple(out)
+    return tuple(column_sums(b.coeffs, mark_columns(b.group)))
 
 
 def _exact_div(value, n: int):
@@ -172,9 +164,27 @@ def _rational_div(value, n: int):
     return int(q) if q.denominator == 1 else q
 
 
-def _solve(vector, columns: MarkColumns, div) -> list:
-    """The coefficients whose marks are `vector`, by triangular solve from
-    the top class down; an IntegralityError carries the failing class index
+def column_sums(coeffs, columns: MarkColumns, powered: bool = False) -> list:
+    """For each class h, the sum over the column of h of m * c_k: the marks
+    of the element with coefficients c.  With `powered`, the sum of
+    m * c_k^(K:H) instead: the ghost components of the Witt vector with
+    components c."""
+    diag, above = columns
+    out = []
+    for h, column in enumerate(above):
+        total = diag[h] * coeffs[h]
+        for j in range(0, len(column), 3):
+            c = coeffs[column[j]]
+            total = total + column[j + 1] * (c ** column[j + 2] if powered else c)
+        out.append(total)
+    return out
+
+
+def column_solve(vector, columns: MarkColumns, powered: bool = False,
+                 div=_exact_div) -> list:
+    """The c with column_sums(c, columns, powered) == vector, by triangular
+    solve from the top class down, dividing by the diagonal with `div`
+    (exact by default); an IntegralityError carries the failing class index
     in `where`."""
     diag, above = columns
     coeffs = [0] * len(diag)
@@ -182,7 +192,8 @@ def _solve(vector, columns: MarkColumns, div) -> list:
         residue = vector[h]
         column = above[h]
         for j in range(0, len(column), 3):
-            residue = residue - coeffs[column[j]] * column[j + 1]
+            c = coeffs[column[j]]
+            residue = residue - column[j + 1] * (c ** column[j + 2] if powered else c)
         try:
             coeffs[h] = div(residue, diag[h])
         except IntegralityError:
@@ -203,7 +214,9 @@ def unmarks(group: Group, vector, exact: bool = True) -> BurnsideElement:
     if len(vector) != len(poset):
         raise GwittError("mark vector has wrong length")
     try:
-        coeffs = _solve(vector, mark_columns(group), _exact_div if exact else _rational_div)
+        coeffs = column_solve(
+            vector, mark_columns(group), div=_exact_div if exact else _rational_div
+        )
     except IntegralityError as exc:
         label = poset.label(exc.where)
         raise IntegralityError(
@@ -292,7 +305,7 @@ def transferred_norms(group: Group, values) -> BurnsideElement:
     """
     total = [0] * len(subconjugacy_poset(group))
     for x, (class_map, indices, columns) in zip(values, _subgroup_rings(group)):
-        norm = _solve([x ** i for i in indices], columns, _exact_div)
+        norm = column_solve([x ** i for i in indices], columns)
         for g_class, c in zip(class_map, norm):
             total[g_class] += c
     return BurnsideElement(group, tuple(total))

@@ -343,6 +343,7 @@ def _word_within_cap(text: str, assignment: SetAssignment) -> Word:
 
 def _cmd_words_supp(args):
     poly = supp(dsl.build_word(dsl.parse_word(args.word)))
+    _check_printable([poly])
     return 0, {"kind": "supp", "polynomial": str(poly)}, [str(poly)]
 
 
@@ -508,14 +509,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def run(argv: list[str], stream=None, err_stream=None) -> int:
+def run(argv: list[str], stream=None) -> int:
     """Dispatch one command and return the exit status.  This is the only
     writer: on success, JSON as one sorted object with the schema number or
     the table lines go to `stream` (stdout by default); on any other exit
-    status they, or the one error line, go to `err_stream` (stderr by
-    default) and `stream` stays empty."""
+    status they, or the one error line, go to stderr and `stream` stays
+    empty."""
     stream = stream if stream is not None else sys.stdout
-    err_stream = err_stream if err_stream is not None else sys.stderr
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -533,7 +533,7 @@ def run(argv: list[str], stream=None, err_stream=None) -> int:
         status, lines = 3, [f"integrality error: {exc}"]
     except GwittError as exc:
         status, lines = 2, [f"error: {exc}"]
-    out = stream if status == 0 else err_stream
+    out = stream if status == 0 else sys.stderr
     out.write("".join(line + "\n" for line in lines))
     return status
 

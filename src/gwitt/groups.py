@@ -419,7 +419,8 @@ class ClassCensus(NamedTuple):
 class _Lattice:
     """The subgroups of G as bitsets, each with its down-set (the indices of
     its subgroups, ascending), and the conjugation tables needed so far;
-    built for one pass and dropped after it."""
+    built with G's poset and dropped once the subgroup censuses are read
+    off it."""
 
     def __init__(self, group: Group):
         self.group = group
@@ -524,6 +525,8 @@ class SubconjugacyPoset:
 
     `census` is the `ClassCensus` of G itself.  Its containment counts are
     the one source of the order relation (`leq`) and of the table of marks.
+    The lattice of the pass is kept until `subgroup_censuses` reads the
+    censuses of the subgroups off it and drops it.
     """
 
     def __init__(self, group: Group):
@@ -558,6 +561,7 @@ class SubconjugacyPoset:
             for k in column[::2]:
                 leq[h][k] = True
         self.leq_table: tuple[tuple[bool, ...], ...] = tuple(map(tuple, leq))
+        self._lattice: _Lattice | None = lattice
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -594,10 +598,10 @@ def subgroup_censuses(group: Group):
     """For each class [K] of G in poset order, the G-class of every K-class
     and the `ClassCensus` of K, read off G's lattice: the subgroups of K are
     the G-subgroups whose bitset lies inside K's, and no subgroup of G is
-    built as a group of its own.  A generator: the down-sets of the pass are
-    dropped when it ends."""
+    built as a group of its own.  The pass runs on the lattice that built
+    G's poset, and its down-sets are dropped when the generator ends."""
     poset = subconjugacy_poset(group)
-    lattice = _Lattice(group)
+    lattice, poset._lattice = poset._lattice or _Lattice(group), None
     class_of = [poset._index[e] for e in lattice.elements]
     for cls in poset.classes[:-1]:
         _, census = lattice.classify(lattice.position[_mask(cls.rep.elements)])

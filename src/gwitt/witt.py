@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from .burnside import (
     BurnsideElement,
     burnside_transfer,
+    column_solve,
+    column_sums,
     mark_columns,
     marks,
     norm_from_trivial,
@@ -77,13 +79,12 @@ class GhostVector:
 
 
 class WittContext:
-    """Per-group cache: poset, the table of marks densely and by sparse
-    columns, and the universal structure polynomials."""
+    """Per-group cache: poset, the table of marks by sparse columns, and the
+    universal structure polynomials."""
 
     def __init__(self, group: Group):
         self.group = group
         self.poset = subconjugacy_poset(group)
-        self.tom = table_of_marks(group)
         self.columns = mark_columns(group)
         self.n = len(self.poset)
         self.avars = tuple(f"a_{self.poset.label(i)}" for i in range(self.n))
@@ -96,40 +97,16 @@ class WittContext:
 
     def ghost_components(self, comps: tuple) -> tuple:
         """Phi_H(a) = sum over [K] >= [H] of |(G/K)^H| * a_K^(K:H)."""
-        diag, above = self.columns
-        out = []
-        for h, column in enumerate(above):
-            total = diag[h] * comps[h]
-            for j in range(0, len(column), 3):
-                total = total + column[j + 1] * comps[column[j]] ** column[j + 2]
-            out.append(total)
-        return tuple(out)
+        return tuple(column_sums(comps, self.columns, powered=True))
 
     def unghost_components(self, vector: tuple) -> tuple:
-        diag, above = self.columns
-        comps = [0] * self.n
-        for h in range(self.n - 1, -1, -1):
-            residue = vector[h]
-            column = above[h]
-            for j in range(0, len(column), 3):
-                residue = residue - column[j + 1] * comps[column[j]] ** column[j + 2]
-            if isinstance(residue, Poly):
-                try:
-                    comps[h] = residue.exact_div(diag[h])
-                except IntegralityError:
-                    raise IntegralityError(
-                        f"ghost vector not integral at class {self.poset.label(h)}",
-                        where=self.poset.label(h),
-                    ) from None
-            else:
-                q, r = divmod(residue, diag[h])
-                if r:
-                    raise IntegralityError(
-                        f"ghost vector not integral at class {self.poset.label(h)}",
-                        where=self.poset.label(h),
-                    )
-                comps[h] = q
-        return tuple(comps)
+        try:
+            return tuple(column_solve(vector, self.columns, powered=True))
+        except IntegralityError as exc:
+            label = self.poset.label(exc.where)
+            raise IntegralityError(
+                f"ghost vector not integral at class {label}", where=label
+            ) from None
 
     # -- universal structure polynomials ------------------------------------
 
@@ -347,7 +324,7 @@ def verify_dress_siebeneicher_iso(group: Group) -> Report:
         label = ctx.poset.label(h)
         basis = [0] * ctx.n
         basis[h] = 1
-        vector = tuple(ctx.tom[h][j] for j in range(ctx.n))
+        vector = table_of_marks(group)[h]
         report.checked += 1
         try:
             w = WittVector(group, ctx.unghost_components(vector))
@@ -376,6 +353,7 @@ def ghost_injectivity_double_coset_identity(group: Group) -> Report:
     ctx = witt_context(group)
     report = Report("double-coset-identity", group.name)
     a = Poly.var("a")
+    tom = table_of_marks(group)
     for k in range(ctx.n):
         sub = ctx.poset.classes[k].rep
         sub_group, _ = sub.as_group()
@@ -386,7 +364,7 @@ def ghost_injectivity_double_coset_identity(group: Group) -> Report:
             report.checked += 1
             if ctx.poset.leq(h, k):
                 index = ctx.poset.classes[k].order // ctx.poset.classes[h].order
-                want = Poly.const(ctx.tom[k][h]) * a ** index
+                want = Poly.const(tom[k][h]) * a ** index
             else:
                 want = Poly()
             got = Poly.coerce(mk[h])
@@ -489,7 +467,7 @@ def verify_injectivity(group: Group, samples: int = 1000, seed: int = 0,
     seen: dict = {}
     for h in range(ctx.n):
         report.checked += 1
-        if ctx.tom[h][h] <= 0:
+        if ctx.columns.diag[h] <= 0:
             report.fail(f"diagonal mark at {ctx.poset.label(h)} is not positive")
     for _ in range(samples):
         w = random_witt_vector(group, rng, poly_vars)

@@ -1,5 +1,6 @@
 """CLI: golden outputs, formats, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import os
@@ -14,7 +15,8 @@ from gwitt.cli import run
 
 def capture_streams(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
-    status = run(argv, stream=stdout, err_stream=stderr)
+    with contextlib.redirect_stderr(stderr):
+        status = run(argv, stream=stdout)
     return status, stdout.getvalue(), stderr.getvalue()
 
 
@@ -176,7 +178,7 @@ def test_negative_counts_are_usage_errors():
     ):
         status, text = capture_error(argv)
         assert status == 2, argv
-        assert text == "", argv
+        assert text.endswith(f": must be non-negative, got {argv[-1]}\n"), argv
 
 
 def test_words_unassigned_variable_is_an_error():
@@ -361,13 +363,24 @@ def test_one_parser_serves_a_sequence_of_runs(capsys, monkeypatch):
 HUGE_COMPONENT = "1" + "0" * 999   # the most digits the DSL accepts
 
 
+def balanced_product(word: str, n: int) -> str:
+    """The product of n copies of `word`, bracketed as a balanced tree so
+    that its parse tree stays about log2(n) levels deep."""
+    if n == 1:
+        return word
+    return f"({balanced_product(word, n // 2)}*{balanced_product(word, n - n // 2)})"
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
-def test_result_past_the_digit_limit_is_a_usage_error(fmt):
+@pytest.mark.parametrize("argv", [
     # the 8th power of a 1000-digit component has 8001 digits, past
     # Python's 4300-digit integer-to-text limit
-    status, text = capture_error(
-        ["witt", "ghost", "C(8)", f"({HUGE_COMPONENT},0,0,0)", "--format", fmt]
-    )
+    ["witt", "ghost", "C(8)", f"({HUGE_COMPONENT},0,0,0)"],
+    # the support of (1+1)^16384 has 4933 digits
+    ["words", "supp", balanced_product("(1+1)", 2 ** 14)],
+], ids=["witt", "words"])
+def test_result_past_the_digit_limit_is_a_usage_error(argv, fmt):
+    status, text = capture_error(argv + ["--format", fmt])
     assert status == 2
     assert text.startswith("error: ") and text.count("\n") == 1
     assert "decimal digits" in text
