@@ -5,17 +5,13 @@ norm maps needed by the Teichmueller homomorphism."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .errors import GwittError, IntegralityError
 from .groups import ClassCensus, Group, Subgroup, subconjugacy_poset, subgroup_censuses
 from .gsets import GSet, orbit_decompose
 from .intpoly import Poly
-
-_TOM_CACHE: dict[Group, tuple[tuple[int, ...], ...]] = {}
-_COLUMNS_CACHE: dict[Group, MarkColumns] = {}
-_SUBGROUP_RINGS_CACHE: dict[Group, tuple] = {}
-_CLASS_MAP_CACHE: dict[tuple[Group, Subgroup], tuple[int, ...]] = {}
 
 
 class MarkColumns(NamedTuple):
@@ -46,13 +42,10 @@ def _columns(census: ClassCensus) -> MarkColumns:
     return MarkColumns(tuple(weyl), tuple(above))
 
 
+@cache
 def mark_columns(group: Group) -> MarkColumns:
     """The table of marks of G by sparse columns; cached per group."""
-    columns = _COLUMNS_CACHE.get(group)
-    if columns is None:
-        columns = _columns(subconjugacy_poset(group).census)
-        _COLUMNS_CACHE[group] = columns
-    return columns
+    return _columns(subconjugacy_poset(group).census)
 
 
 def table_of_marks(group: Group) -> tuple[tuple[int, ...], ...]:
@@ -63,19 +56,21 @@ def table_of_marks(group: Group) -> tuple[tuple[int, ...], ...]:
     Read off the subgroup lattice (Pfeiffer 1997): gK is H-fixed iff
     H <= gKg^-1, and each of the (G:N_G(K)) conjugates of K arises from
     |N_G(K):K| cosets, so |(G/K)^H| = |N_G(K):K| * #{K' ~ K : H <= K'}.
+
+    The dense rows are rendered from `mark_columns` on each call and not
+    kept: every computation reads the columns.
     """
-    cached = _TOM_CACHE.get(group)
-    if cached is not None:
-        return cached
     diag, above = mark_columns(group)
     rows = [[0] * len(diag) for _ in diag]
     for h, column in enumerate(above):
         rows[h][h] = diag[h]
         for j in range(0, len(column), 3):
             rows[column[j]][h] = column[j + 1]
-    tom = tuple(map(tuple, rows))
-    _TOM_CACHE[group] = tom
-    return tom
+    # one row at a time, so that the list and tuple forms of the whole
+    # table are never held together
+    for k, row in enumerate(rows):
+        rows[k] = tuple(row)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -106,15 +101,9 @@ class BurnsideElement:
     def __neg__(self) -> "BurnsideElement":
         return BurnsideElement(self.group, tuple(-a for a in self.coeffs))
 
-    def scale(self, value) -> "BurnsideElement":
-        return BurnsideElement(self.group, tuple(c * value for c in self.coeffs))
-
     def _check(self, other: "BurnsideElement"):
         if self.group != other.group:
             raise GwittError("Burnside elements over different groups")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
 
 def burnside_zero(group: Group) -> BurnsideElement:
@@ -233,12 +222,10 @@ def burnside_mul(b1: BurnsideElement, b2: BurnsideElement) -> BurnsideElement:
     return unmarks(b1.group, product)
 
 
+@cache
 def subgroup_class_map(group: Group, sub: Subgroup) -> tuple[int, ...]:
     """For each class of O(H), the class index in O(G) of that subgroup seen
     inside G."""
-    cached = _CLASS_MAP_CACHE.get((group, sub))
-    if cached is not None:
-        return cached
     sub_group, embedding = sub.as_group()
     sub_poset = subconjugacy_poset(sub_group)
     poset = subconjugacy_poset(group)
@@ -246,8 +233,7 @@ def subgroup_class_map(group: Group, sub: Subgroup) -> tuple[int, ...]:
     for cls in sub_poset.classes:
         elems_in_g = tuple(sorted(embedding[i] for i in cls.rep.elements))
         out.append(poset.class_index(Subgroup(group, elems_in_g)))
-    _CLASS_MAP_CACHE[(group, sub)] = tuple(out)
-    return _CLASS_MAP_CACHE[(group, sub)]
+    return tuple(out)
 
 
 def burnside_transfer(sub: Subgroup, b: BurnsideElement) -> BurnsideElement:
@@ -281,18 +267,15 @@ def norm_from_trivial(group: Group, x, exact: bool = True) -> BurnsideElement:
     return unmarks(group, vector, exact=exact)
 
 
+@cache
 def _subgroup_rings(group: Group) -> tuple:
     """For each class [K] of G: the G-class of each class [L] of K, which is
     the transfer [K/L] -> [G/L] on the basis, the index |K:L| of each, and
     the mark columns of A(K), all read off G's lattice; cached per group."""
-    rings = _SUBGROUP_RINGS_CACHE.get(group)
-    if rings is None:
-        rings = tuple(
-            (class_map, tuple(census.orders[-1] // o for o in census.orders), _columns(census))
-            for class_map, census in subgroup_censuses(group)
-        )
-        _SUBGROUP_RINGS_CACHE[group] = rings
-    return rings
+    return tuple(
+        (class_map, tuple(census.orders[-1] // o for o in census.orders), _columns(census))
+        for class_map, census in subgroup_censuses(group)
+    )
 
 
 def transferred_norms(group: Group, values) -> BurnsideElement:

@@ -53,6 +53,11 @@ SCHEMA = 1
 # the largest set an --assign entry may name
 MAX_EVAL_ELEMENTS = 100_000
 
+# the largest --budget of `check tambara` (budget 5 already takes one to two
+# minutes) and --samples of `witt verify`
+MAX_BUDGET = 5
+MAX_SAMPLES = 100_000
+
 
 def _group_from_arg(text: str) -> Group:
     return dsl.build_group(dsl.parse_group(text))
@@ -144,7 +149,7 @@ def _cmd_lattice(args):
     poset = subconjugacy_poset(group)
     classes, lines = [], [_class_header(group)]
     for i, cls in enumerate(poset.classes):
-        above = [poset.label(j) for j in range(len(poset)) if poset.leq(i, j)]
+        above = [cls.label] + [poset.label(k) for k in poset.census.above[i][::2]]
         classes.append({
             "label": cls.label,
             "order": cls.order,
@@ -399,11 +404,17 @@ def _cmd_check(args):
     return (0 if report.ok else 1), report.to_json(), lines
 
 
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def count_up_to(limit: int):
+    """The argparse type of a count from 0 to `limit`."""
+    # argparse names the type in its "invalid non_negative_int value" error
+    def non_negative_int(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {value}")
+        return value
+    return non_negative_int
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw = wsub.add_parser("verify")
     pw.add_argument("property", choices=("factorization", "iso", "ring-axioms", "injectivity"))
     pw.add_argument("group")
-    pw.add_argument("--samples", type=non_negative_int, default=100)
+    pw.add_argument("--samples", type=count_up_to(MAX_SAMPLES), default=100)
     add_common(pw, _cmd_verify)
 
     p = sub.add_parser("compose", help="evaluate a bispan expression")
@@ -496,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = csub.add_parser("tambara")
     pt.add_argument("--instance", choices=("invariant", "burnside"), default="invariant")
     pt.add_argument("--group", required=True)
-    pt.add_argument("--budget", type=non_negative_int, default=4)
+    pt.add_argument("--budget", type=count_up_to(MAX_BUDGET), default=4)
     pt.add_argument("--base", default=None, help="base G-set for the invariant instance")
     add_common(pt, _cmd_check)
 

@@ -21,6 +21,7 @@ Grammar (LL(1), whitespace-insensitive):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from . import groups as _groups
 from .bispans import Bispan, compose, gen_N, gen_R, gen_T, pair
@@ -40,6 +41,13 @@ MAX_DEPTH = 100
 MAX_DIGITS = 1000
 MAX_PERM_POINTS = 64
 MAX_EXPONENT = 64
+
+# The most terms a product or power in a polynomial literal may expand to,
+# checked before it is expanded: a bound on the terms of the result (the
+# product of the factors' term counts, or the number of monomials of degree
+# e in t terms for p^e), so that a short literal such as (a+...+h)^64 is
+# refused at once rather than expanded.
+MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -629,10 +637,24 @@ def build_poly(node: Node) -> Poly:
     if node.kind == "poly_neg":
         return -build_poly(node.children[0])
     if node.kind == "poly_mul":
-        return build_poly(node.children[0]) * build_poly(node.children[1])
+        left, right = build_poly(node.children[0]), build_poly(node.children[1])
+        _check_terms(node, len(left.terms) * len(right.terms))
+        return left * right
     if node.kind == "poly_pow":
-        return build_poly(node.children[0]) ** node.value
+        base = build_poly(node.children[0])
+        # the zero polynomial has no terms; its powers have at most one
+        _check_terms(node, comb(max(len(base.terms), 1) + node.value - 1, node.value))
+        return base ** node.value
     raise GwittError(f"not a polynomial node: {node.kind}")
+
+
+def _check_terms(node: Node, bound: int) -> None:
+    if bound > MAX_TERMS:
+        line, col = node.span
+        raise GwittError(
+            f"the polynomial at line {line}, column {col} would expand "
+            f"to more than {MAX_TERMS} terms"
+        )
 
 
 def build_vector(node: Node) -> list[Poly]:

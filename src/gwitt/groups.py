@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .errors import GroupOrderError, GwittError
@@ -308,9 +307,6 @@ def trivial_subgroup(group: Group) -> Subgroup:
     return Subgroup(group, (0,))
 
 
-_SUBGROUPS_CACHE: dict[Group, tuple[Subgroup, ...]] = {}
-
-
 def _mask(elements) -> int:
     """The bitset of a set of element indices."""
     mask = 0
@@ -345,6 +341,7 @@ def _extend(group: Group, elements: list[int], mask: int, gens) -> tuple[list[in
     return elements, mask
 
 
+@cache
 def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
     """Every subgroup exactly once, sorted by (order, element tuple).
 
@@ -353,9 +350,6 @@ def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
     generators it was built from, so a join is a coset closure over those
     generators plus one, and subgroups are compared as bitsets.
     """
-    cached = _SUBGROUPS_CACHE.get(group)
-    if cached is not None:
-        return cached
     mul = group.mul_table
     cyclics: dict[int, tuple[list[int], list[int]]] = {}
     for a in group.elements():
@@ -378,12 +372,10 @@ def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
                     known[mask] = (elems, gens)
                     new.append((mask, known[mask]))
         frontier = new
-    subs = tuple(sorted(
+    return tuple(sorted(
         (Subgroup(group, tuple(elems)) for elems, _ in known.values()),
         key=lambda s: (s.order, s.elements),
     ))
-    _SUBGROUPS_CACHE[group] = subs
-    return subs
 
 
 def _generating_set(group: Group, elements) -> list[int]:
@@ -554,13 +546,6 @@ class SubconjugacyPoset:
         for i, cls in enumerate(self.classes):
             for member in cls.members:
                 self._index[member.elements] = i
-        n = len(self.classes)
-        leq = [[False] * n for _ in range(n)]
-        for h, column in enumerate(self.census.above):
-            leq[h][h] = True
-            for k in column[::2]:
-                leq[h][k] = True
-        self.leq_table: tuple[tuple[bool, ...], ...] = tuple(map(tuple, leq))
         self._lattice: _Lattice | None = lattice
 
     def __len__(self) -> int:
@@ -574,7 +559,7 @@ class SubconjugacyPoset:
 
     def leq(self, i: int, j: int) -> bool:
         """[H_i] <= [H_j]: H_i is contained in some conjugate of H_j."""
-        return self.leq_table[i][j]
+        return i == j or j in self.census.above[i][::2]
 
     def label(self, i: int) -> str:
         return self.classes[i].label
@@ -583,15 +568,9 @@ class SubconjugacyPoset:
         return tuple(c.label for c in self.classes)
 
 
-_POSET_CACHE: dict[Group, SubconjugacyPoset] = {}
-
-
+@cache
 def subconjugacy_poset(group: Group) -> SubconjugacyPoset:
-    poset = _POSET_CACHE.get(group)
-    if poset is None:
-        poset = SubconjugacyPoset(group)
-        _POSET_CACHE[group] = poset
-    return poset
+    return SubconjugacyPoset(group)
 
 
 def subgroup_censuses(group: Group):
@@ -618,21 +597,3 @@ def subgroup_index(k: Subgroup, h: Subgroup) -> int:
     if not any(hset <= set(k.conjugate(g).elements) for g in group.elements()):
         raise GwittError("H is not subconjugate to K")
     return k.order // h.order
-
-
-def brute_force_subgroups(group: Group) -> list[tuple[int, ...]]:
-    """All closed subsets, by raw subset enumeration; test oracle for tiny groups."""
-    if group.order > 12:
-        raise GwittError("brute-force subgroup enumeration is capped at order 12")
-    out = []
-    rest = [a for a in group.elements() if a != 0]
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            elems = (0,) + combo
-            eset = set(elems)
-            if all(
-                group.mul_table[a][b] in eset and group.inv_table[a] in eset
-                for a in elems for b in elems
-            ):
-                out.append(elems)
-    return sorted(out, key=lambda e: (len(e), e))

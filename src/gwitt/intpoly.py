@@ -86,9 +86,6 @@ class Poly:
                 seen.add(name)
         return tuple(sorted(seen))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(mono == () for mono in self.terms)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from .burnside import (
     BurnsideElement,
@@ -142,15 +143,9 @@ class WittContext:
         return tuple(p.evaluate(mapping) if isinstance(p, Poly) else p for p in polys)
 
 
-_CTX_CACHE: dict[Group, WittContext] = {}
-
-
+@cache
 def witt_context(group: Group) -> WittContext:
-    ctx = _CTX_CACHE.get(group)
-    if ctx is None:
-        ctx = WittContext(group)
-        _CTX_CACHE[group] = ctx
-    return ctx
+    return WittContext(group)
 
 
 # -- public operations --------------------------------------------------------
@@ -320,14 +315,14 @@ def verify_dress_siebeneicher_iso(group: Group) -> Report:
     injective this certifies that tau: W_G(Z) -> A(G) is a ring isomorphism."""
     ctx = witt_context(group)
     report = Report("dress-siebeneicher-iso", group.name)
+    tom = table_of_marks(group)
     for h in range(ctx.n):
         label = ctx.poset.label(h)
         basis = [0] * ctx.n
         basis[h] = 1
-        vector = table_of_marks(group)[h]
         report.checked += 1
         try:
-            w = WittVector(group, ctx.unghost_components(vector))
+            w = WittVector(group, ctx.unghost_components(tom[h]))
         except IntegralityError as exc:
             report.fail(f"unghost(marks([G/{label}])) not integral: {exc}")
             continue

@@ -5,7 +5,10 @@ counting fixed cosets, Burnside products by decomposing product G-sets, and
 the Teichmueller map by building every subgroup as a group of its own.
 Also the larger groups of the benchmark ladder."""
 
+import itertools
+
 from gwitt.burnside import BurnsideElement, burnside_transfer, burnside_zero, norm_from_trivial
+from gwitt.errors import GwittError
 from gwitt.groups import Group, group_from_generators, subconjugacy_poset, subgroup_generated
 from gwitt.gsets import coset_space, fixed_points, orbit_decompose, product
 
@@ -25,6 +28,24 @@ def s4_x_c2() -> Group:
     """S4 x C2 (order 48), the perm[(0 1),(0 1 2 3),(4 5)] of the ladder."""
     gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)]
     return group_from_generators(gens, n_points=6, name="S4xC2")
+
+
+def brute_force_subgroups(group: Group) -> list[tuple[int, ...]]:
+    """All closed subsets, by raw subset enumeration; for tiny groups."""
+    if group.order > 12:
+        raise GwittError("brute-force subgroup enumeration is capped at order 12")
+    out = []
+    rest = [a for a in group.elements() if a != 0]
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            elems = (0,) + combo
+            eset = set(elems)
+            if all(
+                group.mul_table[a][b] in eset and group.inv_table[a] in eset
+                for a in elems for b in elems
+            ):
+                out.append(elems)
+    return sorted(out, key=lambda e: (len(e), e))
 
 
 def join_closure_subgroups(group: Group) -> list[tuple[int, ...]]:

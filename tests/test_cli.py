@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 from gwitt.cli import run
+from gwitt.dsl import build_group, parse_group
+from gwitt.groups import subconjugacy_poset
+from oracles import containment_leq
 
 
 def capture_streams(argv):
@@ -133,6 +136,18 @@ def test_lattice_marks_orbits():
     assert "1 x [G/1a] + 1 x [G/2a]" in text
 
 
+@pytest.mark.parametrize("text", [
+    "perm[(0 1),(2 3),(4 5),(6 7)]", "perm[(0 1),(0 1 2 3),(4 5)]", "D(32)",
+], ids=["C2^4", "S4xC2", "D32"])
+def test_lattice_below_lists_match_the_containment_oracle(text):
+    group = build_group(parse_group(text))
+    labels = subconjugacy_poset(group).labels()
+    want = [[labels[j] for j, up in enumerate(row) if up] for row in containment_leq(group)]
+    status, out = capture(["lattice", text, "--format", "json"])
+    assert status == 0
+    assert [c["below"] for c in json.loads(out)["classes"]] == want
+
+
 def test_burnside_mul_cli():
     status, text = capture(["burnside", "mul", "S(3)", "0,1,0,0", "0,0,1,0"])
     assert status == 0
@@ -181,6 +196,17 @@ def test_negative_counts_are_usage_errors():
         assert text.endswith(f": must be non-negative, got {argv[-1]}\n"), argv
 
 
+def test_counts_past_their_cap_are_usage_errors():
+    for argv, cap in (
+        (["check", "tambara", "--group", "C(2)", "--budget", "6"], 5),
+        (["witt", "verify", "factorization", "C(2)", "--samples", "100001"], 100000),
+        (["witt", "verify", "injectivity", "C(2)", "--samples", "100001"], 100000),
+    ):
+        status, text = capture_error(argv)
+        assert status == 2, argv
+        assert text.endswith(f": must be at most {cap}, got {argv[-1]}\n"), argv
+
+
 def test_words_unassigned_variable_is_an_error():
     for argv in (
         ["words", "eval", "x*y", "--assign", "x=2"],
@@ -204,6 +230,9 @@ def test_words_assign_rejects_bad_input(assign, word):
     assert text.startswith("error: ") and text.count("\n") == 1
 
 
+LETTERS = "+".join("abcdefghijklmnopqrstuvwxyz")
+
+
 @pytest.mark.parametrize("argv", [
     ["words", "supp", "(" * 3000 + "x" + ")" * 3000],
     ["words", "supp", " + ".join(["x"] * 3000)],
@@ -211,12 +240,15 @@ def test_words_assign_rejects_bad_input(assign, word):
     ["compose", " ; ".join(["T(id(C(2)/<>))"] * 1200)],
     ["witt", "ghost", "C(2)", "(" + "-" * 3000 + "1, 2)"],
     ["witt", "ghost", "C(2)", "(x^100000, 1)", "--symbolic"],
+    ["witt", "ghost", "C(2)", "((a+b+c+d+e+f+g+h)^64, 1)", "--symbolic"],
+    ["witt", "ghost", "C(2)", f"(({LETTERS})^3*({LETTERS})^3, 1)", "--symbolic"],
     ["tom", "C(" + "1" * 5000 + ")"],
     ["tom", "S(300000000)"],
     ["tom", "perm[(0 300000000)]"],
 ], ids=[
     "nested-parens", "long-sum", "long-gset-sum", "long-bispan-chain",
-    "unary-minus-chain", "huge-exponent", "huge-number", "huge-symmetric",
+    "unary-minus-chain", "huge-exponent", "huge-power", "huge-product",
+    "huge-number", "huge-symmetric",
     "huge-perm-point",
 ])
 def test_oversized_input_is_a_usage_error(argv):

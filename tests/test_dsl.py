@@ -139,6 +139,17 @@ def test_build_word_and_poly():
     assert v[1] == -(Poly.var("a0") ** 2) + 2
 
 
+@pytest.mark.parametrize("text", [
+    "((a+b+c+d+e+f+g+h)^64, 1)",  # comb(71, 64) terms, about 1.2e9
+    "((a+b+c+d+e+f)^6 * (g+h+i+j+k+l)^6, 1)",  # 462 * 462 terms
+])
+def test_poly_expansion_past_the_term_cap_is_refused(text):
+    node = parse_vector(text)
+    with pytest.raises(GwittError, match="more than 10000 terms") as info:
+        build_vector(node)
+    assert not isinstance(info.value, DslSyntaxError)
+
+
 def test_entry_point_node_kinds():
     assert parse_group("C(4)").kind == "group"
     assert parse_gset("C(4)/<>").kind == "gset_cosets"

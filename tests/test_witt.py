@@ -244,8 +244,13 @@ def test_tau_matches_the_subgroup_group_oracle(group):
 @pytest.mark.parametrize("group", [elementary_abelian_2(5), s4_x_c2()], ids=lambda g: g.name)
 def test_tau_builds_no_group_and_no_subgroup_lattice(monkeypatch, group):
     n = len(subconjugacy_poset(group))
-    burnside._SUBGROUP_RINGS_CACHE.pop(group, None)
-    cached = len(groups._SUBGROUPS_CACHE), len(groups._POSET_CACHE)
+    burnside._subgroup_rings.cache_clear()
+
+    def lattice_entries():
+        return (groups.all_subgroups.cache_info().currsize,
+                groups.subconjugacy_poset.cache_info().currsize)
+
+    cached = lattice_entries()
     built = []
     original_init = Group.__init__
 
@@ -261,5 +266,5 @@ def test_tau_builds_no_group_and_no_subgroup_lattice(monkeypatch, group):
     w = WittVector(group, tuple(range(-3, n - 3)))
     teichmuller_tau(w)
     assert built == []
-    assert (len(groups._SUBGROUPS_CACHE), len(groups._POSET_CACHE)) == cached
-    assert group in burnside._SUBGROUP_RINGS_CACHE
+    assert lattice_entries() == cached
+    assert burnside._subgroup_rings.cache_info().currsize == 1
