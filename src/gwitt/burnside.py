@@ -9,7 +9,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .errors import GwittError, IntegralityError
-from .groups import ClassCensus, Group, Subgroup, subconjugacy_poset, subgroup_censuses
+from .groups import ClassCensus, Group, subconjugacy_poset, subgroup_censuses
 from .gsets import GSet, orbit_decompose
 from .intpoly import Poly
 
@@ -145,14 +145,6 @@ def _exact_div(value, n: int):
     return q
 
 
-def _rational_div(value, n: int):
-    if isinstance(value, Poly):
-        return value.rational_div(n)
-    from fractions import Fraction
-    q = Fraction(value, n)
-    return int(q) if q.denominator == 1 else q
-
-
 def column_sums(coeffs, columns: MarkColumns, powered: bool = False) -> list:
     """For each class h, the sum over the column of h of m * c_k: the marks
     of the element with coefficients c.  With `powered`, the sum of
@@ -190,22 +182,15 @@ def column_solve(vector, columns: MarkColumns, powered: bool = False,
     return coeffs
 
 
-def unmarks(group: Group, vector, exact: bool = True) -> BurnsideElement:
+def unmarks(group: Group, vector) -> BurnsideElement:
     """The unique preimage under marks, by exact triangular solve along the
     poset order; raises IntegralityError when the vector is not a mark
-    vector of a virtual G-set.
-
-    With exact=False the solve runs inside Q instead: coefficients may come
-    out rational (numerical-polynomial territory), which the symbolic
-    verifications need as an intermediate step.
-    """
+    vector of a virtual G-set."""
     poset = subconjugacy_poset(group)
     if len(vector) != len(poset):
         raise GwittError("mark vector has wrong length")
     try:
-        coeffs = column_solve(
-            vector, mark_columns(group), div=_exact_div if exact else _rational_div
-        )
+        coeffs = column_solve(vector, mark_columns(group))
     except IntegralityError as exc:
         label = poset.label(exc.where)
         raise IntegralityError(
@@ -222,49 +207,19 @@ def burnside_mul(b1: BurnsideElement, b2: BurnsideElement) -> BurnsideElement:
     return unmarks(b1.group, product)
 
 
-@cache
-def subgroup_class_map(group: Group, sub: Subgroup) -> tuple[int, ...]:
-    """For each class of O(H), the class index in O(G) of that subgroup seen
-    inside G."""
-    sub_group, embedding = sub.as_group()
-    sub_poset = subconjugacy_poset(sub_group)
-    poset = subconjugacy_poset(group)
-    out = []
-    for cls in sub_poset.classes:
-        elems_in_g = tuple(sorted(embedding[i] for i in cls.rep.elements))
-        out.append(poset.class_index(Subgroup(group, elems_in_g)))
-    return tuple(out)
-
-
-def burnside_transfer(sub: Subgroup, b: BurnsideElement) -> BurnsideElement:
-    """Additive induction A(H) -> A(G), sending [H/L] to [G/L]."""
-    group = sub.group
-    sub_group, _ = sub.as_group()
-    if b.group != sub_group:
-        raise GwittError("element does not live over the subgroup")
-    mapping = subgroup_class_map(group, sub)
-    n = len(subconjugacy_poset(group))
-    out = [0] * n
-    for i, c in enumerate(b.coeffs):
-        out[mapping[i]] = out[mapping[i]] + c
-    return BurnsideElement(group, tuple(out))
-
-
-def norm_from_trivial(group: Group, x, exact: bool = True) -> BurnsideElement:
-    """The multiplicative norm from the trivial-subgroup level: the unique
-    element with marks [H] -> x^(G:H).
+def norm_from_trivial(group: Group, x: int) -> BurnsideElement:
+    """The multiplicative norm of an integer from the trivial-subgroup
+    level: the unique element with marks [H] -> x^(G:H).
 
     For non-negative integers this agrees with the explicit dependent-product
     construction, and integrality holds for every integer input, so an
-    IntegralityError on integers is an implementation bug.  For a symbolic
-    (polynomial) x the coefficients are numerical polynomials, rational in
-    the monomial basis; pass exact=False in that case.
+    IntegralityError here is an implementation bug.
     """
     poset = subconjugacy_poset(group)
     vector = tuple(
         x ** (group.order // cls.order) for cls in poset.classes
     )
-    return unmarks(group, vector, exact=exact)
+    return unmarks(group, vector)
 
 
 @cache
@@ -279,16 +234,20 @@ def _subgroup_rings(group: Group) -> tuple:
 
 
 def transferred_norms(group: Group, values) -> BurnsideElement:
-    """The sum over the classes [K] of G of T_K^G N_e^K(x_K), for integers
-    x_K in poset order.
+    """The sum over the classes [K] of G of T_K^G N_e^K(x_K), for x_K in
+    poset order.
 
-    N_e^K(x) is the exact triangular solve in A(K) of the mark vector
-    [L] -> x^|K:L| (see `norm_from_trivial`), and T_K^G sends [K/L] to
-    [G/L] (see `burnside_transfer`).
+    N_e^K(x) is the triangular solve in A(K) of the mark vector
+    [L] -> x^|K:L|, and T_K^G sends [K/L] to [G/L].  The solve is exact on
+    an integer x, where integrality always holds, and runs over Q on a
+    polynomial x, whose norm has numerical-polynomial coefficients.
     """
     total = [0] * len(subconjugacy_poset(group))
     for x, (class_map, indices, columns) in zip(values, _subgroup_rings(group)):
-        norm = column_solve([x ** i for i in indices], columns)
+        if x == 0:  # N_e^K(0) = 0
+            continue
+        div = Poly.rational_div if isinstance(x, Poly) else _exact_div
+        norm = column_solve([x ** i for i in indices], columns, div=div)
         for g_class, c in zip(class_map, norm):
             total[g_class] += c
     return BurnsideElement(group, tuple(total))

@@ -42,6 +42,7 @@ from .witt import (
     verify_injectivity,
     verify_ring_axioms,
     witt_add,
+    witt_context,
     witt_mul,
     witt_neg,
 )
@@ -78,8 +79,8 @@ def _coeffs_from_arg(text: str, group: Group) -> tuple[int, ...]:
     return coeffs
 
 
-def _witt_from_arg(text: str, group: Group, symbolic: bool) -> WittVector:
-    entries = dsl.build_vector(dsl.parse_vector(text))
+def _witt_from_arg(vector: dsl.Node, group: Group, symbolic: bool) -> WittVector:
+    entries = dsl.build_vector(vector)  # top class first
     poset = subconjugacy_poset(group)
     if len(entries) != len(poset):
         raise GwittError(
@@ -235,11 +236,31 @@ _WITT_OPS = {
 }
 
 
+def _check_ghost_terms(group: Group, op: str, vectors) -> None:
+    """Refuse a symbolic ghost, neg, add or mul whose ghost components may
+    expand past dsl.MAX_TERMS terms, before any literal is expanded: the
+    ghost map and the operation run on the literals' dsl.TermBound."""
+    ctx = witt_context(group)
+    if any(len(v.children) != ctx.n for v in vectors):
+        return  # _witt_from_arg reports the count
+    ghost, *other = (ctx.ghost_components([dsl.term_bound(c) for c in reversed(v.children)])
+                     for v in vectors)
+    for h, bound in enumerate(ghost):
+        if other:
+            bound = bound * other[0][h] if op == "mul" else bound + other[0][h]
+        if bound.terms > dsl.MAX_TERMS:
+            raise GwittError(f"the ghost component at class {ctx.poset.label(h)} "
+                             f"may expand to more than {dsl.MAX_TERMS} terms")
+
+
 def _cmd_witt(args):
     group = _group_from_arg(args.group)
     operation, kind = _WITT_OPS[args.witt_op]
     texts = [args.vector] + ([args.vector2] if "vector2" in args else [])
-    result = operation(*(_witt_from_arg(t, group, args.symbolic) for t in texts))
+    vectors = [dsl.parse_vector(t) for t in texts]
+    if args.symbolic and args.witt_op != "unghost":
+        _check_ghost_terms(group, args.witt_op, vectors)
+    result = operation(*(_witt_from_arg(v, group, args.symbolic) for v in vectors))
     _check_printable(result.components)
     comps = [str(Poly.coerce(c)) for c in result.components]
     # table output lists the top class first
@@ -249,7 +270,7 @@ def _cmd_witt(args):
 
 def _cmd_tau(args):
     group = _group_from_arg(args.group)
-    element = teichmuller_tau(_witt_from_arg(args.vector, group, args.symbolic))
+    element = teichmuller_tau(_witt_from_arg(dsl.parse_vector(args.vector), group, args.symbolic))
     _check_printable(element.coeffs)
     coeffs = [str(Poly.coerce(c)) for c in element.coeffs]
     payload = _per_class(group, "burnside_element", "coefficients", coeffs)

@@ -46,7 +46,8 @@ MAX_EXPONENT = 64
 # checked before it is expanded: a bound on the terms of the result (the
 # product of the factors' term counts, or the number of monomials of degree
 # e in t terms for p^e), so that a short literal such as (a+...+h)^64 is
-# refused at once rather than expanded.
+# refused at once rather than expanded; the CLI holds symbolic ghost
+# components to the same cap through TermBound.
 MAX_TERMS = 10_000
 
 
@@ -642,10 +643,58 @@ def build_poly(node: Node) -> Poly:
         return left * right
     if node.kind == "poly_pow":
         base = build_poly(node.children[0])
-        # the zero polynomial has no terms; its powers have at most one
-        _check_terms(node, comb(max(len(base.terms), 1) + node.value - 1, node.value))
+        _check_terms(node, power_terms(len(base.terms), node.value))
         return base ** node.value
     raise GwittError(f"not a polynomial node: {node.kind}")
+
+
+def power_terms(t: int, e: int) -> int:
+    """C(t+e-1, e), the monomials of degree e in t terms (1 for t = 0): a
+    bound on the terms of p^e when p has t terms; MAX_TERMS + 1 past it."""
+    n, k = t + e - 1, min(e, t - 1)  # C(n, e) = C(n, k) >= n for 0 < k < n
+    if k <= 0:
+        return 1
+    return MAX_TERMS + 1 if n > MAX_TERMS else min(comb(n, k), MAX_TERMS + 1)
+
+
+class TermBound:
+    """A bound on a polynomial that is never expanded: at most `terms`
+    terms, in `variables`, of degree at most `degree`.  The term counts
+    follow build_poly's rule (a sum adds them, a product multiplies them,
+    p^e counts power_terms), capped by the C(v+d, d) monomials of degree at
+    most d in v variables.  An integer factor keeps the bound, so the ghost
+    map runs on bounds as on polynomials."""
+
+    def __init__(self, terms: int, variables: frozenset = frozenset(), degree: int = 0):
+        self.terms = min(terms, power_terms(len(variables) + 1, degree))
+        self.variables, self.degree = variables, degree
+
+    def __add__(self, other: "TermBound") -> "TermBound":
+        return TermBound(self.terms + other.terms, self.variables | other.variables,
+                         max(self.degree, other.degree))
+
+    def __mul__(self, other: "TermBound | int") -> "TermBound":
+        if isinstance(other, int):
+            return self
+        return TermBound(self.terms * other.terms, self.variables | other.variables,
+                         self.degree + other.degree)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "TermBound":
+        return TermBound(power_terms(self.terms, e), self.variables, self.degree * e)
+
+
+def term_bound(node: Node) -> TermBound:
+    """The TermBound of build_poly(node), found without expanding it."""
+    if node.kind == "poly_const":
+        return TermBound(1)
+    if node.kind == "poly_var":
+        return TermBound(1, frozenset([node.value]), 1)
+    if node.kind == "poly_pow":
+        return term_bound(node.children[0]) ** node.value
+    first, *rest = (term_bound(c) for c in node.children)  # neg, add, sub, mul
+    return first * rest[0] if node.kind == "poly_mul" else sum(rest, first)
 
 
 def _check_terms(node: Node, bound: int) -> None:

@@ -10,13 +10,12 @@ from functools import cache
 
 from .burnside import (
     BurnsideElement,
-    burnside_transfer,
+    burnside_basis,
+    burnside_one,
     column_solve,
     column_sums,
     mark_columns,
     marks,
-    norm_from_trivial,
-    table_of_marks,
     transferred_norms,
 )
 from .errors import GwittError, IntegralityError
@@ -29,54 +28,45 @@ def _is_ring_value(v) -> bool:
 
 
 @dataclass(frozen=True)
-class WittVector:
-    """One coefficient-ring element per subconjugacy class, in poset order
-    (trivial class first, [G] last).  Coefficients live in Z or in a
-    multivariate polynomial ring over Z; both are torsion free, which the
-    injectivity of the ghost map needs."""
+class _PosetVector:
+    """One ring element per subconjugacy class, in poset order (trivial
+    class first, [G] last); equal when the elements are."""
 
     group: Group
     components: tuple
 
     def __post_init__(self):
-        n = len(subconjugacy_poset(self.group))
-        if len(self.components) != n:
+        if len(self.components) != len(subconjugacy_poset(self.group)):
             raise GwittError("component count does not match the poset")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.group == other.group and all(
+            Poly.coerce(a) == Poly.coerce(b)
+            for a, b in zip(self.components, other.components)
+        )
+
+    def __hash__(self):
+        return hash((self.group, tuple(Poly.coerce(c) for c in self.components)))
+
+
+class WittVector(_PosetVector):
+    """Witt components over the poset.  Coefficients live in Z or in a
+    multivariate polynomial ring over Z; both are torsion free, which the
+    injectivity of the ghost map needs."""
+
+    def __post_init__(self):
+        super().__post_init__()
         for c in self.components:
             if not _is_ring_value(c):
                 raise GwittError(
                     "components must be integers or integral polynomials"
                 )
 
-    def __eq__(self, other):
-        if not isinstance(other, WittVector):
-            return NotImplemented
-        return self.group == other.group and all(
-            Poly.coerce(a) == Poly.coerce(b)
-            for a, b in zip(self.components, other.components)
-        )
 
-    def __hash__(self):
-        return hash((self.group, tuple(Poly.coerce(c) for c in self.components)))
-
-
-@dataclass(frozen=True)
-class GhostVector:
-    """A plain tuple of ring elements over the poset; no integrality shape."""
-
-    group: Group
-    components: tuple
-
-    def __eq__(self, other):
-        if not isinstance(other, GhostVector):
-            return NotImplemented
-        return self.group == other.group and all(
-            Poly.coerce(a) == Poly.coerce(b)
-            for a, b in zip(self.components, other.components)
-        )
-
-    def __hash__(self):
-        return hash((self.group, tuple(Poly.coerce(c) for c in self.components)))
+class GhostVector(_PosetVector):
+    """Ghost components over the poset; no integrality shape."""
 
 
 class WittContext:
@@ -277,7 +267,7 @@ def verify_ghost_factorization(group: Group, samples: int = 100,
     ctx = witt_context(group)
     report = Report("ghost-factorization", group.name, seed=seed)
     sym = tuple(Poly.var(v) for v in ctx.avars)
-    lhs = _symbolic_tau_marks(ctx, sym)
+    lhs = marks(transferred_norms(group, sym))
     rhs = ctx.ghost_components(sym)
     for h in range(ctx.n):
         report.checked += 1
@@ -297,46 +287,30 @@ def verify_ghost_factorization(group: Group, samples: int = 100,
     return report
 
 
-def _symbolic_tau_marks(ctx: WittContext, comps: tuple) -> tuple:
-    total = [Poly() for _ in range(ctx.n)]
-    for k in range(ctx.n):
-        sub = ctx.poset.classes[k].rep
-        sub_group, _ = sub.as_group()
-        n_k = norm_from_trivial(sub_group, comps[k], exact=False)
-        t_k = burnside_transfer(sub, n_k)
-        mk = marks(t_k)
-        total = [x + Poly.coerce(y) for x, y in zip(total, mk)]
-    return tuple(total)
-
-
 def verify_dress_siebeneicher_iso(group: Group) -> Report:
     """Every basis element [G/H] pulls back along marks to an integral Witt
     vector and tau returns it exactly; with marks∘tau = ghost and both maps
     injective this certifies that tau: W_G(Z) -> A(G) is a ring isomorphism."""
     ctx = witt_context(group)
     report = Report("dress-siebeneicher-iso", group.name)
-    tom = table_of_marks(group)
     for h in range(ctx.n):
         label = ctx.poset.label(h)
-        basis = [0] * ctx.n
-        basis[h] = 1
+        basis = burnside_basis(group, h)
         report.checked += 1
         try:
-            w = WittVector(group, ctx.unghost_components(tom[h]))
+            w = WittVector(group, ctx.unghost_components(marks(basis)))
         except IntegralityError as exc:
             report.fail(f"unghost(marks([G/{label}])) not integral: {exc}")
             continue
         back = teichmuller_tau(w)
-        if tuple(back.coeffs) != tuple(basis):
+        if back != basis:
             report.fail(
                 f"tau round trip failed at [G/{label}]: got {back.coeffs}"
             )
     # the unit must land on [G/G]
     report.checked += 1
     unit = teichmuller_tau(witt_one(group))
-    want = [0] * ctx.n
-    want[ctx.n - 1] = 1
-    if tuple(unit.coeffs) != tuple(want):
+    if unit != burnside_one(group):
         report.fail(f"tau(one) = {unit.coeffs} is not [G/G]")
     return report
 
@@ -348,24 +322,19 @@ def ghost_injectivity_double_coset_identity(group: Group) -> Report:
     ctx = witt_context(group)
     report = Report("double-coset-identity", group.name)
     a = Poly.var("a")
-    tom = table_of_marks(group)
     for k in range(ctx.n):
-        sub = ctx.poset.classes[k].rep
-        sub_group, _ = sub.as_group()
-        n_k = norm_from_trivial(sub_group, a, exact=False)
-        t_k = burnside_transfer(sub, n_k)
-        mk = marks(t_k)
+        # N_e^K(0) = 0, so only the term of [K] survives
+        values = [0] * ctx.n
+        values[k] = a
+        got = marks(transferred_norms(group, values))
+        # |(G/K)^H| * a^(K:H) at [H] <= [K], read off the mark columns
+        want = ctx.ghost_components(values)
         for h in range(ctx.n):
             report.checked += 1
-            if ctx.poset.leq(h, k):
-                index = ctx.poset.classes[k].order // ctx.poset.classes[h].order
-                want = Poly.const(tom[k][h]) * a ** index
-            else:
-                want = Poly()
-            got = Poly.coerce(mk[h])
-            if got != want:
+            if Poly.coerce(got[h]) != Poly.coerce(want[h]):
                 report.fail(
-                    f"H={ctx.poset.label(h)}, K={ctx.poset.label(k)}: {got} != {want}"
+                    f"H={ctx.poset.label(h)}, K={ctx.poset.label(k)}: "
+                    f"{Poly.coerce(got[h])} != {Poly.coerce(want[h])}"
                 )
     return report
 

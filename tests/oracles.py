@@ -2,15 +2,30 @@
 against: subgroups by joining whole element sets, conjugacy classes and
 subconjugacy by conjugating with every group element, the table of marks by
 counting fixed cosets, Burnside products by decomposing product G-sets, and
-the Teichmueller map by building every subgroup as a group of its own.
-Also the larger groups of the benchmark ladder."""
+the Teichmueller map and its marks by building every subgroup as a group of
+its own.  Also the larger groups of the benchmark ladder."""
 
 import itertools
+from functools import cache
 
-from gwitt.burnside import BurnsideElement, burnside_transfer, burnside_zero, norm_from_trivial
+from gwitt.burnside import (
+    BurnsideElement,
+    burnside_zero,
+    column_solve,
+    mark_columns,
+    marks,
+    norm_from_trivial,
+)
 from gwitt.errors import GwittError
-from gwitt.groups import Group, group_from_generators, subconjugacy_poset, subgroup_generated
+from gwitt.groups import (
+    Group,
+    Subgroup,
+    group_from_generators,
+    subconjugacy_poset,
+    subgroup_generated,
+)
 from gwitt.gsets import coset_space, fixed_points, orbit_decompose, product
+from gwitt.intpoly import Poly
 
 
 def elementary_abelian_2(rank: int) -> Group:
@@ -108,6 +123,30 @@ def product_basis_decomposition(group: Group, i: int, j: int) -> tuple[int, ...]
     return tuple(coeffs)
 
 
+@cache
+def subgroup_class_map(group: Group, sub: Subgroup) -> tuple[int, ...]:
+    """For each class of the subgroup built as a group of its own, the class
+    index in G of that subgroup seen inside G."""
+    sub_group, embedding = sub.as_group()
+    poset = subconjugacy_poset(group)
+    out = []
+    for cls in subconjugacy_poset(sub_group).classes:
+        elems_in_g = tuple(sorted(embedding[i] for i in cls.rep.elements))
+        out.append(poset.class_index(Subgroup(group, elems_in_g)))
+    return tuple(out)
+
+
+def burnside_transfer(sub: Subgroup, b: BurnsideElement) -> BurnsideElement:
+    """Additive induction A(H) -> A(G), sending [H/L] to [G/L]."""
+    group = sub.group
+    if b.group != sub.as_group()[0]:
+        raise GwittError("element does not live over the subgroup")
+    out = [0] * len(subconjugacy_poset(group))
+    for i, c in zip(subgroup_class_map(group, sub), b.coeffs):
+        out[i] = out[i] + c
+    return BurnsideElement(group, tuple(out))
+
+
 def tau_via_subgroup_groups(w) -> BurnsideElement:
     """tau(alpha) = sum over the classes [K] of T_K^G N_e^K(alpha_K), with
     each representative K built as a validated group of its own, its norm
@@ -117,3 +156,19 @@ def tau_via_subgroup_groups(w) -> BurnsideElement:
         sub_group, _ = cls.rep.as_group()
         total = total + burnside_transfer(cls.rep, norm_from_trivial(sub_group, comp))
     return total
+
+
+def symbolic_tau_marks_via_subgroup_groups(group: Group, comps) -> tuple:
+    """marks(tau(alpha)) for polynomial components: each representative K
+    built as a group, N_e^K(alpha_K) solved over Q in K's own Burnside ring
+    (its coefficients are numerical polynomials), transferred along K's
+    class map, and the marks of the pieces summed."""
+    total = [Poly() for _ in subconjugacy_poset(group).classes]
+    for cls, comp in zip(subconjugacy_poset(group).classes, comps):
+        sub_group, _ = cls.rep.as_group()
+        x = Poly.coerce(comp)
+        vector = [x ** (cls.order // c.order) for c in subconjugacy_poset(sub_group).classes]
+        norm = column_solve(vector, mark_columns(sub_group), div=Poly.rational_div)
+        piece = marks(burnside_transfer(cls.rep, BurnsideElement(sub_group, tuple(norm))))
+        total = [t + m for t, m in zip(total, piece)]
+    return tuple(total)

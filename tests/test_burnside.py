@@ -13,11 +13,9 @@ from gwitt.burnside import (
     burnside_mul,
     burnside_of_gset,
     burnside_one,
-    burnside_transfer,
     burnside_zero,
     marks,
     norm_from_trivial,
-    subgroup_class_map,
     table_of_marks,
     unmarks,
 )
@@ -40,10 +38,12 @@ from gwitt.gsets import (
     regular_gset,
 )
 from oracles import (
+    burnside_transfer,
     coset_space_table_of_marks,
     elementary_abelian_2,
     product_basis_decomposition,
     s4_x_c2,
+    subgroup_class_map,
 )
 
 C2 = cyclic(2)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,30 @@ def test_oversized_input_is_a_usage_error(argv):
     assert status == 2
     assert text.startswith(("error: ", "syntax error at line 1, column "))
     assert text.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "ghost", "C(2)", "((a+b+c+d)^37, 1)", "--symbolic"],
+    ["witt", "neg", "C(2)", "((a+b+c+d)^37, 1)", "--symbolic"],
+    ["witt", "add", "C(2)", "((a+b+c+d)^37, 1)", "((a+b+c+d)^37, 1)", "--symbolic"],
+    ["witt", "mul", "C(2)", "((a+b+c+d)^37, 1)", "(1, 1)", "--symbolic"],
+], ids=["ghost", "neg", "add", "mul"])
+def test_symbolic_witt_past_the_ghost_term_cap_is_refused(argv):
+    # each literal passes the literal cap; the square or product of the
+    # 9880-term component in the result would not
+    start = time.perf_counter()
+    status, text = capture_error(argv)
+    assert time.perf_counter() - start < 1
+    assert status == 2
+    assert text == "error: the ghost component at class 1a may expand to more than 10000 terms\n"
+
+
+def test_symbolic_witt_under_the_ghost_term_cap_runs():
+    # the term counts alone would refuse this product; the degree bound
+    # (monomials of degree <= 120 in x, y) admits it
+    status, text = capture(["witt", "mul", "C(2)", "((x+y)^30, 1)", "((x+y)^30, 1)", "--symbolic"])
+    assert status == 0
+    assert text.startswith("(x^60 + ")
 
 
 def test_check_tambara_cli_pass_and_json():

@@ -7,6 +7,7 @@ from gwitt.dsl import (
     build_gset,
     build_group,
     build_map,
+    build_poly,
     build_vector,
     build_word,
     parse_bispan,
@@ -15,6 +16,7 @@ from gwitt.dsl import (
     parse_map,
     parse_vector,
     parse_word,
+    term_bound,
     to_text,
 )
 from gwitt.errors import DslSyntaxError, GwittError
@@ -148,6 +150,22 @@ def test_poly_expansion_past_the_term_cap_is_refused(text):
     with pytest.raises(GwittError, match="more than 10000 terms") as info:
         build_vector(node)
     assert not isinstance(info.value, DslSyntaxError)
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("(7)", 1), ("(x)", 1), ("(x - y + 3)", 3), ("(-(x*y + 1)^2)", 3),
+    ("((a+b+c+d)^37)", 9880),        # C(40, 37), as build_poly counts it
+    ("((x+y)^3 * (x+y)^3)", 16),     # 4 * 4 by the rule; degree <= 6 in x, y: 28
+    ("(((x+y+z)^8)^4)", 6545),       # C(48, 4) by the rule; degree <= 32 in x, y, z: C(35, 3)
+    ("(x^60 * y^60)", 1),
+    ("(((a+b+c+d+e+f+g+h)^64)^64)", 10001),
+])
+def test_term_bound_bounds_the_expansion_without_expanding(text, terms):
+    node = parse_vector(text).children[0]
+    bound = term_bound(node)
+    assert bound.terms == terms
+    if terms <= 1000:
+        assert len(build_poly(node).terms) <= terms
 
 
 def test_entry_point_node_kinds():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gwitt import burnside, groups
-from gwitt.burnside import marks
+from gwitt.burnside import marks, transferred_norms
 from gwitt.errors import GwittError, IntegralityError
 from gwitt.groups import Group, cyclic, dihedral, klein_four, subconjugacy_poset, symmetric
 from gwitt.intpoly import Poly
@@ -30,7 +30,12 @@ from gwitt.witt import (
     witt_one,
     witt_zero,
 )
-from oracles import elementary_abelian_2, s4_x_c2, tau_via_subgroup_groups
+from oracles import (
+    elementary_abelian_2,
+    s4_x_c2,
+    symbolic_tau_marks_via_subgroup_groups,
+    tau_via_subgroup_groups,
+)
 
 C2 = cyclic(2)
 GROUPS = [cyclic(1), C2, cyclic(3), cyclic(4), klein_four(), cyclic(6),
@@ -154,6 +159,9 @@ def test_negative_samples_are_rejected():
 def test_component_count_validation():
     with pytest.raises(GwittError):
         WittVector(C2, (1,))
+    for components in ((1,), (6, 2, 5)):
+        with pytest.raises(GwittError):
+            GhostVector(C2, components)
     with pytest.raises(GwittError):
         WittVector(C2, (1, Poly.var("x").rational_div(2)))
 
@@ -230,6 +238,22 @@ TAU_GROUPS = [C2, klein_four(), cyclic(6), symmetric(3), dihedral(4), symmetric(
               elementary_abelian_2(4), s4_x_c2(), dihedral(32), elementary_abelian_2(5)]
 
 
+@pytest.mark.parametrize(
+    "group", [C2, cyclic(4), klein_four(), cyclic(6), symmetric(3), dihedral(4), symmetric(4),
+              s4_x_c2(), dihedral(16)],
+    ids=lambda g: g.name,
+)
+def test_symbolic_tau_marks_match_the_subgroup_group_oracle(group):
+    """The marks of tau over Z[a_K], as the symbolic verifiers compute them
+    from G's lattice, equal those of every K built as a group of its own,
+    and both equal the ghost components."""
+    ctx = witt_context(group)
+    sym = tuple(Poly.var(v) for v in ctx.avars)
+    got = tuple(Poly.coerce(m) for m in marks(transferred_norms(group, sym)))
+    assert got == symbolic_tau_marks_via_subgroup_groups(group, sym)
+    assert got == tuple(Poly.coerce(g) for g in ctx.ghost_components(sym))
+
+
 @pytest.mark.parametrize("group", TAU_GROUPS, ids=lambda g: g.name)
 def test_tau_matches_the_subgroup_group_oracle(group):
     n = len(subconjugacy_poset(group))
@@ -241,16 +265,32 @@ def test_tau_matches_the_subgroup_group_oracle(group):
         assert teichmuller_tau(w) == tau_via_subgroup_groups(w), comps
 
 
-@pytest.mark.parametrize("group", [elementary_abelian_2(5), s4_x_c2()], ids=lambda g: g.name)
-def test_tau_builds_no_group_and_no_subgroup_lattice(monkeypatch, group):
+def _tau_of_a_vector(group):
     n = len(subconjugacy_poset(group))
+    return teichmuller_tau(WittVector(group, tuple(range(-3, n - 3))))
+
+
+LATTICE_FREE = {
+    "tau": _tau_of_a_vector,
+    "factorization": lambda group: verify_ghost_factorization(group, samples=0),
+    "double-coset": ghost_injectivity_double_coset_identity,
+}
+
+
+@pytest.mark.parametrize("group, operation", [
+    pytest.param(group, operation,
+                 id=group.name if operation == "tau" else f"{group.name}-{operation}")
+    for group in (elementary_abelian_2(5), s4_x_c2()) for operation in LATTICE_FREE
+])
+def test_tau_builds_no_group_and_no_subgroup_lattice(monkeypatch, group, operation):
+    """tau and the symbolic verifiers read every A(K) off G's lattice: they
+    build no Group and add no entry to the per-group memos beyond the one
+    of G's subgroup rings."""
+    memos = (groups.all_subgroups, groups.subconjugacy_poset, burnside.mark_columns,
+             witt_context)
+    witt_context(group)
     burnside._subgroup_rings.cache_clear()
-
-    def lattice_entries():
-        return (groups.all_subgroups.cache_info().currsize,
-                groups.subconjugacy_poset.cache_info().currsize)
-
-    cached = lattice_entries()
+    cached = [memo.cache_info().currsize for memo in memos]
     built = []
     original_init = Group.__init__
 
@@ -263,8 +303,8 @@ def test_tau_builds_no_group_and_no_subgroup_lattice(monkeypatch, group):
 
     monkeypatch.setattr(Group, "__init__", counting_init)
     monkeypatch.setattr(burnside, "unmarks", no_unmarks)
-    w = WittVector(group, tuple(range(-3, n - 3)))
-    teichmuller_tau(w)
+    result = LATTICE_FREE[operation](group)
+    assert getattr(result, "ok", True), result.failures
     assert built == []
-    assert lattice_entries() == cached
+    assert [memo.cache_info().currsize for memo in memos] == cached
     assert burnside._subgroup_rings.cache_info().currsize == 1
