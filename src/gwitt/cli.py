@@ -21,7 +21,7 @@ import sys
 
 from . import dsl
 from .bispans import bispan_equivalent, fiber_polynomials, is_simple, recompose
-from .burnside import BurnsideElement, burnside_mul, marks, table_of_marks
+from .burnside import BurnsideElement, burnside_mul, column_solve, marks, table_of_marks
 from .errors import DslSyntaxError, GwittError, IntegralityError
 from .groups import Group, subconjugacy_poset
 from .gsets import orbit_decompose, regular_gset
@@ -237,19 +237,24 @@ _WITT_OPS = {
 
 
 def _check_ghost_terms(group: Group, op: str, vectors) -> None:
-    """Refuse a symbolic ghost, neg, add or mul whose ghost components may
-    expand past dsl.MAX_TERMS terms, before any literal is expanded: the
-    ghost map and the operation run on the literals' dsl.TermBound."""
+    """Refuse a symbolic Witt operation whose ghost components (for unghost,
+    whose Witt components) may expand past dsl.MAX_TERMS terms, before any
+    literal is expanded: the operation runs on the literals' dsl.TermBound."""
     ctx = witt_context(group)
     if any(len(v.children) != ctx.n for v in vectors):
         return  # _witt_from_arg reports the count
-    ghost, *other = (ctx.ghost_components([dsl.term_bound(c) for c in reversed(v.children)])
-                     for v in vectors)
-    for h, bound in enumerate(ghost):
+    bounds = [[dsl.term_bound(c) for c in reversed(v.children)] for v in vectors]
+    if op == "unghost":
+        kind = "Witt"
+        result = column_solve(bounds[0], ctx.columns, powered=True, div=lambda b, n: b)
+    else:
+        kind = "ghost"
+        result, *other = map(ctx.ghost_components, bounds)
         if other:
-            bound = bound * other[0][h] if op == "mul" else bound + other[0][h]
+            result = [a * b if op == "mul" else a + b for a, b in zip(result, other[0])]
+    for h, bound in enumerate(result):
         if bound.terms > dsl.MAX_TERMS:
-            raise GwittError(f"the ghost component at class {ctx.poset.label(h)} "
+            raise GwittError(f"the {kind} component at class {ctx.poset.label(h)} "
                              f"may expand to more than {dsl.MAX_TERMS} terms")
 
 
@@ -258,7 +263,7 @@ def _cmd_witt(args):
     operation, kind = _WITT_OPS[args.witt_op]
     texts = [args.vector] + ([args.vector2] if "vector2" in args else [])
     vectors = [dsl.parse_vector(t) for t in texts]
-    if args.symbolic and args.witt_op != "unghost":
+    if args.symbolic:
         _check_ghost_terms(group, args.witt_op, vectors)
     result = operation(*(_witt_from_arg(v, group, args.symbolic) for v in vectors))
     _check_printable(result.components)

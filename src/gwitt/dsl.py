@@ -660,10 +660,11 @@ def power_terms(t: int, e: int) -> int:
 class TermBound:
     """A bound on a polynomial that is never expanded: at most `terms`
     terms, in `variables`, of degree at most `degree`.  The term counts
-    follow build_poly's rule (a sum adds them, a product multiplies them,
-    p^e counts power_terms), capped by the C(v+d, d) monomials of degree at
-    most d in v variables.  An integer factor keeps the bound, so the ghost
-    map runs on bounds as on polynomials."""
+    follow build_poly's rule (a sum or difference adds them, a product
+    multiplies them, p^e counts power_terms), capped by the C(v+d, d)
+    monomials of degree at most d in v variables.  An integer factor keeps
+    the bound, so the ghost map and its triangular solve run on bounds as on
+    polynomials."""
 
     def __init__(self, terms: int, variables: frozenset = frozenset(), degree: int = 0):
         self.terms = min(terms, power_terms(len(variables) + 1, degree))
@@ -680,6 +681,7 @@ class TermBound:
                          self.degree + other.degree)
 
     __rmul__ = __mul__
+    __sub__ = __add__
 
     def __pow__(self, e: int) -> "TermBound":
         return TermBound(power_terms(self.terms, e), self.variables, self.degree * e)

@@ -101,6 +101,7 @@ class Group:
     @staticmethod
     def from_json(data: dict) -> "Group":
         n = data["order"]
+        _check_order(n)
         flat = data["mul"]
         if len(flat) != n * n:
             raise GwittError("row-major mul table has wrong length")
@@ -223,6 +224,7 @@ def symmetric(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
 
 
 def direct_product(g1: Group, g2: Group, name: str | None = None) -> Group:
+    _check_order(g1.order * g2.order)
     elems = [(a, b) for a in range(g1.order) for b in range(g2.order)]
     index = {e: i for i, e in enumerate(elems)}
     table = [
@@ -288,19 +290,7 @@ class Subgroup:
 
 
 def subgroup_generated(group: Group, gens) -> Subgroup:
-    closure = {0}
-    frontier = [0]
-    gens = list(gens)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                for b in (group.mul_table[a][g], group.mul_table[g][a]):
-                    if b not in closure:
-                        closure.add(b)
-                        new.append(b)
-        frontier = new
-    return Subgroup(group, tuple(sorted(closure)))
+    return Subgroup(group, tuple(_extend(group, [0], 1, list(gens))[0]))
 
 
 def trivial_subgroup(group: Group) -> Subgroup:

@@ -17,7 +17,7 @@ class GSet:
     initial object.
     """
 
-    __slots__ = ("group", "size", "act_table", "_hash", "_orbit_cache")
+    __slots__ = ("group", "size", "act_table", "_hash", "_orbit_cache", "_stabilizer_cache")
 
     def __init__(self, group: Group, act_table, validate: bool = True):
         self.group = group
@@ -44,6 +44,7 @@ class GSet:
                             )
         self._hash = None
         self._orbit_cache = None
+        self._stabilizer_cache = None
 
     def act(self, g: int, x: int) -> int:
         return self.act_table[g][x]
@@ -51,9 +52,20 @@ class GSet:
     def points(self) -> range:
         return range(self.size)
 
+    def stabilizers(self) -> tuple[frozenset[int], ...]:
+        """The group elements fixing each point, built once in one pass over
+        the action table."""
+        if self._stabilizer_cache is None:
+            fixed: list[list[int]] = [[] for _ in self.points()]
+            for g, row in enumerate(self.act_table):
+                for x, gx in enumerate(row):
+                    if gx == x:
+                        fixed[x].append(g)
+            self._stabilizer_cache = tuple(map(frozenset, fixed))
+        return self._stabilizer_cache
+
     def stabilizer(self, x: int) -> Subgroup:
-        elems = tuple(g for g in self.group.elements() if self.act_table[g][x] == x)
-        return Subgroup(self.group, elems)
+        return Subgroup(self.group, tuple(self.stabilizers()[x]))
 
     def orbits(self) -> tuple[tuple[tuple[int, ...], dict[int, int]], ...]:
         """Orbits as (sorted points, transporter); transporter[u] maps rep to u.
@@ -117,7 +129,7 @@ class GSet:
 class GMap:
     """An equivariant map between two G-sets over the same group."""
 
-    __slots__ = ("source", "target", "images", "_hash")
+    __slots__ = ("source", "target", "images", "_hash", "_fiber_cache")
 
     def __init__(self, source: GSet, target: GSet, images, validate: bool = True):
         self.source = source
@@ -135,12 +147,23 @@ class GMap:
                     if self.images[source.act_table[g][x]] != target.act_table[g][self.images[x]]:
                         raise EquivarianceError(f"map not equivariant at (g={g}, x={x})")
         self._hash = None
+        self._fiber_cache = None
 
     def __call__(self, x: int) -> int:
         return self.images[x]
 
+    def fibers(self) -> tuple[tuple[int, ...], ...]:
+        """The ascending fiber over each target point, built once in one pass
+        over the images."""
+        if self._fiber_cache is None:
+            fibers: list[list[int]] = [[] for _ in self.target.points()]
+            for x, y in enumerate(self.images):
+                fibers[y].append(x)
+            self._fiber_cache = tuple(map(tuple, fibers))
+        return self._fiber_cache
+
     def fiber(self, y: int) -> tuple[int, ...]:
-        return tuple(x for x in self.source.points() if self.images[x] == y)
+        return self.fibers()[y]
 
     def is_bijective(self) -> bool:
         return self.source.size == self.target.size and len(set(self.images)) == self.source.size
@@ -268,14 +291,12 @@ def induced_gset(group: Group, sub: Subgroup, fiber: GSet) -> tuple[GSet, GMap]:
     if fiber.group != sub_group:
         raise GwittError("fiber must be a set over the subgroup")
     base = coset_space(group, sub)
-    # the coset through g is g•(coset of H itself), which has index 0
-    reps = []
-    coset_of = {}
-    for i in base.points():
-        members = sorted(g for g in group.elements() if base.act_table[g][0] == i)
-        reps.append(members[0])
-        for m in members:
-            coset_of[m] = i
+    # the coset through g is g•(coset of H itself), which has index 0; its
+    # representative is its least element
+    coset_of = [row[0] for row in base.act_table]
+    reps = [0] * base.size
+    for g in reversed(group.elements()):
+        reps[coset_of[g]] = g
     local = {g: k for k, g in enumerate(embedding)}
     n = base.size * fiber.size
     table = []
@@ -300,11 +321,7 @@ def induced_gset(group: Group, sub: Subgroup, fiber: GSet) -> tuple[GSet, GMap]:
 def fixed_points(x: GSet, h: Subgroup) -> int:
     if h.group != x.group:
         raise GwittError("subgroup of a different group")
-    count = 0
-    for pt in x.points():
-        if all(x.act_table[g][pt] == pt for g in h.elements):
-            count += 1
-    return count
+    return sum(1 for stab in x.stabilizers() if stab.issuperset(h.elements))
 
 
 def marks_vector(x: GSet, poset: SubconjugacyPoset | None = None) -> tuple[int, ...]:
@@ -336,94 +353,67 @@ def reassemble(group: Group, class_indices, poset: SubconjugacyPoset | None = No
 # -- map enumeration and isomorphism search ----------------------------------
 
 
-def _orbit_data(x: GSet):
-    """(rep, stabilizer elements frozenset, transporter) per orbit."""
-    out = []
-    for points, transporter in x.orbits():
-        rep = points[0]
-        stab = frozenset(
-            g for g in x.group.elements() if x.act_table[g][rep] == rep
-        )
-        out.append((rep, stab, transporter))
-    return out
+def _extend_images(a: GSet, x: GSet, targets) -> GMap:
+    """The equivariant map a -> x that sends the representative of the k-th
+    orbit of a to targets[k]."""
+    images = [0] * a.size
+    for (_, transporter), target in zip(a.orbits(), targets):
+        for u, g in transporter.items():
+            images[u] = x.act_table[g][target]
+    return GMap(a, x, tuple(images), validate=False)
 
 
 def equivariant_maps(a: GSet, x: GSet):
-    """Yield every equivariant map a -> x, deterministically ordered."""
-    orbits = _orbit_data(a)
+    """Yield every equivariant map a -> x, in ascending order of images."""
+    a_stabs, x_stabs = a.stabilizers(), x.stabilizers()
     candidate_lists = []
-    for rep, stab, _ in orbits:
-        cands = [p for p in x.points()
-                 if all(x.act_table[g][p] == p for g in stab)]
+    for points, _ in a.orbits():
+        stab = a_stabs[points[0]]
+        cands = [p for p in x.points() if stab <= x_stabs[p]]
         if not cands:
             return
         candidate_lists.append(cands)
     for combo in itertools.product(*candidate_lists):
-        images = [0] * a.size
-        for (rep, _, transporter), target in zip(orbits, combo):
-            for u, g in transporter.items():
-                images[u] = x.act_table[g][target]
-        yield GMap(a, x, tuple(images), validate=False)
+        yield _extend_images(a, x, combo)
 
 
 def count_maps_over(b: GMap, t: GMap) -> int:
     """Number of equivariant maps m with t∘m = b (maps over the common target)."""
     if b.target != t.target:
         raise GwittError("maps must share a target")
+    b_stabs, t_stabs = b.source.stabilizers(), t.source.stabilizers()
     total = 1
-    for rep, stab, _ in _orbit_data(b.source):
-        want = b.images[rep]
-        count = sum(
-            1 for p in t.source.points()
-            if t.images[p] == want
-            and all(t.source.act_table[g][p] == p for g in stab)
-        )
-        if count == 0:
-            return 0
-        total *= count
+    for points, _ in b.source.orbits():
+        rep = points[0]
+        total *= sum(1 for p in t.fiber(b.images[rep]) if b_stabs[rep] <= t_stabs[p])
     return total
 
 
 def isos_over(f: GMap, g: GMap, budget: int | None = None):
-    """Yield equivariant bijections h: source(f) -> source(g) with g∘h = f."""
+    """Yield equivariant bijections h: source(f) -> source(g) with g∘h = f,
+    in ascending order of images."""
     if f.target != g.target:
         raise GwittError("maps must share a target")
     a, b = f.source, g.source
-    if a.size != b.size:
+    if [len(xs) for xs in f.fibers()] != [len(xs) for xs in g.fibers()]:
         return
-    for y in f.target.points():
-        if len(f.fiber(y)) != len(g.fiber(y)):
-            return
-    a_orbits = _orbit_data(a)
-    b_orbits = _orbit_data(b)
-    orbit_of_b = {}
-    for idx, (rep, _, transporter) in enumerate(b_orbits):
-        for u in transporter:
-            orbit_of_b[u] = idx
+    a_stabs, b_stabs = a.stabilizers(), b.stabilizers()
+    orbit_of_b = {u: k for k, (points, _) in enumerate(b.orbits()) for u in points}
     candidates = []
-    for rep, stab, _ in a_orbits:
-        cands = [
-            p for p in b.points()
-            if g.images[p] == f.images[rep]
-            and frozenset(
-                hh for hh in b.group.elements() if b.act_table[hh][p] == p
-            ) == stab
-        ]
+    for points, _ in a.orbits():
+        rep = points[0]
+        cands = [p for p in g.fiber(f.images[rep]) if b_stabs[p] == a_stabs[rep]]
         if not cands:
             return
         candidates.append(cands)
     nodes = 0
-    used = [False] * len(b_orbits)
+    used = [False] * len(b.orbits())
     assignment: list[int] = []
 
     def backtrack(k: int):
         nonlocal nodes
-        if k == len(a_orbits):
-            images = [0] * a.size
-            for (rep, _, transporter), target in zip(a_orbits, assignment):
-                for u, gg in transporter.items():
-                    images[u] = b.act_table[gg][target]
-            yield GMap(a, b, tuple(images), validate=False)
+        if k == len(candidates):
+            yield _extend_images(a, b, assignment)
             return
         for p in candidates[k]:
             nodes += 1
@@ -486,8 +476,7 @@ def pullback(f: GMap, g: GMap) -> Pullback:
     if f.target != g.target:
         raise GwittError("pullback needs a common target")
     x, a = g.source, f.source
-    pts = [(i, j) for i in x.points() for j in a.points()
-           if g.images[i] == f.images[j]]
+    pts = [(i, j) for i in x.points() for j in f.fiber(g.images[i])]
     index = {pt: k for k, pt in enumerate(pts)}
     group = x.group
     table = []
@@ -504,12 +493,13 @@ def pullback(f: GMap, g: GMap) -> Pullback:
 @dataclass(frozen=True)
 class DependentProduct:
     """Π_f A -> Y for p: A -> X, f: X -> Y; points over y are sections of p
-    on the fiber f^-1(y), stored as tuples aligned with the sorted fiber."""
+    on the fiber f^-1(y), stored as tuples aligned with the sorted fiber
+    fiber_points[y]."""
 
     gset: GSet
     to_y: GMap
     sections: tuple[tuple[int, tuple[int, ...]], ...]
-    fiber_points: dict[int, tuple[int, ...]]
+    fiber_points: tuple[tuple[int, ...], ...]
 
     def evaluate(self, section_index: int, x: int) -> int:
         y, sec = self.sections[section_index]
@@ -522,8 +512,7 @@ def dependent_product(p: GMap, f: GMap) -> DependentProduct:
         raise GwittError("dependent product needs p: A -> X and f: X -> Y")
     a, x, y = p.source, p.target, f.target
     group = x.group
-    fiber_points = {yy: f.fiber(yy) for yy in y.points()}
-    p_fibers = {xx: p.fiber(xx) for xx in x.points()}
+    fiber_points, p_fibers = f.fibers(), p.fibers()
     sections: list[tuple[int, tuple[int, ...]]] = []
     for yy in y.points():
         xs = fiber_points[yy]
@@ -531,16 +520,15 @@ def dependent_product(p: GMap, f: GMap) -> DependentProduct:
             sections.append((yy, tuple(combo)))
     sections.sort()
     index = {s: i for i, s in enumerate(sections)}
+    slot = {xx: k for xs in fiber_points for k, xx in enumerate(xs)}  # place in its fiber
     table = []
     for g in group.elements():
         ginv = group.inverse(g)
         row = []
         for yy, sec in sections:
             y2 = y.act_table[g][yy]
-            xs = fiber_points[yy]
-            pos = {xx: k for k, xx in enumerate(xs)}
             new_sec = tuple(
-                a.act_table[g][sec[pos[x.act_table[ginv][x2]]]]
+                a.act_table[g][sec[slot[x.act_table[ginv][x2]]]]
                 for x2 in fiber_points[y2]
             )
             row.append(index[(y2, new_sec)])

@@ -6,10 +6,11 @@ relation."""
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from types import SimpleNamespace
 
 from .errors import EquivarianceError, GwittError
@@ -124,28 +125,25 @@ class InvariantRingInstance(TambaraInstance):
     def restrict(self, f: GMap, v):
         return tuple(v[f.images[i]] for i in f.source.points())
 
+    def _fold_fibers(self, f: GMap, v, op, unit: int):
+        """Row y is the pointwise `op` of the rows over the fiber of f at y,
+        starting from a row of `unit`."""
+        start = (unit,) * self.base.size
+        return tuple(
+            reduce(lambda row, x: tuple(map(op, row, v[x])), fiber, start)
+            for fiber in f.fibers()
+        )
+
     def transfer(self, f: GMap, v):
-        out = []
-        for y in f.target.points():
-            row = [0] * self.base.size
-            for xpt in f.fiber(y):
-                row = [a + b for a, b in zip(row, v[xpt])]
-            out.append(tuple(row))
-        return tuple(out)
+        return self._fold_fibers(f, v, operator.add, 0)
 
     def norm(self, f: GMap, v):
-        out = []
-        for y in f.target.points():
-            row = [1] * self.base.size
-            for xpt in f.fiber(y):
-                row = [a * b for a, b in zip(row, v[xpt])]
-            out.append(tuple(row))
-        return tuple(out)
+        return self._fold_fibers(f, v, operator.mul, 1)
 
     def _stabilizer_orbits(self, x: GSet, point: int) -> list[list[int]]:
         """The orbits of the stabilizer of `point` in X on the base, in the
         order of their least base point."""
-        stab = x.stabilizer(point)
+        stab = x.stabilizers()[point]
         orbits, seen = [], set()
         for j in self.base.points():
             if j in seen:
@@ -153,7 +151,7 @@ class InvariantRingInstance(TambaraInstance):
             seen.add(j)
             orbit = [j]
             for u in orbit:
-                for g in stab.elements:
+                for g in stab:
                     w = self.base.act_table[g][u]
                     if w not in seen:
                         seen.add(w)

@@ -22,6 +22,8 @@ from .errors import GwittError, IntegralityError
 from .groups import Group, subconjugacy_poset
 from .intpoly import Poly
 
+DIRECT_CLASS_CAP = 8  # see verify_ring_axioms
+
 
 def _is_ring_value(v) -> bool:
     return isinstance(v, int) or (isinstance(v, Poly) and v.is_integral())
@@ -339,14 +341,14 @@ def ghost_injectivity_double_coset_identity(group: Group) -> Report:
     return report
 
 
-def verify_ring_axioms(group: Group, direct_class_cap: int = 8) -> Report:
+def verify_ring_axioms(group: Group) -> Report:
     """Ring laws of W_G, symbolically.
 
     The ghost map is injective over torsion-free coefficients and is
     componentwise by construction, so verifying that the cached structure
     polynomials are ghost-homomorphic reduces every ring law to the
-    corresponding law in the product ring.  Up to the class cap the laws are
-    additionally checked by direct polynomial substitution.
+    corresponding law in the product ring.  Up to DIRECT_CLASS_CAP classes
+    the laws are additionally checked by direct polynomial substitution.
     """
     ctx = witt_context(group)
     report = Report("ring-axioms", group.name)
@@ -401,7 +403,7 @@ def verify_ring_axioms(group: Group, direct_class_cap: int = 8) -> Report:
                 report.fail(f"{name} polynomial not symmetric at {ctx.poset.label(h)}")
 
     # direct substitution for small posets: associativity and distributivity
-    if ctx.n <= direct_class_cap:
+    if ctx.n <= DIRECT_CLASS_CAP:
         cvars = tuple(f"c_{ctx.poset.label(i)}" for i in range(ctx.n))
         sym_c = tuple(Poly.var(v) for v in cvars)
         add = lambda u, v: ctx.eval_polys(ctx.sum_polys(), u, v)

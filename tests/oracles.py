@@ -3,7 +3,9 @@ against: subgroups by joining whole element sets, conjugacy classes and
 subconjugacy by conjugating with every group element, the table of marks by
 counting fixed cosets, Burnside products by decomposing product G-sets, and
 the Teichmueller map and its marks by building every subgroup as a group of
-its own.  Also the larger groups of the benchmark ladder."""
+its own, stabilizers and fibers by scanning, and equivariant maps and
+isomorphisms by filtering all functions and permutations.  Also the larger
+groups of the benchmark ladder."""
 
 import itertools
 from functools import cache
@@ -22,9 +24,15 @@ from gwitt.groups import (
     Subgroup,
     group_from_generators,
     subconjugacy_poset,
-    subgroup_generated,
 )
-from gwitt.gsets import coset_space, fixed_points, orbit_decompose, product
+from gwitt.gsets import (
+    GMap,
+    GSet,
+    coset_space,
+    fixed_points,
+    orbit_decompose,
+    product,
+)
 from gwitt.intpoly import Poly
 
 
@@ -63,18 +71,35 @@ def brute_force_subgroups(group: Group) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda e: (len(e), e))
 
 
+def generated_closure(group: Group, gens) -> tuple[int, ...]:
+    """The subgroup generated by `gens` as a sorted element tuple, by
+    breadth-first closure under left and right multiplication."""
+    closure = {0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                for b in (group.mul_table[a][g], group.mul_table[g][a]):
+                    if b not in closure:
+                        closure.add(b)
+                        new.append(b)
+        frontier = new
+    return tuple(sorted(closure))
+
+
 def join_closure_subgroups(group: Group) -> list[tuple[int, ...]]:
     """Every subgroup as a sorted element tuple, sorted by (order, elements):
     cyclic subgroups, then the closure of the union of every known subgroup
     with every cyclic one until nothing new appears."""
-    cyclics = {subgroup_generated(group, [a]).elements for a in group.elements()}
+    cyclics = {generated_closure(group, [a]) for a in group.elements()}
     known = set(cyclics)
     frontier = set(cyclics)
     while frontier:
         new = set()
         for h in frontier:
             for c in cyclics:
-                join = subgroup_generated(group, set(h) | set(c)).elements
+                join = generated_closure(group, set(h) | set(c))
                 if join not in known:
                     known.add(join)
                     new.add(join)
@@ -172,3 +197,48 @@ def symbolic_tau_marks_via_subgroup_groups(group: Group, comps) -> tuple:
         piece = marks(burnside_transfer(cls.rep, BurnsideElement(sub_group, tuple(norm))))
         total = [t + m for t, m in zip(total, piece)]
     return tuple(total)
+
+
+def scanned_stabilizers(x: GSet) -> tuple[frozenset[int], ...]:
+    """The stabilizer of each point, scanning the group once per point."""
+    return tuple(
+        frozenset(g for g in x.group.elements() if x.act_table[g][p] == p)
+        for p in x.points()
+    )
+
+
+def scanned_fibers(f: GMap) -> tuple[tuple[int, ...], ...]:
+    """The fiber over each target point, scanning the source once per point."""
+    return tuple(
+        tuple(x for x in f.source.points() if f.images[x] == y)
+        for y in f.target.points()
+    )
+
+
+def _is_equivariant(a: GSet, x: GSet, images) -> bool:
+    return all(
+        images[a.act_table[g][u]] == x.act_table[g][images[u]]
+        for g in a.group.elements() for u in a.points()
+    )
+
+
+def all_equivariant_maps(a: GSet, x: GSet) -> list[tuple[int, ...]]:
+    """The images of every equivariant map a -> x, filtered from all
+    functions in lexicographic order."""
+    return [
+        images for images in itertools.product(x.points(), repeat=a.size)
+        if _is_equivariant(a, x, images)
+    ]
+
+
+def all_isos_over(f: GMap, g: GMap) -> list[tuple[int, ...]]:
+    """The images of every equivariant bijection h with g∘h = f, filtered
+    from all permutations in lexicographic order."""
+    a, b = f.source, g.source
+    if a.size != b.size:
+        return []
+    return [
+        images for images in itertools.permutations(b.points())
+        if all(g.images[images[u]] == f.images[u] for u in a.points())
+        and _is_equivariant(a, b, images)
+    ]

@@ -264,15 +264,18 @@ def test_oversized_input_is_a_usage_error(argv):
     ["witt", "neg", "C(2)", "((a+b+c+d)^37, 1)", "--symbolic"],
     ["witt", "add", "C(2)", "((a+b+c+d)^37, 1)", "((a+b+c+d)^37, 1)", "--symbolic"],
     ["witt", "mul", "C(2)", "((a+b+c+d)^37, 1)", "(1, 1)", "--symbolic"],
-], ids=["ghost", "neg", "add", "mul"])
+    ["witt", "unghost", "C(2)", "((a+b+c+d)^37, 1)", "--symbolic"],
+], ids=["ghost", "neg", "add", "mul", "unghost"])
 def test_symbolic_witt_past_the_ghost_term_cap_is_refused(argv):
     # each literal passes the literal cap; the square or product of the
-    # 9880-term component in the result would not
+    # 9880-term component in the result (for unghost, in its triangular
+    # solve) would not
     start = time.perf_counter()
     status, text = capture_error(argv)
     assert time.perf_counter() - start < 1
     assert status == 2
-    assert text == "error: the ghost component at class 1a may expand to more than 10000 terms\n"
+    kind = "Witt" if argv[1] == "unghost" else "ghost"
+    assert text == f"error: the {kind} component at class 1a may expand to more than 10000 terms\n"
 
 
 def test_symbolic_witt_under_the_ghost_term_cap_runs():
@@ -281,6 +284,9 @@ def test_symbolic_witt_under_the_ghost_term_cap_runs():
     status, text = capture(["witt", "mul", "C(2)", "((x+y)^30, 1)", "((x+y)^30, 1)", "--symbolic"])
     assert status == 0
     assert text.startswith("(x^60 + ")
+    status, text = capture(["witt", "unghost", "C(2)", "((x+y)^30, (x+y)^60 + 2*x)", "--symbolic"])
+    assert status == 0
+    assert text.startswith("(x^30 + ") and text.endswith(", x)\n")
 
 
 def test_check_tambara_cli_pass_and_json():

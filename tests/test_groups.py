@@ -1,5 +1,7 @@
 """Groups, subgroup enumeration, and the subconjugacy poset."""
 
+from functools import partial
+
 import pytest
 
 from gwitt.errors import GroupOrderError, GwittError
@@ -23,6 +25,7 @@ from oracles import (
     conjugates,
     containment_leq,
     elementary_abelian_2,
+    generated_closure,
     join_closure_subgroups,
     s4_x_c2,
 )
@@ -71,8 +74,11 @@ def test_rejects_non_permutations_and_large_groups():
 
 
 def test_cyclic_and_dihedral_respect_the_order_cap():
-    # the cap is checked before a Cayley table is allocated
-    for build, arg in ((cyclic, 65), (cyclic, 10**5), (dihedral, 33), (dihedral, 10**5)):
+    # the cap is checked before a Cayley table is allocated or sliced
+    c256 = {"order": 256, "mul": [(a + b) % 256 for a in range(256) for b in range(256)]}
+    for build, arg in ((cyclic, 65), (cyclic, 10**5), (dihedral, 33), (dihedral, 10**5),
+                       (partial(direct_product, cyclic(16)), cyclic(16)),
+                       (Group.from_json, c256)):
         with pytest.raises(GroupOrderError):
             build(arg)
     assert cyclic(64).order == 64
@@ -118,6 +124,9 @@ def test_subgroups_match_subset_closure_oracle(group):
 @pytest.mark.parametrize("group", LADDER, ids=lambda g: g.name)
 def test_subgroups_match_join_closure_oracle(group):
     assert [s.elements for s in all_subgroups(group)] == join_closure_subgroups(group)
+    for a in group.elements():
+        gens = [a, group.order - 1 - a]
+        assert subgroup_generated(group, gens).elements == generated_closure(group, gens)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """G-sets, equivariant maps, pullbacks, dependent products, exponential
 diagrams."""
 
+import random
+
 import pytest
 
 from gwitt.errors import EquivarianceError
@@ -8,6 +10,8 @@ from gwitt.groups import (
     Subgroup,
     all_subgroups,
     cyclic,
+    dihedral,
+    klein_four,
     subconjugacy_poset,
     subgroup_generated,
     symmetric,
@@ -29,6 +33,7 @@ from gwitt.gsets import (
     identity_map,
     induced_gset,
     iso_over,
+    isos_over,
     marks_vector,
     natural_gset,
     orbit_decompose,
@@ -39,6 +44,9 @@ from gwitt.gsets import (
     regular_gset,
     trivial_gset,
 )
+from gwitt.tambara import small_gsets
+from oracles import all_equivariant_maps, all_isos_over, scanned_fibers, scanned_stabilizers
+from randgen import random_gmap, random_gset
 
 C2 = cyclic(2)
 S3 = symmetric(3)
@@ -362,3 +370,42 @@ def test_count_maps_over_agrees_with_enumeration():
         if compose_maps(tmap, m).images == bmap.images
     )
     assert count_maps_over(bmap, tmap) == explicit
+
+
+@pytest.mark.parametrize("group", [C2, cyclic(4), klein_four(), S3, dihedral(4)],
+                         ids=lambda g: g.name)
+def test_stabilizers_and_fibers_match_the_scan_oracle(group):
+    rng = random.Random(f"point-data:{group.name}")
+    for _ in range(20):
+        a = random_gset(group, rng, 12)
+        x = random_gset(group, rng, 12)
+        assert a.stabilizers() == scanned_stabilizers(a)
+        assert all(a.stabilizer(p).elements == tuple(sorted(s))
+                   for p, s in enumerate(scanned_stabilizers(a)))
+        f = random_gmap(a, x, rng)
+        if f is not None:
+            assert f.fibers() == scanned_fibers(f)
+            assert all(f.fiber(y) == fiber for y, fiber in enumerate(scanned_fibers(f)))
+
+
+@pytest.mark.parametrize("group", [C2, cyclic(3), klein_four(), S3], ids=lambda g: g.name)
+def test_map_searches_match_the_brute_force_oracle(group):
+    # both searches yield in ascending order of images, which fixes the
+    # canonical representatives and witnesses of the Tambara checker
+    objects = small_gsets(group, 4)
+    maps_into = {}
+    for a in objects:
+        for x in objects:
+            maps = list(equivariant_maps(a, x))
+            assert [m.images for m in maps] == all_equivariant_maps(a, x)
+            maps_into.setdefault(x, []).extend(maps)
+    rng = random.Random(f"isos:{group.name}")
+    for _ in range(150):
+        f = rng.choice(maps_into[rng.choice(objects)])
+        g = rng.choice([g for g in maps_into[f.target] if g.source.size == f.source.size])
+        for other in (f, g):
+            assert [h.images for h in isos_over(f, other)] == all_isos_over(f, other)
+            assert count_maps_over(f, other) == sum(
+                1 for images in all_equivariant_maps(f.source, other.source)
+                if all(other.images[images[u]] == f.images[u] for u in f.source.points())
+            )
