@@ -46,14 +46,6 @@ class Bispan:
         self.q = q
         self.r = r
 
-    @property
-    def source(self) -> GSet:
-        return self.x
-
-    @property
-    def target(self) -> GSet:
-        return self.y
-
     def __repr__(self):
         return (f"Bispan({self.x.size} <- {self.a.size} -> "
                 f"{self.b.size} -> {self.y.size})")

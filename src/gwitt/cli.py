@@ -79,26 +79,26 @@ def _coeffs_from_arg(text: str, group: Group) -> tuple[int, ...]:
     return coeffs
 
 
-def _witt_from_arg(vector: dsl.Node, group: Group, symbolic: bool) -> WittVector:
-    entries = dsl.build_vector(vector)  # top class first
-    poset = subconjugacy_poset(group)
-    if len(entries) != len(poset):
+def _symbolic_components(vector: dsl.Node, group: Group) -> list[str]:
+    """The components of a Witt-vector literal that have variables, as
+    canonical text, found without expanding any of them; the literal must
+    have one component per class."""
+    n = len(subconjugacy_poset(group))
+    if len(vector.children) != n:
         raise GwittError(
-            f"expected {len(poset)} components (top class first), got {len(entries)}"
+            f"expected {n} components (top class first), got {len(vector.children)}"
         )
-    if not symbolic:
-        bad = [str(e) for e in entries if not e.is_constant()]
-        if bad:
-            raise GwittError(
-                f"symbolic components {bad} need --symbolic"
-            )
-        comps = tuple(e.constant_value() for e in reversed(entries))
-    else:
-        comps = tuple(
-            e.constant_value() if e.is_constant() else e
-            for e in reversed(entries)
-        )
-    return WittVector(group, comps)
+    return [dsl.to_text(c) for c in vector.children if dsl.term_bound(c).variables]
+
+
+def _witt_from_arg(vector: dsl.Node, group: Group, symbolic: bool) -> WittVector:
+    bad = _symbolic_components(vector, group)
+    if bad and not symbolic:
+        raise GwittError(f"symbolic components {bad} need --symbolic")
+    entries = dsl.build_vector(vector)  # top class first
+    return WittVector(group, tuple(
+        e.constant_value() if e.is_constant() else e for e in reversed(entries)
+    ))
 
 
 def _class_header(group: Group) -> str:
@@ -275,7 +275,11 @@ def _cmd_witt(args):
 
 def _cmd_tau(args):
     group = _group_from_arg(args.group)
-    element = teichmuller_tau(_witt_from_arg(dsl.parse_vector(args.vector), group, args.symbolic))
+    vector = dsl.parse_vector(args.vector)
+    if args.symbolic and _symbolic_components(vector, group):
+        # teichmuller_tau's refusal, made before any literal is expanded
+        raise GwittError("the Teichmuller homomorphism needs integer components")
+    element = teichmuller_tau(_witt_from_arg(vector, group, args.symbolic))
     _check_printable(element.coeffs)
     coeffs = [str(Poly.coerce(c)) for c in element.coeffs]
     payload = _per_class(group, "burnside_element", "coefficients", coeffs)

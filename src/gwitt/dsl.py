@@ -27,7 +27,7 @@ from . import groups as _groups
 from .bispans import Bispan, compose, gen_N, gen_R, gen_T, pair
 from .errors import DslSyntaxError, GwittError
 from .groups import Group, Subgroup, subgroup_generated
-from .gsets import GMap, GSet, coset_space, disjoint_union, point_gset, product
+from .gsets import GMap, GSet, coset_space, disjoint_union, identity_map, product, to_point
 from .intpoly import Poly
 from .words import Word
 
@@ -177,6 +177,28 @@ class Parser:
         self.nesting -= 1
         return node
 
+    def infix(self, operand, kinds: dict[str, str], span=None) -> Node:
+        """A left-associative chain of `operand`s joined by the operator
+        tokens that `kinds` maps to node kinds.  Each node carries `span`
+        when one is given (polynomials: the first token, where the term-cap
+        error points), else the position of its operator."""
+        node = operand()
+        while self.peek().kind in kinds:
+            tok = self.advance()
+            node = Node(kinds[tok.kind], None, (node, operand()), span or (tok.line, tok.col))
+        return node
+
+    def numbers(self, close: str) -> tuple[int, ...]:
+        """A comma-separated, possibly empty list of numbers, then `close`."""
+        nums = []
+        if self.peek().kind == "num":
+            nums.append(int(self.advance().text))
+            while self.peek().kind == ",":
+                self.advance()
+                nums.append(int(self.expect("num", "number").text))
+        self.expect(close, close)
+        return tuple(nums)
+
     # -- groups and subgroups -------------------------------------------------
 
     def parse_group(self) -> Node:
@@ -216,33 +238,15 @@ class Parser:
 
     def parse_subgroup(self) -> Node:
         tok = self.expect("<", "<")
-        span = (tok.line, tok.col)
-        gens = []
-        if self.peek().kind == "num":
-            gens.append(int(self.advance().text))
-            while self.peek().kind == ",":
-                self.advance()
-                gens.append(int(self.expect("num", "number").text))
-        self.expect(">", ">")
-        return Node("subgroup", tuple(gens), (), span)
+        return Node("subgroup", self.numbers(">"), (), (tok.line, tok.col))
 
     # -- G-sets -----------------------------------------------------------------
 
     def parse_gset(self) -> Node:
-        node = self._parse_gset_prod()
-        while self.peek().kind == "+":
-            tok = self.advance()
-            rhs = self._parse_gset_prod()
-            node = Node("gset_sum", None, (node, rhs), (tok.line, tok.col))
-        return node
+        return self.infix(self._parse_gset_prod, {"+": "gset_sum"})
 
     def _parse_gset_prod(self) -> Node:
-        node = self._parse_gset_atom()
-        while self.peek().kind == "*":
-            tok = self.advance()
-            rhs = self._parse_gset_atom()
-            node = Node("gset_prod", None, (node, rhs), (tok.line, tok.col))
-        return node
+        return self.infix(self._parse_gset_atom, {"*": "gset_prod"})
 
     def _parse_gset_atom(self) -> Node:
         tok = self.peek()
@@ -271,24 +275,12 @@ class Parser:
         self.expect("->", "->")
         target = self.parse_gset()
         self.expect("[", "[")
-        images = []
-        if self.peek().kind == "num":
-            images.append(int(self.advance().text))
-            while self.peek().kind == ",":
-                self.advance()
-                images.append(int(self.expect("num", "number").text))
-        self.expect("]", "]")
-        return Node("map_table", tuple(images), (source, target), span)
+        return Node("map_table", self.numbers("]"), (source, target), span)
 
     # -- bispans --------------------------------------------------------------------
 
     def parse_bispan(self) -> Node:
-        node = self._parse_bispan_atom()
-        while self.peek().kind == ";":
-            tok = self.advance()
-            rhs = self._parse_bispan_atom()
-            node = Node("bispan_seq", None, (node, rhs), (tok.line, tok.col))
-        return node
+        return self.infix(self._parse_bispan_atom, {";": "bispan_seq"})
 
     def _parse_bispan_atom(self) -> Node:
         tok = self.peek()
@@ -316,20 +308,10 @@ class Parser:
     # -- words -------------------------------------------------------------------------
 
     def parse_word(self) -> Node:
-        node = self._parse_word_term()
-        while self.peek().kind == "+":
-            tok = self.advance()
-            rhs = self._parse_word_term()
-            node = Node("word_add", None, (node, rhs), (tok.line, tok.col))
-        return node
+        return self.infix(self._parse_word_term, {"+": "word_add"})
 
     def _parse_word_term(self) -> Node:
-        node = self._parse_word_atom()
-        while self.peek().kind == "*":
-            tok = self.advance()
-            rhs = self._parse_word_atom()
-            node = Node("word_mul", None, (node, rhs), (tok.line, tok.col))
-        return node
+        return self.infix(self._parse_word_atom, {"*": "word_mul"})
 
     def _parse_word_atom(self) -> Node:
         tok = self.peek()
@@ -351,14 +333,8 @@ class Parser:
 
     def parse_poly(self) -> Node:
         tok = self.peek()
-        span = (tok.line, tok.col)
-        node = self._parse_poly_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self._parse_poly_term()
-            node = Node("poly_add" if op.kind == "+" else "poly_sub",
-                        None, (node, rhs), span)
-        return node
+        return self.infix(self._parse_poly_term, {"+": "poly_add", "-": "poly_sub"},
+                          (tok.line, tok.col))
 
     def _parse_poly_term(self) -> Node:
         tok = self.peek()
@@ -367,12 +343,7 @@ class Parser:
             self.advance()
             inner = self.nested(self._parse_poly_term)
             return Node("poly_neg", None, (inner,), span)
-        node = self._parse_poly_factor()
-        while self.peek().kind == "*":
-            self.advance()
-            rhs = self._parse_poly_factor()
-            node = Node("poly_mul", None, (node, rhs), span)
-        return node
+        return self.infix(self._parse_poly_factor, {"*": "poly_mul"}, span)
 
     def _parse_poly_factor(self) -> Node:
         tok = self.peek()
@@ -446,8 +417,37 @@ def parse_vector(text: str) -> Node:
 # -- canonical printing ------------------------------------------------------------
 
 
+# infix kind -> (operator as printed, left child kinds printed in brackets,
+# right child kinds printed in brackets).  The parser groups to the left, so
+# a right operand of the same precedence keeps its brackets.
+_SUMS = ("poly_add", "poly_sub")
+_INFIX = {
+    "gset_sum": (" + ", (), ("gset_sum",)),
+    "gset_prod": (" * ", ("gset_sum",), ("gset_sum", "gset_prod")),
+    "bispan_seq": (" ; ", (), ("bispan_seq",)),
+    "word_add": (" + ", (), ("word_add",)),
+    "word_mul": (" * ", ("word_add",), ("word_add", "word_mul")),
+    "poly_add": (" + ", (), _SUMS),
+    "poly_sub": (" - ", (), _SUMS),
+    "poly_mul": ("*", _SUMS + ("poly_neg",), _SUMS + ("poly_neg", "poly_mul")),
+}
+_LEAVES = ("word_unit", "word_var", "poly_const", "poly_var")
+
+
+def _operand(node: Node, bracketed) -> str:
+    text = to_text(node)
+    return f"({text})" if node.kind in bracketed else text
+
+
 def to_text(node: Node) -> str:
+    """The canonical text of a parse tree; parsing it gives the same tree,
+    source positions aside."""
     k = node.kind
+    if k in _INFIX:
+        op, left, right = _INFIX[k]
+        return _operand(node.children[0], left) + op + _operand(node.children[1], right)
+    if k in _LEAVES:
+        return str(node.value)
     if k == "group":
         tag, arg = node.value
         if tag == "V4":
@@ -461,14 +461,6 @@ def to_text(node: Node) -> str:
         return "<" + ",".join(map(str, node.value)) + ">"
     if k == "gset_cosets":
         return f"{to_text(node.children[0])}/{to_text(node.children[1])}"
-    if k == "gset_sum":
-        return f"{to_text(node.children[0])} + {to_text(node.children[1])}"
-    if k == "gset_prod":
-        parts = []
-        for child in node.children:
-            text = to_text(child)
-            parts.append(f"({text})" if child.kind == "gset_sum" else text)
-        return " * ".join(parts)
     if k in ("map_id", "map_fold", "map_pt"):
         return f"{k[4:]}({to_text(node.children[0])})"
     if k == "map_table":
@@ -477,44 +469,14 @@ def to_text(node: Node) -> str:
                 f"[{','.join(map(str, node.value))}]")
     if k in ("bispan_R", "bispan_T", "bispan_N"):
         return f"{k[7:]}({to_text(node.children[0])})"
-    if k == "bispan_seq":
-        return f"{to_text(node.children[0])} ; {to_text(node.children[1])}"
     if k == "bispan_pair":
         return f"<{to_text(node.children[0])}, {to_text(node.children[1])}>"
-    if k == "word_unit":
-        return str(node.value)
-    if k == "word_var":
-        return str(node.value)
-    if k == "word_add":
-        return f"{to_text(node.children[0])} + {to_text(node.children[1])}"
-    if k == "word_mul":
-        parts = []
-        for child in node.children:
-            text = to_text(child)
-            parts.append(f"({text})" if child.kind == "word_add" else text)
-        return " * ".join(parts)
-    if k == "poly_const":
-        return str(node.value)
-    if k == "poly_var":
-        return str(node.value)
-    if k == "poly_add":
-        return f"{to_text(node.children[0])} + {to_text(node.children[1])}"
-    if k == "poly_sub":
-        return f"{to_text(node.children[0])} - {to_text(node.children[1])}"
     if k == "poly_neg":
-        return f"-{to_text(node.children[0])}"
-    if k == "poly_mul":
-        parts = []
-        for child in node.children:
-            text = to_text(child)
-            wrap = child.kind in ("poly_add", "poly_sub", "poly_neg")
-            parts.append(f"({text})" if wrap else text)
-        return "*".join(parts)
+        return "-" + _operand(node.children[0], _SUMS)
     if k == "poly_pow":
-        base = to_text(node.children[0])
-        if node.children[0].kind not in ("poly_const", "poly_var"):
-            base = f"({base})"
-        return f"{base}^{node.value}"
+        base = node.children[0]
+        text = to_text(base) if base.kind in _LEAVES else f"({to_text(base)})"
+        return f"{text}^{node.value}"
     if k == "vector":
         return "(" + ", ".join(to_text(c) for c in node.children) + ")"
     raise GwittError(f"cannot print node kind {k!r}")
@@ -576,15 +538,13 @@ def build_gset(node: Node) -> GSet:
 
 def build_map(node: Node) -> GMap:
     if node.kind == "map_id":
-        x = build_gset(node.children[0])
-        return GMap(x, x, tuple(x.points()), validate=False)
+        return identity_map(build_gset(node.children[0]))
     if node.kind == "map_fold":
         x = build_gset(node.children[0])
         both, _ = disjoint_union([x, x])
         return GMap(both, x, tuple(list(x.points()) * 2), validate=False)
     if node.kind == "map_pt":
-        x = build_gset(node.children[0])
-        return GMap(x, point_gset(x.group), (0,) * x.size, validate=False)
+        return to_point(build_gset(node.children[0]))
     if node.kind == "map_table":
         source = build_gset(node.children[0])
         target = build_gset(node.children[1])

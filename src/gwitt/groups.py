@@ -60,10 +60,6 @@ class Group:
     def inverse(self, a: int) -> int:
         return self.inv_table[a]
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -128,8 +124,7 @@ def _perm_label(perm: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "e"
 
 
-def group_from_generators(generators, n_points: int | None = None,
-                          max_order: int = DEFAULT_MAX_ORDER, name=None) -> Group:
+def group_from_generators(generators, n_points: int | None = None, name=None) -> Group:
     """Close a list of permutations under composition and build the Cayley table.
 
     Element order is the identity followed by the remaining permutations in
@@ -150,8 +145,8 @@ def group_from_generators(generators, n_points: int | None = None,
             for g in gens:
                 q = tuple(p[g[i]] for i in range(n_points))
                 if q not in closure:
-                    if len(closure) >= max_order:
-                        raise GroupOrderError(f"generated order exceeds cap {max_order}")
+                    if len(closure) >= DEFAULT_MAX_ORDER:
+                        raise GroupOrderError(f"generated order exceeds cap {DEFAULT_MAX_ORDER}")
                     closure.add(q)
                     new.append(q)
         frontier = new
@@ -205,7 +200,7 @@ def dihedral(n: int) -> Group:
     return Group(table, labels=[label(e) for e in elems], name=f"D{n}")
 
 
-def symmetric(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
+def symmetric(n: int) -> Group:
     if n < 1:
         raise GwittError("symmetric group needs at least one point")
     # n! against the cap before any generator is built: S(10^8) would need
@@ -213,14 +208,14 @@ def symmetric(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     order = 1
     for k in range(2, n + 1):
         order *= k
-        if order > max_order:
-            raise GroupOrderError(f"group order {n}! exceeds cap {max_order}")
+        if order > DEFAULT_MAX_ORDER:
+            raise GroupOrderError(f"group order {n}! exceeds cap {DEFAULT_MAX_ORDER}")
     if n == 1:
         return group_from_generators([], n_points=1, name="S1")
     gens = [tuple([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(tuple(list(range(1, n)) + [0]))
-    return group_from_generators(gens, n_points=n, max_order=max_order, name=f"S{n}")
+    return group_from_generators(gens, n_points=n, name=f"S{n}")
 
 
 def direct_product(g1: Group, g2: Group, name: str | None = None) -> Group:

@@ -4,10 +4,22 @@ exponential diagrams."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import EquivarianceError, GwittError, SearchBudgetError
 from .groups import Group, Subgroup, SubconjugacyPoset, subconjugacy_poset
+
+
+# The most points a product, pullback or dependent product may have, counted
+# before any table is built: these sizes multiply, so a short input such as a
+# product of three copies of C(64)/<> would otherwise allocate without bound.
+MAX_POINTS = 10_000
+
+
+def _check_points(construction: str, points: int) -> None:
+    if points > MAX_POINTS:
+        raise GwittError(f"the {construction} would have more than {MAX_POINTS} points")
 
 
 class GSet:
@@ -45,9 +57,6 @@ class GSet:
         self._hash = None
         self._orbit_cache = None
         self._stabilizer_cache = None
-
-    def act(self, g: int, x: int) -> int:
-        return self.act_table[g][x]
 
     def points(self) -> range:
         return range(self.size)
@@ -209,6 +218,11 @@ def point_gset(group: Group) -> GSet:
     return trivial_gset(group, 1)
 
 
+def to_point(x: GSet) -> GMap:
+    """The map from x to the one-point G-set."""
+    return GMap(x, point_gset(x.group), (0,) * x.size, validate=False)
+
+
 def coset_space(group: Group, sub: Subgroup) -> GSet:
     """The transitive G-set G/H; cosets are ordered by their least element."""
     if sub.group != group:
@@ -270,6 +284,7 @@ def disjoint_union(parts: list[GSet]) -> tuple[GSet, list[GMap]]:
 def product(x: GSet, y: GSet) -> tuple[GSet, GMap, GMap]:
     if x.group != y.group:
         raise GwittError("product across different groups")
+    _check_points("product", x.size * y.size)
     group = x.group
     table = []
     for g in group.elements():
@@ -315,19 +330,7 @@ def induced_gset(group: Group, sub: Subgroup, fiber: GSet) -> tuple[GSet, GMap]:
     return total, proj
 
 
-# -- counting and decomposition ---------------------------------------------
-
-
-def fixed_points(x: GSet, h: Subgroup) -> int:
-    if h.group != x.group:
-        raise GwittError("subgroup of a different group")
-    return sum(1 for stab in x.stabilizers() if stab.issuperset(h.elements))
-
-
-def marks_vector(x: GSet, poset: SubconjugacyPoset | None = None) -> tuple[int, ...]:
-    if poset is None:
-        poset = subconjugacy_poset(x.group)
-    return tuple(fixed_points(x, cls.rep) for cls in poset.classes)
+# -- orbit decomposition ---------------------------------------------------
 
 
 def orbit_decompose(x: GSet, poset: SubconjugacyPoset | None = None) -> tuple[int, ...]:
@@ -341,13 +344,15 @@ def orbit_decompose(x: GSet, poset: SubconjugacyPoset | None = None) -> tuple[in
 
 
 def reassemble(group: Group, class_indices, poset: SubconjugacyPoset | None = None) -> GSet:
-    """Disjoint union of the coset spaces named by a class multiset."""
+    """The G-set with one orbit G/H per class index, in the given order: the
+    coset space itself for one index, their disjoint union for several and
+    the empty G-set for none."""
     if poset is None:
         poset = subconjugacy_poset(group)
     parts = [coset_space(group, poset.classes[i].rep) for i in class_indices]
-    if not parts:
-        return empty_gset(group)
-    return disjoint_union(parts)[0]
+    if len(parts) == 1:
+        return parts[0]
+    return disjoint_union(parts)[0] if parts else empty_gset(group)
 
 
 # -- map enumeration and isomorphism search ----------------------------------
@@ -375,18 +380,6 @@ def equivariant_maps(a: GSet, x: GSet):
         candidate_lists.append(cands)
     for combo in itertools.product(*candidate_lists):
         yield _extend_images(a, x, combo)
-
-
-def count_maps_over(b: GMap, t: GMap) -> int:
-    """Number of equivariant maps m with t∘m = b (maps over the common target)."""
-    if b.target != t.target:
-        raise GwittError("maps must share a target")
-    b_stabs, t_stabs = b.source.stabilizers(), t.source.stabilizers()
-    total = 1
-    for points, _ in b.source.orbits():
-        rep = points[0]
-        total *= sum(1 for p in t.fiber(b.images[rep]) if b_stabs[rep] <= t_stabs[p])
-    return total
 
 
 def isos_over(f: GMap, g: GMap, budget: int | None = None):
@@ -440,10 +433,7 @@ def iso_over(f: GMap, g: GMap, budget: int | None = None) -> GMap | None:
 
 def gset_iso(x: GSet, y: GSet) -> GMap | None:
     """An equivariant bijection x -> y (isomorphism over the point), or None."""
-    pt = point_gset(x.group)
-    fx = GMap(x, pt, (0,) * x.size, validate=False)
-    fy = GMap(y, pt, (0,) * y.size, validate=False)
-    return iso_over(fx, fy)
+    return iso_over(to_point(x), to_point(y))
 
 
 # -- pullback, dependent product, exponential diagram ------------------------
@@ -476,6 +466,7 @@ def pullback(f: GMap, g: GMap) -> Pullback:
     if f.target != g.target:
         raise GwittError("pullback needs a common target")
     x, a = g.source, f.source
+    _check_points("pullback", sum(len(xs) * len(ys) for xs, ys in zip(g.fibers(), f.fibers())))
     pts = [(i, j) for i in x.points() for j in f.fiber(g.images[i])]
     index = {pt: k for k, pt in enumerate(pts)}
     group = x.group
@@ -513,6 +504,8 @@ def dependent_product(p: GMap, f: GMap) -> DependentProduct:
     a, x, y = p.source, p.target, f.target
     group = x.group
     fiber_points, p_fibers = f.fibers(), p.fibers()
+    _check_points("dependent product",
+                  sum(math.prod(len(p_fibers[xx]) for xx in xs) for xs in fiber_points))
     sections: list[tuple[int, tuple[int, ...]]] = []
     for yy in y.points():
         xs = fiber_points[yy]

@@ -67,16 +67,6 @@ class Poly:
             return Poly.const(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to Poly")
 
-    @staticmethod
-    def monomial(names: dict[str, int] | list[str], coeff: int = 1) -> Poly:
-        if isinstance(names, dict):
-            exps = {n: e for n, e in names.items() if e}
-        else:
-            exps = {}
-            for n in names:
-                exps[n] = exps.get(n, 0) + 1
-        return Poly({tuple(sorted(exps.items())): coeff})
-
     # -- structure ---------------------------------------------------------
 
     def variables(self) -> tuple[str, ...]:
@@ -265,10 +255,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-ZERO = Poly()
-ONE = Poly.const(1)
 
 
 def variables(*names: str) -> tuple[Poly, ...]:

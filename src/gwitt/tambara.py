@@ -19,7 +19,6 @@ from .gsets import (
     GMap,
     GSet,
     compose_maps,
-    coset_space,
     dependent_product,
     disjoint_union,
     empty_gset,
@@ -27,7 +26,10 @@ from .gsets import (
     exponential_diagram,
     identity_map,
     iso_over,
+    isos_over,
     pullback,
+    reassemble,
+    to_point,
 )
 
 
@@ -239,16 +241,10 @@ class BurnsideOverInstance(TambaraInstance):
 
     def sample_values(self, x: GSet, rng: random.Random, count: int) -> list:
         poset = subconjugacy_poset(self.group)
-        spaces = [coset_space(self.group, c.rep) for c in poset.classes]
         out = []
         for _ in range(count):
-            parts = []
-            for _ in range(rng.randrange(3)):
-                parts.append(spaces[rng.randrange(len(spaces))])
-            if parts:
-                a = disjoint_union(parts)[0] if len(parts) > 1 else parts[0]
-            else:
-                a = empty_gset(self.group)
+            parts = [rng.randrange(len(poset)) for _ in range(rng.randrange(3))]
+            a = reassemble(self.group, parts, poset)
             maps = list(itertools.islice(equivariant_maps(a, x), 8))
             if not a.size or not maps:
                 value = self.zero(x)
@@ -323,17 +319,12 @@ def small_gsets(group: Group, budget: int) -> list[GSet]:
     """Isomorphism-class representatives of the G-sets with at most `budget`
     points: all orbit multisets, the empty set included."""
     poset = subconjugacy_poset(group)
-    spaces = [coset_space(group, c.rep) for c in poset.classes]
-    sizes = [s.size for s in spaces]
+    sizes = [group.order // c.order for c in poset.classes]
     results: list[GSet] = []
 
     def extend(start: int, left: int, chosen: list[int]):
-        if chosen:
-            parts = [spaces[i] for i in chosen]
-            results.append(disjoint_union(parts)[0] if len(parts) > 1 else parts[0])
-        else:
-            results.append(empty_gset(group))
-        for i in range(start, len(spaces)):
+        results.append(reassemble(group, chosen, poset))
+        for i in range(start, len(sizes)):
             if sizes[i] <= left:
                 chosen.append(i)
                 extend(i, left - sizes[i], chosen)
@@ -345,9 +336,7 @@ def small_gsets(group: Group, budget: int) -> list[GSet]:
 
 
 def _automorphisms(x: GSet) -> list[GMap]:
-    from .gsets import isos_over, point_gset
-    pt = point_gset(x.group)
-    to_pt = GMap(x, pt, (0,) * x.size, validate=False)
+    to_pt = to_point(x)
     return list(isos_over(to_pt, to_pt))
 
 

@@ -46,28 +46,10 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return Word("mul", left=self, right=other)
 
-    def leaves(self) -> int:
-        if self.kind in ("zero", "one", "var"):
-            return 1
-        return self.left.leaves() + self.right.leaves()
-
     def depth(self) -> int:
         if self.kind in ("zero", "one", "var"):
             return 1
         return 1 + max(self.left.depth(), self.right.depth())
-
-    def variables(self) -> tuple[str, ...]:
-        out: set[str] = set()
-
-        def walk(w: Word):
-            if w.kind == "var":
-                out.add(w.name)
-            elif w.kind in ("add", "mul"):
-                walk(w.left)
-                walk(w.right)
-
-        walk(self)
-        return tuple(sorted(out))
 
     def __eq__(self, other):
         if not isinstance(other, Word):

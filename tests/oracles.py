@@ -1,7 +1,8 @@
 """Slow, independent constructions that the fast library paths are checked
 against: subgroups by joining whole element sets, conjugacy classes and
 subconjugacy by conjugating with every group element, the table of marks by
-counting fixed cosets, Burnside products by decomposing product G-sets, and
+counting fixed cosets (also the marks of any G-set), Burnside products by
+decomposing product G-sets, maps over a base by counting candidate images, and
 the Teichmueller map and its marks by building every subgroup as a group of
 its own, stabilizers and fibers by scanning, and equivariant maps and
 isomorphisms by filtering all functions and permutations.  Also the larger
@@ -29,7 +30,6 @@ from gwitt.gsets import (
     GMap,
     GSet,
     coset_space,
-    fixed_points,
     orbit_decompose,
     product,
 )
@@ -122,6 +122,34 @@ def containment_leq(group: Group) -> tuple[tuple[bool, ...], ...]:
         )
         for ci in classes
     )
+
+
+def fixed_points(x: GSet, h: Subgroup) -> int:
+    """The number of points of x fixed by every element of h."""
+    if h.group != x.group:
+        raise GwittError("subgroup of a different group")
+    return sum(1 for stab in x.stabilizers() if stab.issuperset(h.elements))
+
+
+def marks_vector(x: GSet, poset=None) -> tuple[int, ...]:
+    """The fixed points of x under each class representative, in poset order."""
+    if poset is None:
+        poset = subconjugacy_poset(x.group)
+    return tuple(fixed_points(x, cls.rep) for cls in poset.classes)
+
+
+def count_maps_over(b: GMap, t: GMap) -> int:
+    """Number of equivariant maps m with t∘m = b (maps over the common
+    target): per orbit of b's source, the points over the same base point
+    whose stabilizer contains the orbit representative's."""
+    if b.target != t.target:
+        raise GwittError("maps must share a target")
+    b_stabs, t_stabs = b.source.stabilizers(), t.source.stabilizers()
+    total = 1
+    for points, _ in b.source.orbits():
+        rep = points[0]
+        total *= sum(1 for p in t.fiber(b.images[rep]) if b_stabs[rep] <= t_stabs[p])
+    return total
 
 
 def coset_space_table_of_marks(group: Group) -> tuple[tuple[int, ...], ...]:

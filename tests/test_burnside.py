@@ -33,7 +33,6 @@ from gwitt.gsets import (
     GMap,
     dependent_product,
     disjoint_union,
-    fixed_points,
     point_gset,
     regular_gset,
 )
@@ -41,6 +40,7 @@ from oracles import (
     burnside_transfer,
     coset_space_table_of_marks,
     elementary_abelian_2,
+    fixed_points,
     product_basis_decomposition,
     s4_x_c2,
     subgroup_class_map,

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from gwitt import dsl
 from gwitt.cli import run
 from gwitt.dsl import build_group, parse_group
 from gwitt.groups import subconjugacy_poset
@@ -276,6 +277,39 @@ def test_symbolic_witt_past_the_ghost_term_cap_is_refused(argv):
     assert status == 2
     kind = "Witt" if argv[1] == "unghost" else "ghost"
     assert text == f"error: the {kind} component at class 1a may expand to more than 10000 terms\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["witt", "ghost", "C(2)", "((a+b+c+d)^37, 1)"],
+     "symbolic components ['(a + b + c + d)^37'] need --symbolic"),
+    (["witt", "add", "C(2)", "((a+b+c+d)^37, 1)", "(1, 1)"],
+     "symbolic components ['(a + b + c + d)^37'] need --symbolic"),
+    (["witt", "tau", "C(2)", "((a+b+c+d)^37, 1)", "--symbolic"],
+     "the Teichmuller homomorphism needs integer components"),
+    # refused by its variables, although they cancel
+    (["witt", "ghost", "C(2)", "(a - a, 1)"], "symbolic components ['a - a'] need --symbolic"),
+], ids=["ghost", "add", "tau-symbolic", "cancelling"])
+def test_symbolic_literals_are_refused_before_they_are_expanded(argv, message, monkeypatch):
+    def expand(node):
+        raise AssertionError(f"{dsl.to_text(node)} was expanded")
+
+    monkeypatch.setattr(dsl, "build_poly", expand)
+    status, text = capture_error(argv)
+    assert status == 2
+    assert text == f"error: {message}\n" and len(text.encode()) < 200
+
+
+@pytest.mark.parametrize("argv, construction", [
+    (["compose", "T(fold(C(12)/<>)) ; N(pt(C(12)/<>))"], "pullback"),  # 12 * 2^12 points
+    (["compose", "T(fold(C(16)/<>)) ; N(pt(C(16)/<>))"], "dependent product"),  # 2^16
+    (["orbits", "C(64)/<> * C(64)/<> * C(64)/<>"], "product"),  # 64^3
+], ids=["pullback", "dependent-product", "product"])
+def test_constructions_past_the_point_cap_are_usage_errors(argv, construction):
+    start = time.perf_counter()
+    status, text = capture_error(argv)
+    assert time.perf_counter() - start < 1
+    assert status == 2
+    assert text == f"error: the {construction} would have more than 10000 points\n"
 
 
 def test_symbolic_witt_under_the_ghost_term_cap_runs():

@@ -1,0 +1,118 @@
+"""Generated inputs for the DSL and the CLI contract: printing a parse tree
+and parsing the text gives the same tree, and every command ends in one of
+the documented exit statuses with stdout empty unless it succeeds."""
+
+import contextlib
+import io
+
+from hypothesis import example, given, settings, strategies as st
+
+from gwitt.cli import run
+from gwitt.dsl import parse_bispan, parse_gset, parse_vector, parse_word, to_text
+
+# groups of order at most 6, and subgroup generators among their elements
+_groups = st.sampled_from([
+    "C(1)", "C(2)", "C(3)", "C(4)", "C(5)", "C(6)", "S(2)", "S(3)", "D(2)", "D(3)",
+    "V4", "perm[(0 1)]", "perm[(0 1 2)]", "perm[(0 1),(1 2)]",
+])
+_numbers = st.lists(st.integers(0, 6), max_size=3).map(lambda ns: ",".join(map(str, ns)))
+
+
+def _joined(parts, ops):
+    return st.tuples(parts, st.sampled_from(ops), parts).map(lambda t: f"{t[0]} {t[1]} {t[2]}")
+
+
+def _bracketed(parts):
+    return parts.map(lambda t: f"({t})")
+
+
+_gsets = st.recursive(
+    st.tuples(_groups, _numbers).map(lambda t: f"{t[0]}/<{t[1]}>"),
+    lambda inner: _joined(inner, ["+", "*"]) | _bracketed(inner),
+    max_leaves=4,
+)
+_maps = (
+    st.tuples(st.sampled_from(["id", "fold", "pt"]), _gsets).map(lambda t: f"{t[0]}({t[1]})")
+    | st.tuples(_gsets, _gsets, _numbers).map(lambda t: f"{t[0]} -> {t[1]} [{t[2]}]")
+)
+_bispans = st.recursive(
+    st.tuples(st.sampled_from("RTN"), _maps).map(lambda t: f"{t[0]}({t[1]})"),
+    lambda inner: (_joined(inner, [";"]) | _bracketed(inner)
+                   | st.tuples(inner, inner).map(lambda t: f"<{t[0]}, {t[1]}>")),
+    max_leaves=3,
+)
+_words = st.recursive(
+    st.sampled_from(["0", "1", "x", "y", "z"]),
+    lambda inner: _joined(inner, ["+", "*"]) | _bracketed(inner),
+    max_leaves=6,
+)
+_polys = st.recursive(
+    st.sampled_from(["0", "1", "2", "17", "a", "b"]),
+    lambda inner: (_joined(inner, ["+", "-", "*"]) | _bracketed(inner)
+                   | inner.map(lambda t: f"-{t}")
+                   | st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}")),
+    max_leaves=6,
+)
+_vectors = st.lists(_polys, min_size=1, max_size=4).map(lambda ps: "(" + ", ".join(ps) + ")")
+
+# short texts over the DSL's own characters, which mostly fail to parse
+_noise = st.text(alphabet="CSDVpermRTNidfoldt()<>[],;+*/^-0123456789 abxy", max_size=24)
+
+
+def _shape(node):
+    """A parse tree without its source positions."""
+    return node.kind, node.value, tuple(_shape(c) for c in node.children)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(
+    _gsets.map(lambda t: (parse_gset, t)),
+    _bispans.map(lambda t: (parse_bispan, t)),
+    _words.map(lambda t: (parse_word, t)),
+    _vectors.map(lambda t: (parse_vector, t)),
+))
+@example((parse_word, "x + (y + z) * (x * y)"))
+@example((parse_vector, "(a - (b - c), -(a + b), (-a)^2 * (b * 2))"))
+@example((parse_gset, "C(2)/<> + (C(2)/<> + C(2)/<>)"))
+@example((parse_bispan, "T(id(C(2)/<>)) ; (N(id(C(2)/<>)) ; R(id(C(2)/<>)))"))
+def test_printing_then_parsing_gives_the_same_tree(case):
+    parse, text = case
+    tree = parse(text)
+    canonical = to_text(tree)
+    again = parse(canonical)
+    assert _shape(again) == _shape(tree)
+    assert to_text(again) == canonical
+
+
+def _run(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        status = run(argv, stream=stdout)
+    return status, stdout.getvalue()
+
+
+def _commands(text):
+    return st.sampled_from([
+        ["orbits", text],
+        ["compose", text],
+        ["words", "supp", text],
+        ["witt", "ghost", "C(2)", text, "--symbolic"],
+        ["witt", "tau", "C(4)", text],
+    ])
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("orbits"), _gsets).map(list),
+    st.tuples(st.just("compose"), _bispans).map(list),
+    st.tuples(st.just("words"), st.just("supp"), _words).map(list),
+    st.tuples(st.just("witt"), st.sampled_from(["ghost", "tau"]),
+              st.sampled_from(["C(2)", "C(4)", "S(3)"]), _vectors,
+              st.sampled_from([[], ["--symbolic"]])).map(lambda t: [*t[:4], *t[4]]),
+    _noise.flatmap(_commands),
+))
+def test_every_command_ends_in_a_documented_status(argv):
+    status, out = _run(argv)
+    assert status in (0, 1, 2, 3)
+    if status != 0:
+        assert out == ""

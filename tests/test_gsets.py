@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gwitt.errors import EquivarianceError
+from gwitt.errors import EquivarianceError, GwittError
 from gwitt.groups import (
     Subgroup,
     all_subgroups,
@@ -18,23 +18,21 @@ from gwitt.groups import (
     trivial_subgroup,
 )
 from gwitt.gsets import (
+    MAX_POINTS,
     GMap,
     GSet,
     compose_maps,
     coset_space,
-    count_maps_over,
     dependent_product,
     disjoint_union,
     empty_gset,
     equivariant_maps,
     exponential_diagram,
-    fixed_points,
     gset_iso,
     identity_map,
     induced_gset,
     iso_over,
     isos_over,
-    marks_vector,
     natural_gset,
     orbit_decompose,
     point_gset,
@@ -42,10 +40,19 @@ from gwitt.gsets import (
     pullback,
     reassemble,
     regular_gset,
+    to_point,
     trivial_gset,
 )
 from gwitt.tambara import small_gsets
-from oracles import all_equivariant_maps, all_isos_over, scanned_fibers, scanned_stabilizers
+from oracles import (
+    all_equivariant_maps,
+    all_isos_over,
+    count_maps_over,
+    fixed_points,
+    marks_vector,
+    scanned_fibers,
+    scanned_stabilizers,
+)
 from randgen import random_gmap, random_gset
 
 C2 = cyclic(2)
@@ -158,6 +165,31 @@ def test_product_and_disjoint_union_sizes():
     both, (i1, i2) = disjoint_union([x, y])
     assert both.size == 4
     assert set(i1.images) | set(i2.images) == set(range(4))
+
+
+def test_constructions_refuse_more_than_max_points():
+    assert MAX_POINTS == 10_000
+    c1 = cyclic(1)
+    hundred, over = trivial_gset(c1, 100), trivial_gset(c1, 101)
+    assert product(hundred, hundred)[0].size == MAX_POINTS
+    assert pullback(to_point(hundred), to_point(hundred)).gset.size == MAX_POINTS
+    with pytest.raises(GwittError, match="the product would have more than 10000 points"):
+        product(hundred, over)
+    with pytest.raises(GwittError, match="the pullback would have more than 10000 points"):
+        pullback(to_point(hundred), to_point(over))
+
+    def sections(n_points, empty_fibers=0):
+        """Pi_f of p: A -> X with two points over each of n_points points of X
+        and none over `empty_fibers` more, and f: X -> pt."""
+        x = trivial_gset(c1, n_points + empty_fibers)
+        a = trivial_gset(c1, 2 * n_points)
+        p = GMap(a, x, tuple(i // 2 for i in a.points()))
+        return dependent_product(p, to_point(x)).gset.size
+
+    assert sections(13) == 2 ** 13
+    assert sections(20, empty_fibers=1) == 0  # counted exactly, not refused
+    with pytest.raises(GwittError, match="the dependent product would have more than 10000"):
+        sections(14)
 
 
 def test_dependent_product_fold_example():
