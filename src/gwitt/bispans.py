@@ -3,6 +3,7 @@ exponential diagram, and fiber polynomials."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import GwittError
@@ -172,13 +173,11 @@ def fiber_polynomial(phi: Bispan, y: int) -> FiberPolynomial:
     """Σ_{b ∈ r^-1(y)} Π_{a ∈ q^-1(b)} x_{p(a)}, an element of N[points of X]."""
     if not (0 <= y < phi.y.size):
         raise GwittError("base point out of range")
-    total = Poly()
+    terms: Counter = Counter()
     for b in phi.r.fiber(y):
-        mono = Poly.const(1)
-        for a in phi.q.fiber(b):
-            mono = mono * Poly.var(point_var(phi.p.images[a]))
-        total = total + mono
-    return FiberPolynomial(y, total)
+        exponents = Counter(point_var(phi.p.images[a]) for a in phi.q.fiber(b))
+        terms[tuple(sorted(exponents.items()))] += 1
+    return FiberPolynomial(y, Poly(terms))
 
 
 def fiber_polynomials(phi: Bispan) -> tuple[FiberPolynomial, ...]:

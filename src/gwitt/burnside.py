@@ -126,7 +126,7 @@ def burnside_one(group: Group) -> BurnsideElement:
 def burnside_of_gset(x: GSet) -> BurnsideElement:
     poset = subconjugacy_poset(x.group)
     coeffs = [0] * len(poset)
-    for idx in orbit_decompose(x, poset):
+    for idx in orbit_decompose(x):
         coeffs[idx] += 1
     return BurnsideElement(x.group, tuple(coeffs))
 

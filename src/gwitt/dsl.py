@@ -228,8 +228,11 @@ class Parser:
         self.expect("(", "(")
         nums = []
         while self.peek().kind == "num":
-            if int(self.peek().text) >= MAX_PERM_POINTS:
+            tok = self.peek()
+            if int(tok.text) >= MAX_PERM_POINTS:
                 self.error(f"permutation points must be below {MAX_PERM_POINTS}")
+            if int(tok.text) in nums:
+                raise DslSyntaxError(f"cycle repeats point {int(tok.text)}", tok.line, tok.col)
             nums.append(int(self.advance().text))
         self.expect(")", ")")
         if not nums:

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EquivarianceError, GwittError, SearchBudgetError
-from .groups import Group, Subgroup, SubconjugacyPoset, subconjugacy_poset
+from .groups import Group, Subgroup, subconjugacy_poset
 
 
 # The most points a product, pullback or dependent product may have, counted
@@ -333,22 +333,20 @@ def induced_gset(group: Group, sub: Subgroup, fiber: GSet) -> tuple[GSet, GMap]:
 # -- orbit decomposition ---------------------------------------------------
 
 
-def orbit_decompose(x: GSet, poset: SubconjugacyPoset | None = None) -> tuple[int, ...]:
+def orbit_decompose(x: GSet) -> tuple[int, ...]:
     """Sorted multiset of poset class indices, one per orbit (stabilizer class)."""
-    if poset is None:
-        poset = subconjugacy_poset(x.group)
+    poset = subconjugacy_poset(x.group)
     classes = []
     for points, _ in x.orbits():
         classes.append(poset.class_index(x.stabilizer(points[0])))
     return tuple(sorted(classes))
 
 
-def reassemble(group: Group, class_indices, poset: SubconjugacyPoset | None = None) -> GSet:
+def reassemble(group: Group, class_indices) -> GSet:
     """The G-set with one orbit G/H per class index, in the given order: the
     coset space itself for one index, their disjoint union for several and
     the empty G-set for none."""
-    if poset is None:
-        poset = subconjugacy_poset(group)
+    poset = subconjugacy_poset(group)
     parts = [coset_space(group, poset.classes[i].rep) for i in class_indices]
     if len(parts) == 1:
         return parts[0]

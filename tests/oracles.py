@@ -4,9 +4,10 @@ subconjugacy by conjugating with every group element, the table of marks by
 counting fixed cosets (also the marks of any G-set), Burnside products by
 decomposing product G-sets, maps over a base by counting candidate images, and
 the Teichmueller map and its marks by building every subgroup as a group of
-its own, stabilizers and fibers by scanning, and equivariant maps and
-isomorphisms by filtering all functions and permutations.  Also the larger
-groups of the benchmark ladder."""
+its own, stabilizers and fibers by scanning, equivariant maps and
+isomorphisms by filtering all functions and permutations, and map
+representatives up to automorphisms by minimizing over every relabeling of
+every map.  Also the larger groups of the benchmark ladder."""
 
 import itertools
 from functools import cache
@@ -30,6 +31,7 @@ from gwitt.gsets import (
     GMap,
     GSet,
     coset_space,
+    equivariant_maps,
     orbit_decompose,
     product,
 )
@@ -171,7 +173,7 @@ def product_basis_decomposition(group: Group, i: int, j: int) -> tuple[int, ...]
         coset_space(group, poset.classes[j].rep),
     )
     coeffs = [0] * len(poset)
-    for idx in orbit_decompose(prod, poset):
+    for idx in orbit_decompose(prod):
         coeffs[idx] += 1
     return tuple(coeffs)
 
@@ -270,3 +272,23 @@ def all_isos_over(f: GMap, g: GMap) -> list[tuple[int, ...]]:
         if all(g.images[images[u]] == f.images[u] for u in a.points())
         and _is_equivariant(a, b, images)
     ]
+
+
+def min_relabeling_reps(x: GSet, y: GSet, auts_x: list[GMap],
+                        auts_y: list[GMap]) -> list[GMap]:
+    """One map x -> y per class under Aut(x) x Aut(y): for every map, the
+    least images over all |Aut x|·|Aut y| relabelings name its class, and the
+    first map enumerated in each class represents it, in the order of those
+    least images."""
+    reps: dict[tuple, GMap] = {}
+    for f in equivariant_maps(x, y):
+        best = None
+        for alpha in auts_x:
+            pre = tuple(f.images[alpha.images[i]] for i in x.points())
+            for beta in auts_y:
+                relabeled = tuple(beta.images[v] for v in pre)
+                if best is None or relabeled < best:
+                    best = relabeled
+        if best not in reps:
+            reps[best] = f
+    return [reps[k] for k in sorted(reps)]

@@ -2,8 +2,10 @@
 arithmetic throughout.  Each test prints one pass line; a failure raises
 with the counterexample."""
 
+import hashlib
 import io
 import itertools
+import json
 import random
 import time
 from collections import defaultdict
@@ -298,12 +300,23 @@ def test_criterion_6_factorization_round_trip():
     _report(6, f"generator factorization round trip, {total} bispans")
 
 
+def _report_pin(report) -> tuple[int, str]:
+    """The law count and a digest of the whole JSON report."""
+    text = json.dumps(report.to_json(), sort_keys=True)
+    return report.instances_checked, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def test_criterion_7_tambara_axiom_suite():
     """Invariant-ring and effective-Burnside instances pass at budget 4 for
-    C2 and S3; the norm-corrupted instance fails with a witness."""
+    C2 and S3; the norm-corrupted instance fails with a witness.  Every
+    report is pinned by its law count and the digest of its JSON."""
     start = time.monotonic()
     from gwitt.gsets import natural_gset
 
+    pins = {
+        "C2": ((22240, "c9d9aaa841f78d10"), (22240, "ceba0f7ad1011b95")),
+        "S3": ((30113, "df96df530bb90c2b"), (30113, "0997440250f91bab")),
+    }
     for group, base in ((cyclic(2), regular_gset(cyclic(2))),
                         (symmetric(3), natural_gset(symmetric(3)))):
         inv = InvariantRingInstance(group, base)
@@ -312,6 +325,7 @@ def test_criterion_7_tambara_axiom_suite():
         eff = BurnsideOverInstance(group)
         report2 = check_tambara_axioms(eff, budget=4, seed=0)
         assert report2.ok, (group.name, [c.to_json() for c in report2.checks if c.status != "pass"])
+        assert (_report_pin(report), _report_pin(report2)) == pins[group.name]
     mutated = MutatedInstance(InvariantRingInstance(cyclic(2), regular_gset(cyclic(2))))
     report3 = check_tambara_axioms(
         mutated, budget=3, seed=0, relations=("exponential-distributivity",)
@@ -319,6 +333,7 @@ def test_criterion_7_tambara_axiom_suite():
     assert not report3.ok
     witness = [c for c in report3.checks if c.status == "fail"][0].witness
     assert witness and "diagram" in witness
+    assert _report_pin(report3) == (444, "8565d3a4042394a2")
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"tambara suite took {elapsed:.1f}s"
     _report(7, f"tambara axioms at budget 4 + mutation witness, {elapsed:.1f}s")

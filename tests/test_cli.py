@@ -172,6 +172,27 @@ def test_compose_simple_factor():
     assert "recomposition equivalent: yes" in text
 
 
+def test_compose_builds_a_large_fiber_polynomial_in_linear_time():
+    # one fiber of 2^13 points: the norm along C2^13 -> pt
+    text = "N(pt(" + " * ".join(["C(2)/<>"] * 13) + "))"
+    start = time.monotonic()
+    status, out = capture(["compose", text, "--format", "json"])
+    assert time.monotonic() - start < 1.0
+    assert status == 0
+    (poly,) = json.loads(out)["fiber_polynomials"].values()
+    factors = poly.split("*")
+    assert len(factors) == len(set(factors)) == 8192
+    assert all(f.startswith("x") and f[1:].isdigit() for f in factors)
+
+
+@pytest.mark.parametrize("text", ["perm[(0 0)]", "perm[(1 1)]", "perm[(0 1 0)]"])
+def test_cycle_repeating_a_point_is_a_syntax_error(text):
+    status, err = capture_error(["lattice", text])
+    assert status == 2
+    assert err.startswith("syntax error at line 1, column ")
+    assert "cycle repeats point" in err
+
+
 def test_words_commands():
     status, text = capture(["words", "supp", "(x1 + 0) * x2"])
     assert status == 0

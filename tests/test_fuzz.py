@@ -26,11 +26,15 @@ def _bracketed(parts):
     return parts.map(lambda t: f"({t})")
 
 
-_gsets = st.recursive(
-    st.tuples(_groups, _numbers).map(lambda t: f"{t[0]}/<{t[1]}>"),
-    lambda inner: _joined(inner, ["+", "*"]) | _bracketed(inner),
-    max_leaves=4,
-)
+def _gsets_over(groups):
+    return st.recursive(
+        st.tuples(groups, _numbers).map(lambda t: f"{t[0]}/<{t[1]}>"),
+        lambda inner: _joined(inner, ["+", "*"]) | _bracketed(inner),
+        max_leaves=4,
+    )
+
+
+_gsets = _gsets_over(_groups)
 _maps = (
     st.tuples(st.sampled_from(["id", "fold", "pt"]), _gsets).map(lambda t: f"{t[0]}({t[1]})")
     | st.tuples(_gsets, _gsets, _numbers).map(lambda t: f"{t[0]} -> {t[1]} [{t[2]}]")
@@ -91,10 +95,22 @@ def _run(argv):
     return status, stdout.getvalue()
 
 
+def _tambara_check(group):
+    """`check tambara` at budget 1 with a base G-set over `group` (or, now and
+    then, over another group, which is a usage error)."""
+    return st.tuples(
+        st.sampled_from(["invariant", "burnside"]),
+        _gsets_over(st.just(group)) | _gsets,
+    ).map(lambda t: ["check", "tambara", "--instance", t[0], "--group", group,
+                     "--base", t[1], "--budget", "1"])
+
+
 def _commands(text):
     return st.sampled_from([
         ["orbits", text],
         ["compose", text],
+        ["simple", text],
+        ["factor", text],
         ["words", "supp", text],
         ["witt", "ghost", "C(2)", text, "--symbolic"],
         ["witt", "tau", "C(4)", text],
@@ -104,7 +120,8 @@ def _commands(text):
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(st.one_of(
     st.tuples(st.just("orbits"), _gsets).map(list),
-    st.tuples(st.just("compose"), _bispans).map(list),
+    st.tuples(st.sampled_from(["compose", "simple", "factor"]), _bispans).map(list),
+    _groups.flatmap(_tambara_check),
     st.tuples(st.just("words"), st.just("supp"), _words).map(list),
     st.tuples(st.just("witt"), st.sampled_from(["ghost", "tau"]),
               st.sampled_from(["C(2)", "C(4)", "S(3)"]), _vectors,

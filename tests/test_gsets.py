@@ -74,12 +74,11 @@ def test_map_validation():
 
 
 def test_orbit_decompose_examples():
-    poset = subconjugacy_poset(C2)
-    assert orbit_decompose(regular_gset(C2), poset) == (0,)
-    assert orbit_decompose(trivial_gset(C2, 3), poset) == (1, 1, 1)
+    assert orbit_decompose(regular_gset(C2)) == (0,)
+    assert orbit_decompose(trivial_gset(C2, 3)) == (1, 1, 1)
     nat = natural_gset(S3)
     p3 = subconjugacy_poset(S3)
-    (idx,) = orbit_decompose(nat, p3)
+    (idx,) = orbit_decompose(nat)
     assert p3.classes[idx].order == 2
 
 
@@ -130,7 +129,7 @@ def test_iso_over_examples():
 def test_orbit_reassembly_is_isomorphic():
     for x in (natural_gset(S3), disjoint_union([natural_gset(S3), trivial_gset(S3, 1)])[0]):
         poset = subconjugacy_poset(S3)
-        rebuilt = reassemble(S3, orbit_decompose(x, poset), poset)
+        rebuilt = reassemble(S3, orbit_decompose(x))
         assert marks_vector(rebuilt, poset) == marks_vector(x, poset)
         assert gset_iso(x, rebuilt) is not None
 
@@ -323,13 +322,12 @@ def test_adjunction_cardinality_sampled_at_size_four():
 
 
 def test_induced_gset_matches_coset_structure():
-    p3 = subconjugacy_poset(S3)
     c3 = next(s for s in all_subgroups(S3) if s.order == 3)
     sub_group, _ = c3.as_group()
     fiber = regular_gset(sub_group)
     total, proj = induced_gset(S3, c3, fiber)
     assert total.size == 6
-    assert orbit_decompose(total, p3) == (0,)  # induced free H-set is free
+    assert orbit_decompose(total) == (0,)  # induced free H-set is free
     # trivial one-point fiber induces G/H itself
     total2, proj2 = induced_gset(S3, c3, trivial_gset(sub_group, 1))
     assert gset_iso(total2, coset_space(S3, c3)) is not None

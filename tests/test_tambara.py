@@ -21,9 +21,12 @@ from gwitt.tambara import (
     BurnsideOverInstance,
     InvariantRingInstance,
     MutatedInstance,
+    _automorphisms,
+    _canonical_reps,
     check_tambara_axioms,
     small_gsets,
 )
+from oracles import min_relabeling_reps
 
 C2 = cyclic(2)
 S3 = symmetric(3)
@@ -86,12 +89,36 @@ def test_level_rank_matches_orbit_count():
             assert inst.level_rank(level) == orbits
 
 
-def test_sampled_values_are_equivariant():
+@pytest.mark.parametrize("group, make_base", [
+    (C2, regular_gset), (S3, regular_gset), (S3, natural_gset),
+], ids=["C2-regular", "S3-regular", "S3-natural"])
+def test_sampled_values_are_equivariant(group, make_base):
+    # every level the checker samples at budget <= 4
     rng = random.Random(0)
-    inst = InvariantRingInstance(S3, natural_gset(S3))
-    for x in small_gsets(S3, 4):
+    inst = InvariantRingInstance(group, make_base(group))
+    for x in small_gsets(group, 4):
         for v in inst.sample_values(x, rng, 3):
             inst.check_value(x, v)
+
+
+def test_checker_does_not_revalidate_sampled_values(monkeypatch):
+    def refuse(self, x, v):
+        raise AssertionError("check_value called by the checker")
+
+    monkeypatch.setattr(InvariantRingInstance, "check_value", refuse)
+    inst = InvariantRingInstance(S3, natural_gset(S3))
+    assert check_tambara_axioms(inst, budget=3, seed=0).ok
+
+
+@pytest.mark.parametrize("group", [C2, S3], ids=["C2", "S3"])
+def test_map_representatives_match_the_min_relabeling_oracle(group):
+    objects = small_gsets(group, 4)
+    auts = [_automorphisms(x) for x in objects]
+    for i, x in enumerate(objects):
+        for j, y in enumerate(objects):
+            got = _canonical_reps(x, y, auts[i], auts[j])
+            want = min_relabeling_reps(x, y, auts[i], auts[j])
+            assert [f.images for f in got] == [f.images for f in want], (i, j)
 
 
 def test_burnside_instance_operations():
@@ -195,14 +222,6 @@ def test_negative_budget_is_rejected():
     inst = InvariantRingInstance(C2, regular_gset(C2))
     with pytest.raises(GwittError):
         check_tambara_axioms(inst, budget=-1)
-
-
-def test_negative_value_samples_are_rejected():
-    # with no sampled values only the unit laws would run, and the mutated
-    # norm would pass exponential distributivity
-    mutated = MutatedInstance(InvariantRingInstance(C2, regular_gset(C2)))
-    with pytest.raises(GwittError):
-        check_tambara_axioms(mutated, budget=2, value_samples=-1)
 
 
 def test_report_json_is_sorted_and_complete():
