@@ -15,6 +15,7 @@ from .bispans import (
     is_simple,
     pair,
     recompose,
+    substitute_fibers,
 )
 from .burnside import (
     BurnsideElement,
@@ -22,9 +23,7 @@ from .burnside import (
     burnside_mul,
     burnside_of_gset,
     burnside_one,
-    burnside_zero,
     marks,
-    norm_from_trivial,
     table_of_marks,
     unmarks,
 )
@@ -49,9 +48,7 @@ from .groups import (
     klein_four,
     subconjugacy_poset,
     subgroup_generated,
-    subgroup_index,
     symmetric,
-    trivial_subgroup,
 )
 from .gsets import (
     GMap,
@@ -62,7 +59,6 @@ from .gsets import (
     empty_gset,
     equivariant_maps,
     exponential_diagram,
-    gset_iso,
     induced_gset,
     iso_over,
     natural_gset,
@@ -98,9 +94,15 @@ from .witt import (
     witt_mul,
     witt_neg,
     witt_one,
-    witt_to_json,
     witt_zero,
 )
-from .words import SetAssignment, Word, coherence_iso, eval_word, supp
+from .words import (
+    SetAssignment,
+    Word,
+    coherence_iso,
+    eval_word,
+    normal_form_index,
+    supp,
+)
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from .gsets import (
     GSet,
     compose_maps,
     disjoint_union,
-    empty_gset,
     exponential_diagram,
     identity_map,
     iso_over,
@@ -73,14 +72,6 @@ def gen_N(f: GMap) -> Bispan:
     """[X = X -f> Y = Y], the norm generator, a morphism X => Y."""
     i = identity_map(f.source)
     return Bispan(i, f, identity_map(f.target))
-
-
-def zero_bispan(w: GSet) -> Bispan:
-    """The morphism W => ∅ through empty middle stages."""
-    e = empty_gset(w.group)
-    to_w = GMap(e, w, (), validate=False)
-    ee = identity_map(e)
-    return Bispan(to_w, ee, ee)
 
 
 def compose(psi: Bispan, phi: Bispan) -> Bispan:
@@ -202,15 +193,3 @@ def substitute_fibers(psi_poly: Poly, phi: Bispan) -> Poly:
 
 def recompose(p: GMap, q: GMap, r: GMap) -> Bispan:
     return compose(gen_T(r), compose(gen_N(q), gen_R(p)))
-
-
-def bispan_to_json(phi: Bispan) -> dict:
-    return {
-        "x": phi.x.to_json(),
-        "a": phi.a.to_json(),
-        "b": phi.b.to_json(),
-        "y": phi.y.to_json(),
-        "p": list(phi.p.images),
-        "q": list(phi.q.images),
-        "r": list(phi.r.images),
-    }

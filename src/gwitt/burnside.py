@@ -106,11 +106,6 @@ class BurnsideElement:
             raise GwittError("Burnside elements over different groups")
 
 
-def burnside_zero(group: Group) -> BurnsideElement:
-    n = len(subconjugacy_poset(group))
-    return BurnsideElement(group, (0,) * n)
-
-
 def burnside_basis(group: Group, class_index: int) -> BurnsideElement:
     n = len(subconjugacy_poset(group))
     coeffs = [0] * n
@@ -205,21 +200,6 @@ def burnside_mul(b1: BurnsideElement, b2: BurnsideElement) -> BurnsideElement:
     b1._check(b2)
     product = tuple(x * y for x, y in zip(marks(b1), marks(b2)))
     return unmarks(b1.group, product)
-
-
-def norm_from_trivial(group: Group, x: int) -> BurnsideElement:
-    """The multiplicative norm of an integer from the trivial-subgroup
-    level: the unique element with marks [H] -> x^(G:H).
-
-    For non-negative integers this agrees with the explicit dependent-product
-    construction, and integrality holds for every integer input, so an
-    IntegralityError here is an implementation bug.
-    """
-    poset = subconjugacy_poset(group)
-    vector = tuple(
-        x ** (group.order // cls.order) for cls in poset.classes
-    )
-    return unmarks(group, vector)
 
 
 @cache

@@ -409,6 +409,8 @@ def _cmd_words_iso(args):
 
 
 def _cmd_check(args):
+    if args.base is not None and args.instance != "invariant":
+        raise GwittError("--base applies only to --instance invariant")
     group = _group_from_arg(args.group)
     if args.instance == "invariant":
         if args.base:

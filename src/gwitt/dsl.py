@@ -401,10 +401,6 @@ def parse_gset(text: str) -> Node:
     return _run(text, "parse_gset")
 
 
-def parse_map(text: str) -> Node:
-    return _run(text, "parse_map")
-
-
 def parse_bispan(text: str) -> Node:
     return _run(text, "parse_bispan")
 

@@ -63,17 +63,6 @@ class Group:
     def elements(self) -> range:
         return range(self.order)
 
-    def conj(self, g: int, a: int) -> int:
-        """g * a * g^-1."""
-        return self.mul(self.mul(g, a), self.inv_table[g])
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def __eq__(self, other):
         if not isinstance(other, Group):
             return NotImplemented
@@ -86,23 +75,6 @@ class Group:
 
     def __repr__(self):
         return f"Group({self.name}, order={self.order})"
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "mul": [v for row in self.mul_table for v in row],
-            "labels": list(self.labels),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "Group":
-        n = data["order"]
-        _check_order(n)
-        flat = data["mul"]
-        if len(flat) != n * n:
-            raise GwittError("row-major mul table has wrong length")
-        table = [flat[i * n:(i + 1) * n] for i in range(n)]
-        return Group(table, labels=data.get("labels"))
 
 
 def _perm_label(perm: tuple[int, ...]) -> str:
@@ -259,13 +231,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, other: "Subgroup") -> bool:
-        return set(other.elements) <= set(self.elements)
-
-    def conjugate(self, g: int) -> "Subgroup":
-        grp = self.group
-        return Subgroup(grp, tuple(grp.conj(g, a) for a in self.elements))
-
     def as_group(self) -> tuple[Group, tuple[int, ...]]:
         """This subgroup as a Group of its own, plus the element embedding;
         built (and validated) once per Subgroup object."""
@@ -286,10 +251,6 @@ class Subgroup:
 
 def subgroup_generated(group: Group, gens) -> Subgroup:
     return Subgroup(group, tuple(_extend(group, [0], 1, list(gens))[0]))
-
-
-def trivial_subgroup(group: Group) -> Subgroup:
-    return Subgroup(group, (0,))
 
 
 def _mask(elements) -> int:
@@ -501,7 +462,8 @@ class SubconjugacyPoset:
     element tuple; the first class is [e] and the last is [G].
 
     `census` is the `ClassCensus` of G itself.  Its containment counts are
-    the one source of the order relation (`leq`) and of the table of marks.
+    the one source of the order relation ([H_i] <= [H_j] iff i == j or j is
+    listed in `census.above[i]`) and of the table of marks.
     The lattice of the pass is kept until `subgroup_censuses` reads the
     censuses of the subgroups off it and drops it.
     """
@@ -542,10 +504,6 @@ class SubconjugacyPoset:
         except KeyError:
             raise GwittError(f"{sub} is not a subgroup of {self.group.name}") from None
 
-    def leq(self, i: int, j: int) -> bool:
-        """[H_i] <= [H_j]: H_i is contained in some conjugate of H_j."""
-        return i == j or j in self.census.above[i][::2]
-
     def label(self, i: int) -> str:
         return self.classes[i].label
 
@@ -571,14 +529,3 @@ def subgroup_censuses(group: Group):
         _, census = lattice.classify(lattice.position[_mask(cls.rep.elements)])
         yield tuple(class_of[r] for r in census.reps), census
     yield tuple(range(len(poset))), poset.census
-
-
-def subgroup_index(k: Subgroup, h: Subgroup) -> int:
-    """(K:H), the index of H in a conjugate of K containing it."""
-    if k.group != h.group:
-        raise GwittError("subgroups of different groups")
-    group = k.group
-    hset = set(h.elements)
-    if not any(hset <= set(k.conjugate(g).elements) for g in group.elements()):
-        raise GwittError("H is not subconjugate to K")
-    return k.order // h.order

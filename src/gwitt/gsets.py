@@ -119,21 +119,6 @@ class GSet:
     def __repr__(self):
         return f"GSet({self.group.name}, size={self.size})"
 
-    def to_json(self) -> dict:
-        return {
-            "group_ref": self.group.to_json(),
-            "size": self.size,
-            "act": [list(row) for row in self.act_table],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "GSet":
-        group = Group.from_json(data["group_ref"])
-        x = GSet(group, data["act"])
-        if x.size != data["size"]:
-            raise GwittError("declared size does not match the action table")
-        return x
-
 
 class GMap:
     """An equivariant map between two G-sets over the same group."""
@@ -173,9 +158,6 @@ class GMap:
 
     def fiber(self, y: int) -> tuple[int, ...]:
         return self.fibers()[y]
-
-    def is_bijective(self) -> bool:
-        return self.source.size == self.target.size and len(set(self.images)) == self.source.size
 
     def __eq__(self, other):
         if not isinstance(other, GMap):
@@ -429,11 +411,6 @@ def iso_over(f: GMap, g: GMap, budget: int | None = None) -> GMap | None:
     return None
 
 
-def gset_iso(x: GSet, y: GSet) -> GMap | None:
-    """An equivariant bijection x -> y (isomorphism over the point), or None."""
-    return iso_over(to_point(x), to_point(y))
-
-
 # -- pullback, dependent product, exponential diagram ------------------------
 
 
@@ -445,19 +422,6 @@ class Pullback:
     to_x: GMap
     to_a: GMap
     points: tuple[tuple[int, int], ...]
-
-    def pair(self, m_x: GMap, m_a: GMap) -> GMap:
-        """The induced map into the pullback, witnessing the universal property."""
-        if m_x.source != m_a.source:
-            raise GwittError("pairing needs a common source")
-        index = {pt: i for i, pt in enumerate(self.points)}
-        images = []
-        for w in m_x.source.points():
-            key = (m_x.images[w], m_a.images[w])
-            if key not in index:
-                raise GwittError("maps do not commute with the cospan")
-            images.append(index[key])
-        return GMap(m_x.source, self.gset, tuple(images), validate=False)
 
 
 def pullback(f: GMap, g: GMap) -> Pullback:

@@ -171,8 +171,11 @@ class Poly:
     # -- substitution ------------------------------------------------------
 
     def substitute(self, mapping: dict[str, "Poly | int"]) -> Poly:
-        """Replace named variables by polynomials; unnamed variables survive."""
-        result = Poly()
+        """Replace named variables by polynomials; unnamed variables survive.
+
+        The terms of all substituted monomials are summed into one dict, so
+        the cost grows with their total number of terms."""
+        terms: dict[Monomial, int] = {}
         for mono, coeff in self.terms.items():
             term = Poly.const(coeff)
             for name, e in mono:
@@ -180,8 +183,9 @@ class Poly:
                     term = term * (Poly.coerce(mapping[name]) ** e)
                 else:
                     term = term * Poly.var(name, e)
-            result = result + term
-        return result
+            for m, c in term.terms.items():
+                terms[m] = terms.get(m, 0) + c
+        return Poly(terms)
 
     def evaluate(self, mapping: dict[str, object]):
         """Evaluate with values from any commutative ring (ints stay ints)."""
@@ -255,7 +259,3 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-def variables(*names: str) -> tuple[Poly, ...]:
-    return tuple(Poly.var(name) for name in names)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import partial, reduce
 from types import SimpleNamespace
 
-from .errors import EquivarianceError, GwittError
+from .errors import GwittError
 from .groups import Group, subconjugacy_poset
 from .gsets import (
     GMap,
@@ -92,19 +92,6 @@ class InvariantRingInstance(TambaraInstance):
             raise GwittError("base G-set lives over a different group")
         self.base = base
 
-    def check_value(self, x: GSet, v):
-        if len(v) != x.size:
-            raise EquivarianceError("value has wrong number of rows")
-        for row in v:
-            if len(row) != self.base.size:
-                raise EquivarianceError("value row has wrong width")
-        ginv = self.group.inverse
-        for g in self.group.elements():
-            for i in x.points():
-                for j in self.base.points():
-                    if v[x.act_table[g][i]][j] != v[i][self.base.act_table[ginv(g)][j]]:
-                        raise EquivarianceError("value is not equivariant")
-
     def zero(self, x: GSet):
         return tuple((0,) * self.base.size for _ in x.points())
 
@@ -160,11 +147,6 @@ class InvariantRingInstance(TambaraInstance):
                         orbit.append(w)
             orbits.append(orbit)
         return orbits
-
-    def level_rank(self, x: GSet) -> int:
-        """Free rank of the level at X: one generator per (orbit of X,
-        stabilizer-orbit of the base)."""
-        return sum(len(self._stabilizer_orbits(x, points[0])) for points, _ in x.orbits())
 
     def sample_values(self, x: GSet, rng: random.Random, count: int) -> list:
         ginv = self.group.inverse

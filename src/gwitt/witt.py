@@ -344,11 +344,15 @@ def ghost_injectivity_double_coset_identity(group: Group) -> Report:
 def verify_ring_axioms(group: Group) -> Report:
     """Ring laws of W_G, symbolically.
 
-    The ghost map is injective over torsion-free coefficients and is
-    componentwise by construction, so verifying that the cached structure
-    polynomials are ghost-homomorphic reduces every ring law to the
-    corresponding law in the product ring.  Up to DIRECT_CLASS_CAP classes
-    the laws are additionally checked by direct polynomial substitution.
+    The structure polynomials are defined as the unghost of the ghost sum,
+    product and negation, so the checks that they are ghost-homomorphic
+    restate that definition, and the exact unghost raises IntegralityError
+    before them unless the polynomials are integral: they test
+    integrality, not a ring law.  The ring laws rest on the other checks:
+    unghost∘ghost is the identity, zero and one are units, the sum and
+    product polynomials are symmetric in the two variable blocks, and, up
+    to DIRECT_CLASS_CAP classes, associativity and distributivity hold by
+    direct polynomial substitution.
     """
     ctx = witt_context(group)
     report = Report("ring-axioms", group.name)
@@ -448,15 +452,3 @@ def verify_injectivity(group: Group, samples: int = 1000, seed: int = 0,
             report.fail(f"ghost collision between {prev.components} and {w.components}")
         seen[key] = w
     return report
-
-
-def witt_to_json(w: WittVector) -> dict:
-    poset = subconjugacy_poset(w.group)
-    return {
-        "schema": 1,
-        "group": w.group.name,
-        "components": {
-            poset.label(i): str(Poly.coerce(c))
-            for i, c in enumerate(w.components)
-        },
-    }

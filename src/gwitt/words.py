@@ -46,11 +46,6 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return Word("mul", left=self, right=other)
 
-    def depth(self) -> int:
-        if self.kind in ("zero", "one", "var"):
-            return 1
-        return 1 + max(self.left.depth(), self.right.depth())
-
     def __eq__(self, other):
         if not isinstance(other, Word):
             return NotImplemented

@@ -7,35 +7,45 @@ the Teichmueller map and its marks by building every subgroup as a group of
 its own, stabilizers and fibers by scanning, equivariant maps and
 isomorphisms by filtering all functions and permutations, and map
 representatives up to automorphisms by minimizing over every relabeling of
-every map.  Also the larger groups of the benchmark ladder."""
+every map.  Also reference functions the tests compare against: the order
+of the subconjugacy poset read off its census, isomorphism of G-sets over
+the point, the norm of an integer from the trivial level by unmarks, the
+depth of a word, the map into a pullback that two maps induce, and the
+equivariance and free rank of an invariant-ring value.  Also the larger
+groups of the benchmark ladder."""
 
 import itertools
 from functools import cache
 
 from gwitt.burnside import (
     BurnsideElement,
-    burnside_zero,
     column_solve,
     mark_columns,
     marks,
-    norm_from_trivial,
+    unmarks,
 )
-from gwitt.errors import GwittError
+from gwitt.errors import EquivarianceError, GwittError
 from gwitt.groups import (
     Group,
     Subgroup,
+    SubconjugacyPoset,
     group_from_generators,
     subconjugacy_poset,
 )
 from gwitt.gsets import (
     GMap,
     GSet,
+    Pullback,
     coset_space,
     equivariant_maps,
+    iso_over,
     orbit_decompose,
     product,
+    to_point,
 )
 from gwitt.intpoly import Poly
+from gwitt.tambara import InvariantRingInstance
+from gwitt.words import Word
 
 
 def elementary_abelian_2(rank: int) -> Group:
@@ -111,7 +121,14 @@ def join_closure_subgroups(group: Group) -> list[tuple[int, ...]]:
 
 def conjugates(group: Group, elements) -> set[frozenset[int]]:
     """The conjugacy class of a subgroup, one conjugation per group element."""
-    return {frozenset(group.conj(g, a) for a in elements) for g in group.elements()}
+    mul, inv = group.mul_table, group.inv_table
+    return {frozenset(mul[mul[g][a]][inv[g]] for a in elements) for g in group.elements()}
+
+
+def poset_leq(poset: SubconjugacyPoset, i: int, j: int) -> bool:
+    """[H_i] <= [H_j], read off the containment counts of G's census: H_i
+    lies in some conjugate of H_j."""
+    return i == j or j in poset.census.above[i][::2]
 
 
 def containment_leq(group: Group) -> tuple[tuple[bool, ...], ...]:
@@ -202,11 +219,19 @@ def burnside_transfer(sub: Subgroup, b: BurnsideElement) -> BurnsideElement:
     return BurnsideElement(group, tuple(out))
 
 
+def norm_from_trivial(group: Group, x: int) -> BurnsideElement:
+    """The multiplicative norm N_e^G(x) of an integer: the unique element
+    with marks [H] -> x^(G:H), by unmarks over G's own table of marks.
+    Integrality holds for every integer x."""
+    poset = subconjugacy_poset(group)
+    return unmarks(group, tuple(x ** (group.order // cls.order) for cls in poset.classes))
+
+
 def tau_via_subgroup_groups(w) -> BurnsideElement:
     """tau(alpha) = sum over the classes [K] of T_K^G N_e^K(alpha_K), with
     each representative K built as a validated group of its own, its norm
     solved in K's own Burnside ring and transferred along K's class map."""
-    total = burnside_zero(w.group)
+    total = BurnsideElement(w.group, (0,) * len(w.components))
     for cls, comp in zip(subconjugacy_poset(w.group).classes, w.components):
         sub_group, _ = cls.rep.as_group()
         total = total + burnside_transfer(cls.rep, norm_from_trivial(sub_group, comp))
@@ -292,3 +317,54 @@ def min_relabeling_reps(x: GSet, y: GSet, auts_x: list[GMap],
         if best not in reps:
             reps[best] = f
     return [reps[k] for k in sorted(reps)]
+
+
+def gset_iso(x: GSet, y: GSet) -> GMap | None:
+    """An equivariant bijection x -> y (an isomorphism over the point), or
+    None."""
+    return iso_over(to_point(x), to_point(y))
+
+
+def word_depth(w: Word) -> int:
+    """The number of levels of the expression tree of w."""
+    if w.kind in ("zero", "one", "var"):
+        return 1
+    return 1 + max(word_depth(w.left), word_depth(w.right))
+
+
+def check_value(inst: InvariantRingInstance, x: GSet, v) -> None:
+    """Raise EquivarianceError unless v is a value of `inst` at level x: an
+    |x| x |base| matrix with v[g•i][j] = v[i][g^-1•j]."""
+    base = inst.base
+    if len(v) != x.size:
+        raise EquivarianceError("value has wrong number of rows")
+    for row in v:
+        if len(row) != base.size:
+            raise EquivarianceError("value row has wrong width")
+    ginv = inst.group.inverse
+    for g in inst.group.elements():
+        for i in x.points():
+            for j in base.points():
+                if v[x.act_table[g][i]][j] != v[i][base.act_table[ginv(g)][j]]:
+                    raise EquivarianceError("value is not equivariant")
+
+
+def level_rank(inst: InvariantRingInstance, x: GSet) -> int:
+    """The free rank of the level of `inst` at x: one generator per (orbit of
+    x, orbit of its stabilizer on the base)."""
+    return sum(len(inst._stabilizer_orbits(x, points[0])) for points, _ in x.orbits())
+
+
+def pullback_pair(pb: Pullback, m_x: GMap, m_a: GMap) -> GMap:
+    """The map into the pullback induced by m_x and m_a, witnessing its
+    universal property; GMap validates its equivariance."""
+    if m_x.source != m_a.source:
+        raise GwittError("pairing needs a common source")
+    index = {pt: i for i, pt in enumerate(pb.points)}
+    images = []
+    for w in m_x.source.points():
+        key = (m_x.images[w], m_a.images[w])
+        if key not in index:
+            raise GwittError("maps do not commute with the cospan")
+        images.append(index[key])
+    return GMap(m_x.source, pb.gset, tuple(images))

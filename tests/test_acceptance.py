@@ -10,6 +10,7 @@ import random
 import time
 from collections import defaultdict
 
+from oracles import word_depth
 from randgen import random_bispan
 
 from gwitt.bispans import (
@@ -20,7 +21,7 @@ from gwitt.bispans import (
     recompose,
     substitute_fibers,
 )
-from gwitt.burnside import burnside_of_gset, norm_from_trivial, unmarks
+from gwitt.burnside import burnside_of_gset, transferred_norms, unmarks
 from gwitt.cli import run as cli_run
 from gwitt.groups import (
     cyclic,
@@ -248,7 +249,9 @@ def test_criterion_4_norm_consistency_oracle():
                 marks_based = unmarks(group, _sections_formula_marks(p, group))
                 assert explicit == marks_based, (group.name, x, [c.size for c in combo])
                 checked += 1
-        # the free-base case must also agree with the x^(G:H) characterization
+        # the free-base case must also agree with N_e^G(k), the norm that
+        # tau runs: the transferred norms with k at [G] and 0 elsewhere
+        top = (0,) * (len(subconjugacy_poset(group)) - 1)
         free = regular_gset(group)
         to_pt = GMap(free, pt, (0,) * group.order)
         for k in range(4):
@@ -258,7 +261,7 @@ def test_criterion_4_norm_consistency_oracle():
             p = (GMap(a, free, tuple(list(free.points()) * k), validate=False)
                  if k else GMap(a, free, ()))
             assert burnside_of_gset(dependent_product(p, to_pt).gset) == \
-                norm_from_trivial(group, k)
+                transferred_norms(group, top + (k,))
             checked += 1
     _report(4, f"effective norm oracle, {checked} inputs, exhaustive")
 
@@ -360,7 +363,7 @@ def test_criterion_8_coherence_cocycle():
                     bucket.append(a * b)
         by_size[n] = bucket
     words = [w for ws in by_size.values() for w in ws]
-    assert all(w.depth() <= 4 for w in words)
+    assert all(word_depth(w) <= 4 for w in words)
     assignment = SetAssignment.of({"x1": 2, "x2": 1, "x3": 2})
 
     groups = defaultdict(list)

@@ -13,21 +13,20 @@ from gwitt.burnside import (
     burnside_mul,
     burnside_of_gset,
     burnside_one,
-    burnside_zero,
     marks,
-    norm_from_trivial,
     table_of_marks,
+    transferred_norms,
     unmarks,
 )
 from gwitt.errors import IntegralityError
 from gwitt.groups import (
+    Subgroup,
     all_subgroups,
     cyclic,
     dihedral,
     klein_four,
     subconjugacy_poset,
     symmetric,
-    trivial_subgroup,
 )
 from gwitt.gsets import (
     GMap,
@@ -41,6 +40,8 @@ from oracles import (
     coset_space_table_of_marks,
     elementary_abelian_2,
     fixed_points,
+    norm_from_trivial,
+    poset_leq,
     product_basis_decomposition,
     s4_x_c2,
     subgroup_class_map,
@@ -121,22 +122,23 @@ def test_table_of_marks_triangular_with_weyl_diagonal():
         for k in range(n):
             for h in range(n):
                 if tom[k][h] != 0:
-                    assert poset.leq(h, k)
+                    assert poset_leq(poset, h, k)
                 if h > k:
                     assert tom[k][h] == 0 or poset.classes[h].order == poset.classes[k].order
             assert tom[k][k] > 0
             # diagonal = |N_G(H)/H| = number of H-fixed cosets of G/H
             rep = poset.classes[k].rep
+            mul, inv = group.mul_table, group.inv_table
             normalizer = sum(
                 1 for g in group.elements()
-                if rep.conjugate(g).elements == rep.elements
+                if {mul[mul[g][a]][inv[g]] for a in rep.elements} == set(rep.elements)
             )
             assert tom[k][k] == normalizer // rep.order
 
 
 def test_marks_examples_and_linearity():
     assert marks(burnside_basis(C2, 0)) == (2, 0)
-    assert marks(burnside_zero(C2)) == (0, 0)
+    assert marks(BurnsideElement(C2, (0, 0))) == (0, 0)
     assert marks(BurnsideElement(C2, (1, 2))) == (4, 2)
 
 
@@ -193,13 +195,13 @@ def test_burnside_of_gset_matches_product_construction():
 
 
 def test_transfer_examples():
-    triv = trivial_subgroup(C2)
+    triv = Subgroup(C2, (0,))
     tgroup, _ = triv.as_group()
     assert burnside_transfer(triv, BurnsideElement(tgroup, (1,))) == burnside_basis(C2, 0)
     assert burnside_transfer(triv, BurnsideElement(tgroup, (3,))) == \
         BurnsideElement(C2, (3, 0))
     assert marks(burnside_transfer(triv, BurnsideElement(tgroup, (3,)))) == (6, 0)
-    assert burnside_transfer(triv, BurnsideElement(tgroup, (0,))) == burnside_zero(C2)
+    assert burnside_transfer(triv, BurnsideElement(tgroup, (0,))) == BurnsideElement(C2, (0, 0))
     # transfer from C3 <= S3 sends [C3/L] to [S3/L]
     c3 = next(s for s in all_subgroups(S3) if s.order == 3)
     sub_group, _ = c3.as_group()
@@ -209,12 +211,18 @@ def test_transfer_examples():
     assert up == BurnsideElement(S3, (1, 0, 1, 0))
 
 
+def _norm(group, k):
+    """N_e^G(k): the transferred norms that tau runs, with k at [G] and 0
+    elsewhere."""
+    return transferred_norms(group, (0,) * (len(subconjugacy_poset(group)) - 1) + (k,))
+
+
 def test_norm_examples():
-    assert norm_from_trivial(C2, 2) == BurnsideElement(C2, (1, 2))
-    assert marks(norm_from_trivial(C2, 2)) == (4, 2)
-    assert norm_from_trivial(C2, 1) == burnside_one(C2)
-    assert norm_from_trivial(S3, 1) == burnside_one(S3)
-    minus = norm_from_trivial(C2, -1)
+    assert _norm(C2, 2) == BurnsideElement(C2, (1, 2))
+    assert marks(_norm(C2, 2)) == (4, 2)
+    assert _norm(C2, 1) == burnside_one(C2)
+    assert _norm(S3, 1) == burnside_one(S3)
+    minus = _norm(C2, -1)
     assert minus == BurnsideElement(C2, (1, -1))
     assert marks(minus) == (1, -1)
 
@@ -299,7 +307,7 @@ def test_effective_norm_matches_dependent_product():
                 p = GMap(a, free, ())
             dp = dependent_product(p, to_pt)
             explicit = burnside_of_gset(dp.gset)
-            assert explicit == norm_from_trivial(group, k)
+            assert explicit == _norm(group, k) == norm_from_trivial(group, k)
 
 
 def test_dependent_product_fixed_points_match_sections_formula():

@@ -360,6 +360,17 @@ def test_check_tambara_cli_pass_and_json():
     assert data["ok"] is True and data["schema"] == 1
 
 
+@pytest.mark.parametrize("base", ["C(2)/<>", ""])
+def test_check_tambara_refuses_base_for_the_burnside_instance(base):
+    # the Burnside instance has no base G-set; --base is refused, not ignored
+    status, err = capture_error(
+        ["check", "tambara", "--instance", "burnside", "--group", "C(2)",
+         "--base", base, "--budget", "1"]
+    )
+    assert status == 2
+    assert err == "error: --base applies only to --instance invariant\n"
+
+
 GOLDEN_COMMANDS = [
     ["tom", "S(3)"],
     ["tom", "D(4)", "--format", "json"],

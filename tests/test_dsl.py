@@ -3,6 +3,7 @@
 import pytest
 
 from gwitt.dsl import (
+    Parser,
     build_bispan,
     build_gset,
     build_group,
@@ -13,7 +14,6 @@ from gwitt.dsl import (
     parse_bispan,
     parse_gset,
     parse_group,
-    parse_map,
     parse_vector,
     parse_word,
     term_bound,
@@ -103,6 +103,13 @@ def test_subgroup_literal_uses_generated_closure():
     assert full.size in (1, 2, 3, 6)
     with pytest.raises(GwittError):
         build_gset(parse_gset("C(2)/<5>"))
+
+
+def parse_map(text):
+    parser = Parser(text)
+    node = parser.parse_map()
+    parser.require_end()
+    return node
 
 
 def test_map_literals():

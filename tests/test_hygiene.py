@@ -1,14 +1,17 @@
 """Static checks over the library's code, standing in for a linter: every
-module-level import of a module is used, and every function, class or method
-is referenced somewhere outside its own body."""
+module-level import of a module is used, every function, class or method is
+run by the library or exported by it, every export is documented in the
+README, and every test oracle is called by a test."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gwitt"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 assert SOURCES, f"no modules under {PACKAGE}"
+TESTS = ROOT / "tests"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -74,16 +77,53 @@ def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return used
 
 
+def _exports() -> set[str]:
+    """The names that gwitt/__init__.py imports from the modules."""
+    return {
+        alias.asname or alias.name
+        for node in _tree(PACKAGE / "__init__.py").body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
 def test_every_definition_is_referenced():
-    trees = {path: _tree(path) for dirname in ("src", "tests", "perfbench")
-             for path in sorted((ROOT / dirname).rglob("*.py"))}
+    """A definition is used when the library reads its name outside its own
+    body, or when gwitt/__init__.py exports it.  Tests and the benchmark do
+    not count: code that only they run belongs with them, not in src/."""
+    trees = {path: _tree(path) for path in SOURCES}
     references = {path: _references(tree) for path, tree in trees.items()}
+    exported = _exports()
     unreferenced = []
     for path in SOURCES:
         for name, node in _definitions(trees[path]):
             if name.startswith("__") and name.endswith("__"):
                 continue  # called by the language
+            if name in exported:
+                continue
             elsewhere = any(name in refs for p, refs in references.items() if p != path)
             if not elsewhere and name not in _references(trees[path], skip=node):
                 unreferenced.append(f"{path.name}:{node.lineno} {name}")
     assert unreferenced == []
+
+
+def test_every_export_is_documented():
+    """Each exported name appears in a code span of README.md."""
+    readme = (ROOT / "README.md").read_text()
+    documented = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`\n]+)`", readme))))
+    assert sorted(_exports() - documented) == []
+
+
+def test_every_oracle_is_called():
+    """Each top-level function of tests/oracles.py is called from a test file
+    or from another oracle."""
+    oracles = _tree(TESTS / "oracles.py")
+    called = set()
+    for path in sorted(TESTS.glob("test_*.py")):
+        called |= _references(_tree(path))
+    uncalled = [
+        f"oracles.py:{node.lineno} {node.name}"
+        for node in oracles.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name not in called | _references(oracles, skip=node)
+    ]
+    assert uncalled == []

@@ -26,7 +26,7 @@ from gwitt.tambara import (
     check_tambara_axioms,
     small_gsets,
 )
-from oracles import min_relabeling_reps
+from oracles import check_value, level_rank, min_relabeling_reps
 
 C2 = cyclic(2)
 S3 = symmetric(3)
@@ -40,14 +40,14 @@ def test_invariant_structure_maps_examples():
     f = GMap(free, pt, (0, 0))
     ident = identity_map(free)
     v = ((1, 0), (0, 1))  # x -> indicator of x, equivariant
-    inst.check_value(free, v)
+    check_value(inst, free, v)
     assert inst.restrict(ident, v) == v
     assert inst.transfer(ident, v) == v
     assert inst.norm(ident, v) == v
     # transfer = fiber sums, norm = fiber products
     assert inst.transfer(f, v) == ((1, 1),)
     assert inst.norm(f, v) == ((0, 0),)
-    inst.check_value(pt, inst.norm(f, v))
+    check_value(inst, pt, inst.norm(f, v))
     # empty fibers: transfer gives 0, norm gives 1
     empty = empty_gset(C2)
     emap = GMap(empty, pt, ())
@@ -58,7 +58,7 @@ def test_invariant_structure_maps_examples():
 def test_invariant_values_reject_non_equivariant():
     inst = InvariantRingInstance(C2, regular_gset(C2))
     with pytest.raises(EquivarianceError):
-        inst.check_value(regular_gset(C2), ((1, 0), (1, 0)))
+        check_value(inst, regular_gset(C2), ((1, 0), (1, 0)))
 
 
 def test_level_rank_matches_orbit_count():
@@ -86,7 +86,7 @@ def test_level_rank_matches_orbit_count():
                     frontier = new
                 seen |= orbit
                 orbits += 1
-            assert inst.level_rank(level) == orbits
+            assert level_rank(inst, level) == orbits
 
 
 @pytest.mark.parametrize("group, make_base", [
@@ -98,16 +98,7 @@ def test_sampled_values_are_equivariant(group, make_base):
     inst = InvariantRingInstance(group, make_base(group))
     for x in small_gsets(group, 4):
         for v in inst.sample_values(x, rng, 3):
-            inst.check_value(x, v)
-
-
-def test_checker_does_not_revalidate_sampled_values(monkeypatch):
-    def refuse(self, x, v):
-        raise AssertionError("check_value called by the checker")
-
-    monkeypatch.setattr(InvariantRingInstance, "check_value", refuse)
-    inst = InvariantRingInstance(S3, natural_gset(S3))
-    assert check_tambara_axioms(inst, budget=3, seed=0).ok
+            check_value(inst, x, v)
 
 
 @pytest.mark.parametrize("group", [C2, S3], ids=["C2", "S3"])

@@ -173,14 +173,6 @@ def test_tau_rejects_symbolic_components():
     assert teichmuller_tau(WittVector(C2, (Poly.const(1), 0))).coeffs == (1, 0)
 
 
-def test_witt_json_serialization():
-    from gwitt.witt import witt_to_json
-
-    payload = witt_to_json(WittVector(C2, (Poly.var("x") + 1, 2)))
-    assert payload["schema"] == 1
-    assert payload["components"] == {"1a": "x + 1", "2a": "2"}
-
-
 # -- classical 2-typical Witt vectors, independent oracle ----------------------
 
 
