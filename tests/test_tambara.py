@@ -1,5 +1,7 @@
 """Tambara instances and the relation checker."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -260,3 +262,35 @@ def test_small_gsets_enumeration_counts():
     assert len(small_gsets(C2, 4)) == 9
     sizes = sorted(x.size for x in small_gsets(C2, 2))
     assert sizes == [0, 1, 2, 2]
+
+
+def _digest(report) -> str:
+    payload = json.dumps(report.to_json(), sort_keys=True).encode()
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
+# Whole-report digests with seed 0: every verdict, witness and count of these
+# runs is pinned, so a faster checker must draw and compare exactly as before.
+@pytest.mark.parametrize("make, budget, digest", [
+    (lambda: BurnsideOverInstance(C2), 4, "ceba0f7ad1011b95"),
+    (lambda: BurnsideOverInstance(S3), 3, "f9407792f478911e"),
+    (lambda: InvariantRingInstance(S3, natural_gset(S3)), 4, "df96df530bb90c2b"),
+    (lambda: MutatedInstance(InvariantRingInstance(C2, regular_gset(C2))), 3,
+     "ef8707a5a49603b6"),
+    (lambda: MutatedInstance(BurnsideOverInstance(C2)), 3, "37b117c140b20e67"),
+], ids=["burnside-C2", "burnside-S3", "invariant-S3", "mutated-invariant-C2",
+        "mutated-burnside-C2"])
+def test_report_digest_is_pinned(make, budget, digest):
+    assert _digest(check_tambara_axioms(make(), budget=budget, seed=0)) == digest
+
+
+def test_mutated_burnside_witness_is_pinned():
+    report = check_tambara_axioms(MutatedInstance(BurnsideOverInstance(C2)), budget=3,
+                                  seed=0, relations=("exponential-distributivity",))
+    (check,) = report.checks
+    assert check.witness == {
+        "diagram": "p=1->2:(0,) f=2->1:(0, 0)",
+        "value": "(4 points over 1: (0, 0, 0, 0))",
+        "lhs": "(0 points over 1: ())",
+        "rhs": "(4 points over 1: (0, 0, 0, 0))",
+    }
