@@ -64,6 +64,8 @@ class Group:
         return range(self.order)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Group):
             return NotImplemented
         return self.mul_table == other.mul_table

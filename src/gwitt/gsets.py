@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import EquivarianceError, GwittError, SearchBudgetError
 from .groups import Group, Subgroup, subconjugacy_poset
@@ -33,7 +34,7 @@ class GSet:
 
     def __init__(self, group: Group, act_table, validate: bool = True):
         self.group = group
-        table = tuple(tuple(row) for row in act_table)
+        table = tuple(map(tuple, act_table))
         if len(table) != group.order:
             raise GwittError("action table needs one row per group element")
         self.size = len(table[0]) if table else 0
@@ -107,6 +108,8 @@ class GSet:
         return self._orbit_cache
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, GSet):
             return NotImplemented
         return self.group == other.group and self.act_table == other.act_table
@@ -133,9 +136,11 @@ class GMap:
             raise GwittError("source and target live over different groups")
         if len(self.images) != source.size:
             raise GwittError("one image per source point required")
-        if any(not (0 <= v < target.size) for v in self.images):
-            raise GwittError("image out of range")
+        # unvalidated maps come from the library's own constructions, whose
+        # images are in range by construction
         if validate:
+            if any(not (0 <= v < target.size) for v in self.images):
+                raise GwittError("image out of range")
             for g in source.group.elements():
                 for x in source.points():
                     if self.images[source.act_table[g][x]] != target.act_table[g][self.images[x]]:
@@ -324,12 +329,19 @@ def orbit_decompose(x: GSet) -> tuple[int, ...]:
     return tuple(sorted(classes))
 
 
+@cache
+def _class_coset_spaces(group: Group) -> tuple[GSet, ...]:
+    """G/H for the representative H of each class of the subconjugacy
+    poset, in poset order; built once per group."""
+    return tuple(coset_space(group, c.rep) for c in subconjugacy_poset(group).classes)
+
+
 def reassemble(group: Group, class_indices) -> GSet:
     """The G-set with one orbit G/H per class index, in the given order: the
     coset space itself for one index, their disjoint union for several and
     the empty G-set for none."""
-    poset = subconjugacy_poset(group)
-    parts = [coset_space(group, poset.classes[i].rep) for i in class_indices]
+    spaces = _class_coset_spaces(group)
+    parts = [spaces[i] for i in class_indices]
     if len(parts) == 1:
         return parts[0]
     return disjoint_union(parts)[0] if parts else empty_gset(group)
@@ -424,22 +436,32 @@ class Pullback:
     points: tuple[tuple[int, int], ...]
 
 
+def _places(fibers) -> list[int]:
+    """The position of each source point in its ascending fiber."""
+    place = [0] * sum(map(len, fibers))
+    for fiber in fibers:
+        for k, u in enumerate(fiber):
+            place[u] = k
+    return place
+
+
 def pullback(f: GMap, g: GMap) -> Pullback:
     if f.target != g.target:
         raise GwittError("pullback needs a common target")
     x, a = g.source, f.source
-    _check_points("pullback", sum(len(xs) * len(ys) for xs, ys in zip(g.fibers(), f.fibers())))
-    pts = [(i, j) for i in x.points() for j in f.fiber(g.images[i])]
-    index = {pt: k for k, pt in enumerate(pts)}
-    group = x.group
-    table = []
-    for gg in group.elements():
-        table.append([
-            index[(x.act_table[gg][i], a.act_table[gg][j])] for (i, j) in pts
-        ])
-    pb = GSet(group, table, validate=False)
-    to_x = GMap(pb, x, tuple(i for (i, _) in pts), validate=False)
-    to_a = GMap(pb, a, tuple(j for (_, j) in pts), validate=False)
+    f_fibers = f.fibers()
+    _check_points("pullback", sum([len(xs) * len(ys) for xs, ys in zip(g.fibers(), f_fibers)]))
+    # the points over i come in fiber order, so (i, j) has index start[i] + place[j]
+    pts, start = [], []
+    for i, y in enumerate(g.images):
+        start.append(len(pts))
+        pts.extend([(i, j) for j in f_fibers[y]])
+    place = _places(f_fibers)
+    table = [[start[x_row[i]] + place[a_row[j]] for i, j in pts]
+             for x_row, a_row in zip(x.act_table, a.act_table)]
+    pb = GSet(x.group, table, validate=False)
+    to_x = GMap(pb, x, [i for i, _ in pts], validate=False)
+    to_a = GMap(pb, a, [j for _, j in pts], validate=False)
     return Pullback(pb, to_x, to_a, tuple(pts))
 
 
@@ -464,33 +486,41 @@ def dependent_product(p: GMap, f: GMap) -> DependentProduct:
     if p.target != f.source:
         raise GwittError("dependent product needs p: A -> X and f: X -> Y")
     a, x, y = p.source, p.target, f.target
-    group = x.group
     fiber_points, p_fibers = f.fibers(), p.fibers()
-    _check_points("dependent product",
-                  sum(math.prod(len(p_fibers[xx]) for xx in xs) for xs in fiber_points))
-    sections: list[tuple[int, tuple[int, ...]]] = []
-    for yy in y.points():
-        xs = fiber_points[yy]
-        for combo in itertools.product(*(p_fibers[xx] for xx in xs)):
-            sections.append((yy, tuple(combo)))
-    sections.sort()
-    index = {s: i for i, s in enumerate(sections)}
-    slot = {xx: k for xs in fiber_points for k, xx in enumerate(xs)}  # place in its fiber
+    sizes = [math.prod([len(p_fibers[xx]) for xx in xs]) for xs in fiber_points]
+    _check_points("dependent product", sum(sizes))
+    # itertools.product yields the sections over each y in ascending order, so
+    # a section s over y has the mixed-radix index
+    # offset[y] + sum over x in the fiber of y of place[s(x)] * stride[x]
+    sections = tuple((yy, combo) for yy, xs in enumerate(fiber_points)
+                     for combo in itertools.product(*[p_fibers[xx] for xx in xs]))
+    offset = list(itertools.accumulate(sizes, initial=0))
+    stride = [0] * x.size
+    for xs in fiber_points:
+        step = 1
+        for xx in reversed(xs):
+            stride[xx] = step
+            step *= len(p_fibers[xx])
+    place = _places(p_fibers)
+    # a point x with one value in its p-fiber adds place 0 to every index
+    spread = [(yy, [xx for xx in xs if len(p_fibers[xx]) > 1])
+              for yy, xs in enumerate(fiber_points) if sizes[yy]]
     table = []
-    for g in group.elements():
-        ginv = group.inverse(g)
+    for x_row, a_row, y_row in zip(x.act_table, a.act_table, y.act_table):
+        # g sends the section s over y to the one over g•y whose value at g•x
+        # is g•s(x); the indices of the images of all sections over y are
+        # summed up fiber point by fiber point, in the order of `sections`
         row = []
-        for yy, sec in sections:
-            y2 = y.act_table[g][yy]
-            new_sec = tuple(
-                a.act_table[g][sec[slot[x.act_table[ginv][x2]]]]
-                for x2 in fiber_points[y2]
-            )
-            row.append(index[(y2, new_sec)])
+        for yy, xs in spread:
+            indices = [offset[y_row[yy]]]
+            for xx in xs:
+                step = stride[x_row[xx]]
+                indices = [i + place[a_row[u]] * step for i in indices for u in p_fibers[xx]]
+            row += indices
         table.append(row)
-    pi = GSet(group, table, validate=False)
-    to_y = GMap(pi, y, tuple(yy for yy, _ in sections), validate=False)
-    return DependentProduct(pi, to_y, tuple(sections), fiber_points)
+    pi = GSet(x.group, table, validate=False)
+    to_y = GMap(pi, y, [yy for yy, _ in sections], validate=False)
+    return DependentProduct(pi, to_y, sections, fiber_points)
 
 
 @dataclass(frozen=True)

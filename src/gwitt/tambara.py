@@ -8,9 +8,10 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from types import SimpleNamespace
 
 from .errors import GwittError
@@ -25,7 +26,6 @@ from .gsets import (
     equivariant_maps,
     exponential_diagram,
     identity_map,
-    iso_over,
     isos_over,
     pullback,
     reassemble,
@@ -70,7 +70,9 @@ class TambaraInstance:
     def norm(self, f: GMap, v):
         raise NotImplementedError
 
-    def sample_values(self, x: GSet, rng: random.Random, count: int) -> list:
+    def sampler(self, x: GSet) -> Callable[[random.Random, int], list]:
+        """`draw(rng, count)`, which returns `count` seeded values at level
+        x; what the draws at one level share is built here, once."""
         raise NotImplementedError
 
     def describe(self, v) -> str:
@@ -112,16 +114,22 @@ class InvariantRingInstance(TambaraInstance):
         return u == v
 
     def restrict(self, f: GMap, v):
-        return tuple(v[f.images[i]] for i in f.source.points())
+        return tuple([v[y] for y in f.images])
 
     def _fold_fibers(self, f: GMap, v, op, unit: int):
         """Row y is the pointwise `op` of the rows over the fiber of f at y,
-        starting from a row of `unit`."""
-        start = (unit,) * self.base.size
-        return tuple(
-            reduce(lambda row, x: tuple(map(op, row, v[x])), fiber, start)
-            for fiber in f.fibers()
-        )
+        a row of `unit` (the identity of `op`) over an empty fiber."""
+        empty = (unit,) * self.base.size
+        out = []
+        for fiber in f.fibers():
+            if not fiber:
+                out.append(empty)
+                continue
+            row = v[fiber[0]]
+            for x in fiber[1:]:
+                row = tuple(map(op, row, v[x]))
+            out.append(row)
+        return tuple(out)
 
     def transfer(self, f: GMap, v):
         return self._fold_fibers(f, v, operator.add, 0)
@@ -148,24 +156,30 @@ class InvariantRingInstance(TambaraInstance):
             orbits.append(orbit)
         return orbits
 
-    def sample_values(self, x: GSet, rng: random.Random, count: int) -> list:
-        ginv = self.group.inverse
-        parts = [(transporter, self._stabilizer_orbits(x, points[0]))
+    def sampler(self, x: GSet) -> Callable[[random.Random, int], list]:
+        act, ginv, width = self.base.act_table, self.group.inverse, self.base.size
+        # per orbit of x: the stabilizer orbits of its representative on the
+        # base, and for each point u = g•rep the base permutation of g^-1
+        parts = [(self._stabilizer_orbits(x, points[0]),
+                  [(u, act[ginv(g)]) for u, g in transporter.items()])
                  for points, transporter in x.orbits()]
-        out = []
-        for _ in range(count):
-            rows = [()] * x.size
-            for transporter, orbits in parts:
-                # constant on stabilizer orbits of the base: its transports are equivariant
-                rep_row = [0] * self.base.size
-                for orbit in orbits:
-                    val = rng.randint(-3, 3)
-                    for w in orbit:
-                        rep_row[w] = val
-                for u, g in transporter.items():
-                    rows[u] = tuple(rep_row[k] for k in self.base.act_table[ginv(g)])
-            out.append(tuple(rows))
-        return out
+
+        def draw(rng: random.Random, count: int) -> list:
+            out = []
+            for _ in range(count):
+                rows = [()] * x.size
+                for orbits, moves in parts:
+                    # constant on stabilizer orbits of the base: its transports are equivariant
+                    rep_row = [0] * width
+                    for orbit in orbits:
+                        val = rng.randint(-3, 3)
+                        for w in orbit:
+                            rep_row[w] = val
+                    for u, perm in moves:
+                        rows[u] = tuple([rep_row[k] for k in perm])
+                out.append(tuple(rows))
+            return out
+        return draw
 
     def describe(self, v) -> str:
         return str([list(r) for r in v])
@@ -197,7 +211,14 @@ class BurnsideOverInstance(TambaraInstance):
         return (pb.gset, compose_maps(p1, pb.to_x))
 
     def eq(self, x: GSet, u, v) -> bool:
-        return iso_over(u[1], v[1]) is not None
+        """(A, p) ≅ (B, q) over X iff the multisets {(p(a), G_a)} and
+        {(q(b), G_b)} agree.  A over X is the disjoint union of the
+        G x_{G_x} p^-1(x), and in the G_x-set p^-1(x) the points with
+        stabilizer exactly H number (orbits of type [H]) x |N(H):H|, so the
+        stabilizers over x fix the fiber up to isomorphism."""
+        (a, p), (b, q) = u, v
+        return a.size == b.size and (Counter(zip(p.images, a.stabilizers()))
+                                     == Counter(zip(q.images, b.stabilizers())))
 
     def restrict(self, f: GMap, v):
         a, p = v
@@ -213,19 +234,26 @@ class BurnsideOverInstance(TambaraInstance):
         dp = dependent_product(p, f)
         return (dp.gset, dp.to_y)
 
-    def sample_values(self, x: GSet, rng: random.Random, count: int) -> list:
-        poset = subconjugacy_poset(self.group)
-        out = []
-        for _ in range(count):
-            parts = [rng.randrange(len(poset)) for _ in range(rng.randrange(3))]
-            a = reassemble(self.group, parts)
-            maps = list(itertools.islice(equivariant_maps(a, x), 8))
-            if not a.size or not maps:
-                value = self.zero(x)
-            else:
-                value = (a, maps[rng.randrange(len(maps))])
-            out.append(value)
-        return out
+    def sampler(self, x: GSet) -> Callable[[random.Random, int], list]:
+        classes = len(subconjugacy_poset(self.group))
+        zero = self.zero(x)
+        # the orbit classes drawn -> (A, its first maps A -> x)
+        pool: dict[tuple[int, ...], tuple[GSet, list[GMap]]] = {}
+
+        def draw(rng: random.Random, count: int) -> list:
+            out = []
+            for _ in range(count):
+                parts = tuple(rng.randrange(classes) for _ in range(rng.randrange(3)))
+                if parts not in pool:
+                    a = reassemble(self.group, parts)
+                    pool[parts] = (a, list(itertools.islice(equivariant_maps(a, x), 8)))
+                a, maps = pool[parts]
+                if not a.size or not maps:
+                    out.append(zero)
+                else:
+                    out.append((a, maps[rng.randrange(len(maps))]))
+            return out
+        return draw
 
     def describe(self, v) -> str:
         a, p = v
@@ -396,7 +424,8 @@ class Relation:
     Sample values are drawn at the diagram's G-set named `level` with the rng
     seeded `f"{seed}:{tag}:{diagram.sig}"`; relations with the same tag share
     that draw.  `laws(instance, diagram, values)` yields `(diagram text, value
-    text, lhs, rhs, level)`, one per instance of the relation.
+    text, lhs, rhs, level)`, one per instance of the relation; the value text
+    is a function without arguments, called only for a witness.
     """
 
     name: str
@@ -411,8 +440,12 @@ def _per_value(law):
     `law(instance, diagram, v)` returns (lhs, rhs, level)."""
     def laws(inst, d, values):
         for v in values:
-            yield (d.sig, inst.describe(v), *law(inst, d, v))
+            yield (d.sig, partial(inst.describe, v), *law(inst, d, v))
     return laws
+
+
+def _pair_text(inst, u, v) -> str:
+    return f"{inst.describe(u)}, {inst.describe(v)}"
 
 
 def _ring_map(name, tag, letter, method, ops, unit, src, dst) -> Relation:
@@ -423,13 +456,13 @@ def _ring_map(name, tag, letter, method, ops, unit, src, dst) -> Relation:
         along = partial(getattr(inst, method), d.f)
         a, b = getattr(d, src), getattr(d, dst)
         for u, v in itertools.product(values, repeat=2):
-            text = f"{inst.describe(u)}, {inst.describe(v)}"
+            text = partial(_pair_text, inst, u, v)
             for op_name, suffix in ops:
                 op = getattr(inst, op_name)
                 yield (f"{letter} along {d.sig}{suffix}", text,
                        along(op(a, u, v)), op(b, along(u), along(v)), b)
         const = getattr(inst, unit)
-        yield (f"{letter} along {d.sig} ({unit})", {"one": "1", "zero": "0"}[unit],
+        yield (f"{letter} along {d.sig} ({unit})", partial(str, {"one": 1, "zero": 0}[unit]),
                along(const(a)), const(b), b)
     return Relation(name, _single_maps, tag, src, laws)
 
@@ -494,20 +527,23 @@ def check_tambara_axioms(instance: TambaraInstance, budget: int = 4,
 
     checked = [r for r in RELATIONS if r.name in wanted]
     failures: dict[str, dict] = {}
+    samplers: dict[GSet, Callable] = {}  # level -> its draw, for this check only
     for shape in dict.fromkeys(r.shape for r in checked):
         for d in shape(objects, maps):
             drawn: dict[str, list] = {}
             for rel in (r for r in checked if r.shape is shape):
                 if rel.tag not in drawn:
+                    level = getattr(d, rel.level)
+                    if level not in samplers:
+                        samplers[level] = instance.sampler(level)
                     rng = random.Random(f"{seed}:{rel.tag}:{d.sig}")
-                    drawn[rel.tag] = instance.sample_values(
-                        getattr(d, rel.level), rng, VALUE_SAMPLES)
+                    drawn[rel.tag] = samplers[level](rng, VALUE_SAMPLES)
                 for diagram, value, lhs, rhs, level in rel.laws(instance, d, drawn[rel.tag]):
                     report.instances_checked += 1
                     if rel.name not in failures and not instance.eq(level, lhs, rhs):
                         failures[rel.name] = {
                             "diagram": diagram,
-                            "value": value,
+                            "value": value(),
                             "lhs": instance.describe(lhs),
                             "rhs": instance.describe(rhs),
                         }

@@ -23,6 +23,7 @@ from .groups import Group, subconjugacy_poset
 from .intpoly import Poly
 
 DIRECT_CLASS_CAP = 8  # see verify_ring_axioms
+RING_LAW_SAMPLES = 3  # seeded integer triples per ring law above the cap
 
 
 def _is_ring_value(v) -> bool:
@@ -350,9 +351,11 @@ def verify_ring_axioms(group: Group) -> Report:
     before them unless the polynomials are integral: they test
     integrality, not a ring law.  The ring laws rest on the other checks:
     unghost∘ghost is the identity, zero and one are units, the sum and
-    product polynomials are symmetric in the two variable blocks, and, up
-    to DIRECT_CLASS_CAP classes, associativity and distributivity hold by
-    direct polynomial substitution.
+    product polynomials are symmetric in the two variable blocks, and
+    associativity and distributivity hold: up to DIRECT_CLASS_CAP classes by
+    direct polynomial substitution, above it (where the substituted
+    polynomials grow too large) at RING_LAW_SAMPLES seeded integer triples,
+    seed 0, through the same structure polynomials.
     """
     ctx = witt_context(group)
     report = Report("ring-axioms", group.name)
@@ -406,23 +409,30 @@ def verify_ring_axioms(group: Group) -> Report:
             if p.substitute({k: Poly.var(v) for k, v in swap.items()}) != p:
                 report.fail(f"{name} polynomial not symmetric at {ctx.poset.label(h)}")
 
-    # direct substitution for small posets: associativity and distributivity
+    # associativity and distributivity: symbolically for small posets, at
+    # seeded integer vectors above the cap
     if ctx.n <= DIRECT_CLASS_CAP:
-        cvars = tuple(f"c_{ctx.poset.label(i)}" for i in range(ctx.n))
-        sym_c = tuple(Poly.var(v) for v in cvars)
-        add = lambda u, v: ctx.eval_polys(ctx.sum_polys(), u, v)
-        mul = lambda u, v: ctx.eval_polys(ctx.prod_polys(), u, v)
+        sym_c = tuple(Poly.var(f"c_{ctx.poset.label(i)}") for i in range(ctx.n))
+        triples = [(sym_a, sym_b, sym_c)]
+    else:
+        report.seed = 0
+        rng = random.Random(report.seed)
+        triples = [tuple(random_witt_vector(group, rng).components for _ in range(3))
+                   for _ in range(RING_LAW_SAMPLES)]
+    add = lambda u, v: ctx.eval_polys(ctx.sum_polys(), u, v)
+    mul = lambda u, v: ctx.eval_polys(ctx.prod_polys(), u, v)
+    for a, b, c in triples:
+        where = "" if report.seed is None else f" for a={a}, b={b}, c={c}"
         checks = (
-            ("add-assoc", add(add(sym_a, sym_b), sym_c), add(sym_a, add(sym_b, sym_c))),
-            ("mul-assoc", mul(mul(sym_a, sym_b), sym_c), mul(sym_a, mul(sym_b, sym_c))),
-            ("distributivity", mul(sym_a, add(sym_b, sym_c)),
-             add(mul(sym_a, sym_b), mul(sym_a, sym_c))),
+            ("add-assoc", add(add(a, b), c), add(a, add(b, c))),
+            ("mul-assoc", mul(mul(a, b), c), mul(a, mul(b, c))),
+            ("distributivity", mul(a, add(b, c)), add(mul(a, b), mul(a, c))),
         )
         for name, lhs, rhs in checks:
             for h in range(ctx.n):
                 report.checked += 1
                 if Poly.coerce(lhs[h]) != Poly.coerce(rhs[h]):
-                    report.fail(f"{name} fails at {ctx.poset.label(h)}")
+                    report.fail(f"{name} fails at {ctx.poset.label(h)}{where}")
     return report
 
 

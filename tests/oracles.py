@@ -5,9 +5,11 @@ counting fixed cosets (also the marks of any G-set), Burnside products by
 decomposing product G-sets, maps over a base by counting candidate images, and
 the Teichmueller map and its marks by building every subgroup as a group of
 its own, stabilizers and fibers by scanning, equivariant maps and
-isomorphisms by filtering all functions and permutations, and map
+isomorphisms by filtering all functions and permutations, map
 representatives up to automorphisms by minimizing over every relabeling of
-every map.  Also reference functions the tests compare against: the order
+every map, equality of G-sets over a base by an isomorphism search, and
+pullbacks and dependent products by looking their points up in dicts keyed
+by tuples.  Also reference functions the tests compare against: the order
 of the subconjugacy poset read off its census, isomorphism of G-sets over
 the point, the norm of an integer from the trivial level by unmarks, the
 depth of a word, the map into a pullback that two maps induce, and the
@@ -33,6 +35,7 @@ from gwitt.groups import (
     subconjugacy_poset,
 )
 from gwitt.gsets import (
+    DependentProduct,
     GMap,
     GSet,
     Pullback,
@@ -368,3 +371,53 @@ def pullback_pair(pb: Pullback, m_x: GMap, m_a: GMap) -> GMap:
             raise GwittError("maps do not commute with the cospan")
         images.append(index[key])
     return GMap(m_x.source, pb.gset, tuple(images))
+
+
+def iso_over_eq(u, v) -> bool:
+    """Equality of two Burnside values (A, p) and (B, q) at one level: an
+    isomorphism A -> B over the level exists."""
+    return iso_over(u[1], v[1]) is not None
+
+
+def dict_pullback(f: GMap, g: GMap) -> Pullback:
+    """X ×_Y A for f: A -> Y and g: X -> Y, each point (x, a) found in a dict
+    keyed by the pair."""
+    x, a = g.source, f.source
+    pts = [(i, j) for i in x.points() for j in a.points() if g.images[i] == f.images[j]]
+    index = {pt: k for k, pt in enumerate(pts)}
+    table = [[index[(x.act_table[gg][i], a.act_table[gg][j])] for i, j in pts]
+             for gg in x.group.elements()]
+    pb = GSet(x.group, table)
+    return Pullback(pb, GMap(pb, x, [i for i, _ in pts]), GMap(pb, a, [j for _, j in pts]),
+                    tuple(pts))
+
+
+def dict_dependent_product(p: GMap, f: GMap) -> DependentProduct:
+    """Π_f A -> Y for p: A -> X and f: X -> Y: the sections over each y,
+    sorted, each found in a dict keyed by (y, values) after g moves it."""
+    a, x, y = p.source, p.target, f.target
+    group = x.group
+    fiber_points = tuple(
+        tuple(xx for xx in x.points() if f.images[xx] == yy) for yy in y.points()
+    )
+    sections = sorted(
+        (yy, combo) for yy in y.points()
+        for combo in itertools.product(*(
+            [u for u in a.points() if p.images[u] == xx] for xx in fiber_points[yy]))
+    )
+    index = {s: i for i, s in enumerate(sections)}
+    table = []
+    for g in group.elements():
+        ginv = group.inverse(g)
+        row = []
+        for yy, sec in sections:
+            y2 = y.act_table[g][yy]
+            moved = tuple(
+                a.act_table[g][sec[fiber_points[yy].index(x.act_table[ginv][x2])]]
+                for x2 in fiber_points[y2]
+            )
+            row.append(index[(y2, moved)])
+        table.append(row)
+    pi = GSet(group, table)
+    return DependentProduct(pi, GMap(pi, y, [yy for yy, _ in sections]), tuple(sections),
+                            fiber_points)

@@ -12,7 +12,6 @@ from gwitt.bispans import (
     bispan_equivalent,
     compose,
     fiber_polynomial,
-    fiber_polynomials,
     gen_N,
     gen_R,
     gen_T,

@@ -46,6 +46,8 @@ from oracles import (
     all_equivariant_maps,
     all_isos_over,
     count_maps_over,
+    dict_dependent_product,
+    dict_pullback,
     fixed_points,
     gset_iso,
     marks_vector,
@@ -72,6 +74,9 @@ def test_map_validation():
     with pytest.raises(EquivarianceError):
         GMap(free, free, (0, 0))
     assert sorted(GMap(free, free, (1, 0)).images) == [0, 1]  # the swap
+    for images in ((0, 2), (-1, 0)):
+        with pytest.raises(GwittError, match="image out of range"):
+            GMap(free, free, images)
 
 
 def test_orbit_decompose_examples():
@@ -434,3 +439,39 @@ def test_map_searches_match_the_brute_force_oracle(group):
                 1 for images in all_equivariant_maps(f.source, other.source)
                 if all(other.images[images[u]] == f.images[u] for u in f.source.points())
             )
+
+
+def _seeded_maps(group, rng, budget, count):
+    """`count` seeded maps between the G-sets of at most `budget` points."""
+    objects = small_gsets(group, budget)
+    maps = []
+    while len(maps) < count:
+        f = random_gmap(rng.choice(objects), rng.choice(objects), rng)
+        if f is not None:
+            maps.append(f)
+    return maps
+
+
+@pytest.mark.parametrize("group", [C2, S3, dihedral(4)], ids=["C2", "S3", "D4"])
+def test_pullback_and_dependent_product_match_the_dict_oracles(group):
+    # index arithmetic against the tuple-keyed constructions, on seeded maps
+    # with shared targets, empty fibers and fibers of several points
+    rng = random.Random(f"constructions:{group.name}")
+    maps = _seeded_maps(group, rng, 6, 60)
+    by_target, by_source = {}, {}
+    for m in maps:
+        by_target.setdefault(m.target, []).append(m)
+        by_source.setdefault(m.source, []).append(m)
+    pullbacks = products = 0
+    for f in maps:
+        for g in by_target[f.target][:4]:
+            got, want = pullback(f, g), dict_pullback(f, g)
+            assert got.gset == want.gset and got.points == want.points
+            assert got.to_x == want.to_x and got.to_a == want.to_a
+            pullbacks += 1
+        for h in by_source.get(f.target, [])[:4]:
+            got, want = dependent_product(f, h), dict_dependent_product(f, h)
+            assert got.gset == want.gset and got.sections == want.sections
+            assert got.to_y == want.to_y and got.fiber_points == want.fiber_points
+            products += 1
+    assert pullbacks >= 60 and products >= 20

@@ -1,7 +1,7 @@
 """Static checks over the library's code, standing in for a linter: every
-module-level import of a module is used, every function, class or method is
-run by the library or exported by it, every export is documented in the
-README, and every test oracle is called by a test."""
+module-level import of a library or test module is used, every function,
+class or method is run by the library or exported by it, every export is
+documented in the README, and every test oracle is called by a test."""
 
 import ast
 import re
@@ -38,9 +38,9 @@ def _names_read(tree: ast.AST) -> set[str]:
 
 def test_no_unused_module_level_import():
     unused = []
-    for path in SOURCES:
-        if path.name == "__init__.py":
-            continue
+    for path in SOURCES + sorted(TESTS.glob("*.py")):
+        if path == PACKAGE / "__init__.py":
+            continue  # its imports are the exports
         tree = _tree(path)
         used = _names_read(tree)
         for node in tree.body:

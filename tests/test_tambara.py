@@ -1,18 +1,22 @@
 """Tambara instances and the relation checker."""
 
 import hashlib
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from gwitt.errors import EquivarianceError, GwittError
-from gwitt.groups import cyclic, subconjugacy_poset, symmetric
+from gwitt.groups import cyclic, dihedral, subconjugacy_poset, symmetric
 from gwitt.gsets import (
     GMap,
+    GSet,
     coset_space,
     disjoint_union,
     empty_gset,
+    equivariant_maps,
     identity_map,
     natural_gset,
     point_gset,
@@ -28,7 +32,7 @@ from gwitt.tambara import (
     check_tambara_axioms,
     small_gsets,
 )
-from oracles import check_value, level_rank, min_relabeling_reps
+from oracles import check_value, iso_over_eq, level_rank, min_relabeling_reps
 
 C2 = cyclic(2)
 S3 = symmetric(3)
@@ -99,7 +103,7 @@ def test_sampled_values_are_equivariant(group, make_base):
     rng = random.Random(0)
     inst = InvariantRingInstance(group, make_base(group))
     for x in small_gsets(group, 4):
-        for v in inst.sample_values(x, rng, 3):
+        for v in inst.sampler(x)(rng, 3):
             check_value(inst, x, v)
 
 
@@ -250,7 +254,7 @@ def test_burnside_instance_is_functorial_through_bispan_composition():
             phi = random_bispan(group, rng, 3)
             psi = random_bispan(group, rng, 3, source=phi.y)
             comp = compose(psi, phi)
-            for value in inst.sample_values(phi.x, rng, 2):
+            for value in inst.sampler(phi.x)(rng, 2):
                 stepwise = apply_bispan(inst, psi, apply_bispan(inst, phi, value))
                 direct = apply_bispan(inst, comp, value)
                 assert inst.eq(comp.y, stepwise, direct)
@@ -294,3 +298,55 @@ def test_mutated_burnside_witness_is_pinned():
         "lhs": "(0 points over 1: ())",
         "rhs": "(4 points over 1: (0, 0, 0, 0))",
     }
+
+
+def _relabeled(value, rng):
+    """An isomorphic copy of the Burnside value (A, p) with A's points
+    shuffled: point u of A is point perm[u] of the copy."""
+    a, p = value
+    perm = list(a.points())
+    rng.shuffle(perm)
+    inv = sorted(a.points(), key=perm.__getitem__)
+    b = GSet(a.group, [[perm[row[inv[k]]] for k in a.points()] for row in a.act_table])
+    return (b, GMap(b, p.target, [p.images[inv[k]] for k in b.points()]))
+
+
+@pytest.mark.parametrize("group", [C2, S3, dihedral(4)], ids=["C2", "S3", "D4"])
+def test_burnside_eq_matches_the_iso_over_oracle(group):
+    # G-sets over each small level, with shuffled copies of them, compared
+    # pairwise wherever the sizes agree
+    inst = BurnsideOverInstance(group)
+    rng = random.Random(f"eq:{group.name}")
+    verdicts = Counter()
+    for x in small_gsets(group, 2):
+        values = [(a, f) for a in small_gsets(group, 4)
+                  for f in itertools.islice(equivariant_maps(a, x), 3)]
+        values += [_relabeled(v, rng) for v in values]
+        for u, v in itertools.product(values, repeat=2):
+            if u[0].size == v[0].size:
+                equal = iso_over_eq(u, v)
+                assert inst.eq(x, u, v) == equal
+                verdicts[equal, u[1].images == v[1].images] += 1
+    assert min(verdicts.values()) > 20, verdicts
+
+
+def test_burnside_eq_tells_stabilizers_apart():
+    # same size over the point (one fiber), different stabilizers: never equal
+    c2, c3 = (coset_space(S3, c.rep) for c in subconjugacy_poset(S3).classes[1:3])
+
+    def copies(x, n):
+        return disjoint_union([x] * n)[0]
+
+    pairs = [
+        (regular_gset(C2), copies(point_gset(C2), 2)),
+        (c3, copies(point_gset(S3), 2)),
+        (c2, copies(point_gset(S3), 3)),
+        (regular_gset(S3), copies(c2, 2)),
+        (regular_gset(S3), copies(c3, 3)),
+    ]
+    for a, b in pairs:
+        inst, pt = BurnsideOverInstance(a.group), point_gset(a.group)
+        u, v = (a, GMap(a, pt, (0,) * a.size)), (b, GMap(b, pt, (0,) * b.size))
+        assert a.size == b.size
+        assert not inst.eq(pt, u, v) and not iso_over_eq(u, v)
+        assert inst.eq(pt, u, u) and inst.eq(pt, v, v)

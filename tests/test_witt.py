@@ -12,6 +12,8 @@ from gwitt.errors import GwittError, IntegralityError
 from gwitt.groups import Group, cyclic, dihedral, klein_four, subconjugacy_poset, symmetric
 from gwitt.intpoly import Poly
 from gwitt.witt import (
+    DIRECT_CLASS_CAP,
+    RING_LAW_SAMPLES,
     GhostVector,
     WittVector,
     ghost,
@@ -142,6 +144,20 @@ def test_double_coset_identity(group):
 def test_ring_axioms(group):
     report = verify_ring_axioms(group)
     assert report.ok, report.failures
+
+
+def test_ring_axioms_above_the_direct_cap_check_the_laws_at_seeded_vectors():
+    # S4 has 11 classes: associativity and distributivity are checked at
+    # RING_LAW_SAMPLES seeded integer triples instead of symbolically
+    group = symmetric(4)
+    n = len(subconjugacy_poset(group))
+    assert n > DIRECT_CLASS_CAP
+    report = verify_ring_axioms(group)
+    assert report.ok, report.failures
+    assert report.seed == 0
+    # unghost∘ghost, ghost of sum/product/negation, two units, two symmetries
+    symbolic = 1 + 3 * n + 2 * n + 2 * n
+    assert report.checked == symbolic + RING_LAW_SAMPLES * 3 * n
 
 
 def test_injectivity_sampled():

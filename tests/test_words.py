@@ -1,7 +1,6 @@
 """Words, support, evaluation, and the coherence bijections."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
