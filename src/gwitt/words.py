@@ -14,9 +14,13 @@ from .intpoly import Poly
 
 class Word:
     """An expression tree with leaves in the variables or {zero, one} and
-    binary nodes labeled + or *."""
+    binary nodes labeled + or *.
 
-    __slots__ = ("kind", "name", "left", "right", "_hash")
+    A Word must not be mutated once used: it caches its hash, its support
+    (`supp`) and, for the last assignment it was evaluated under by
+    `coherence_iso`, the normal-form order of that evaluation."""
+
+    __slots__ = ("kind", "name", "left", "right", "_hash", "_supp", "_order")
 
     def __init__(self, kind: str, name: str | None = None,
                  left: "Word | None" = None, right: "Word | None" = None):
@@ -27,6 +31,8 @@ class Word:
         self.left = left
         self.right = right
         self._hash = None
+        self._supp = None
+        self._order = None
 
     @staticmethod
     def zero() -> "Word":
@@ -79,16 +85,23 @@ class Word:
 
 def supp(w: Word) -> Poly:
     """The support homomorphism into Z[X]: zero -> 0, one -> 1, additive and
-    multiplicative on nodes."""
-    if w.kind == "zero":
-        return Poly()
-    if w.kind == "one":
-        return Poly.const(1)
-    if w.kind == "var":
-        return Poly.var(w.name)
-    if w.kind == "add":
-        return supp(w.left) + supp(w.right)
-    return supp(w.left) * supp(w.right)
+    multiplicative on nodes.  Computed once per node from its children's
+    supports and kept on the word; the Poly returned is shared, so it must
+    not be mutated."""
+    s = w._supp
+    if s is None:
+        if w.kind == "zero":
+            s = Poly()
+        elif w.kind == "one":
+            s = Poly.const(1)
+        elif w.kind == "var":
+            s = Poly.var(w.name)
+        elif w.kind == "add":
+            s = supp(w.left) + supp(w.right)
+        else:
+            s = supp(w.left) * supp(w.right)
+        w._supp = s
+    return s
 
 
 @dataclass(frozen=True)
@@ -146,19 +159,18 @@ def eval_word(w: Word, a: SetAssignment) -> tuple:
     zero -> (), one -> a single unit element, + -> tagged union,
     * -> cartesian pairs.
     """
-    if w.kind == "zero":
-        return ()
-    if w.kind == "one":
-        return (("u",),)
-    if w.kind == "var":
-        return tuple(("v", w.name, label) for label in a.labels(w.name))
-    if w.kind == "add":
+    kind = w.kind
+    if kind == "add":
+        return tuple([("+", 0, e) for e in eval_word(w.left, a)]
+                     + [("+", 1, e) for e in eval_word(w.right, a)])
+    if kind == "mul":
         left = eval_word(w.left, a)
         right = eval_word(w.right, a)
-        return tuple(("+", 0, e) for e in left) + tuple(("+", 1, e) for e in right)
-    left = eval_word(w.left, a)
-    right = eval_word(w.right, a)
-    return tuple(("*", e1, e2) for e1 in left for e2 in right)
+        return tuple([("*", e1, e2) for e1 in left for e2 in right])
+    if kind == "var":
+        name = w.name
+        return tuple([("v", name, label) for label in a.labels(name)])
+    return (("u",),) if kind == "one" else ()
 
 
 def _normal_form(w: Word, elem) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
@@ -184,12 +196,36 @@ def _normal_form(w: Word, elem) -> tuple[tuple[str, ...], tuple[tuple[str, str],
     raise SupportError("zero has no elements")
 
 
+def _normal_order(w: Word, a: SetAssignment,
+                  elems: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(order, rank) of elems = eval_word(w, a): order[r] is the position of
+    the element whose normal form is r-th in ascending order, and rank is the
+    inverse permutation.  Kept on w for the last assignment only; the slot is
+    read once, so a thread evaluating w under another assignment never mixes
+    the two."""
+    cached = w._order
+    if cached is not None and (cached[0] is a or cached[0] == a):
+        return cached[1], cached[2]
+    keys = [_normal_form(w, e) for e in elems]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
+        raise SupportError("normalization is not injective; support not simple")
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    cached = (a, tuple(order), tuple(rank))
+    w._order = cached
+    return cached[1], cached[2]
+
+
 def coherence_iso(w: Word, w2: Word, a: SetAssignment) -> dict:
     """The preferred bijection eval(w, a) -> eval(w2, a).
 
     Requires supp(w) == supp(w2) and that the common support is simple; each
-    element is normalized to its (monomial, choice-of-labels) pair and the two
-    normalizations are matched.
+    element is normalized to its (monomial, choice-of-labels) pair, and the
+    two evaluations, which then normalize onto the same index family, are
+    paired by the rank of their normal forms.  The dict follows the order of
+    eval_word(w, a).
     """
     s1, s2 = supp(w), supp(w2)
     if s1 != s2:
@@ -198,18 +234,9 @@ def coherence_iso(w: Word, w2: Word, a: SetAssignment) -> dict:
         raise SupportError("common support is not simple")
     left = eval_word(w, a)
     right = eval_word(w2, a)
-    nf_left = {e: _normal_form(w, e) for e in left}
-    nf_right = {_normal_form(w2, e): e for e in right}
-    if len(nf_right) != len(right):
-        raise SupportError("normalization is not injective; support not simple")
-    out = {}
-    for e, key in nf_left.items():
-        if key not in nf_right:
-            raise SupportError("evaluations do not match termwise")
-        out[e] = nf_right[key]
-    if len(set(out.values())) != len(out) or len(out) != len(right):
-        raise SupportError("normalization failed to produce a bijection")
-    return out
+    _, rank = _normal_order(w, a, left)
+    order, _ = _normal_order(w2, a, right)
+    return {e: right[order[r]] for e, r in zip(left, rank)}
 
 
 def normal_form_index(w: Word, a: SetAssignment) -> dict:

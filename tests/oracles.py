@@ -12,9 +12,10 @@ pullbacks and dependent products by looking their points up in dicts keyed
 by tuples.  Also reference functions the tests compare against: the order
 of the subconjugacy poset read off its census, isomorphism of G-sets over
 the point, the norm of an integer from the trivial level by unmarks, the
-depth of a word, the map into a pullback that two maps induce, and the
-equivariance and free rank of an invariant-ring value.  Also the larger
-groups of the benchmark ladder."""
+depth of a word, its support rebuilt on every call, the coherence bijection
+by matching normal-form keys in a dict, the map into a pullback that two
+maps induce, and the equivariance and free rank of an invariant-ring value.
+Also the larger groups of the benchmark ladder."""
 
 import itertools
 from functools import cache
@@ -26,7 +27,7 @@ from gwitt.burnside import (
     marks,
     unmarks,
 )
-from gwitt.errors import EquivarianceError, GwittError
+from gwitt.errors import EquivarianceError, GwittError, SupportError
 from gwitt.groups import (
     Group,
     Subgroup,
@@ -48,7 +49,7 @@ from gwitt.gsets import (
 )
 from gwitt.intpoly import Poly
 from gwitt.tambara import InvariantRingInstance
-from gwitt.words import Word
+from gwitt.words import SetAssignment, Word, eval_word
 
 
 def elementary_abelian_2(rank: int) -> Group:
@@ -333,6 +334,65 @@ def word_depth(w: Word) -> int:
     if w.kind in ("zero", "one", "var"):
         return 1
     return 1 + max(word_depth(w.left), word_depth(w.right))
+
+
+def recursive_supp(w: Word) -> Poly:
+    """The support of w, rebuilt through Poly arithmetic on every call."""
+    if w.kind == "zero":
+        return Poly()
+    if w.kind == "one":
+        return Poly.const(1)
+    if w.kind == "var":
+        return Poly.var(w.name)
+    if w.kind == "add":
+        return recursive_supp(w.left) + recursive_supp(w.right)
+    return recursive_supp(w.left) * recursive_supp(w.right)
+
+
+def _element_normal_form(w: Word, elem) -> tuple:
+    """(monomial variables, sorted (variable, label) pairs) of one element of
+    eval_word(w, a), read off its provenance."""
+    if w.kind == "one":
+        return (), ()
+    if w.kind == "var":
+        _, name, label = elem
+        return (name,), ((name, label),)
+    if w.kind == "add":
+        _, side, inner = elem
+        return _element_normal_form(w.left if side == 0 else w.right, inner)
+    if w.kind == "mul":
+        _, e1, e2 = elem
+        m1, c1 = _element_normal_form(w.left, e1)
+        m2, c2 = _element_normal_form(w.right, e2)
+        if set(m1) & set(m2):
+            raise SupportError("monomial is not square-free along this element")
+        return tuple(sorted(m1 + m2)), tuple(sorted(c1 + c2))
+    raise SupportError("zero has no elements")
+
+
+def matched_coherence_iso(w: Word, w2: Word, a: SetAssignment) -> dict:
+    """The preferred bijection eval(w, a) -> eval(w2, a) with fresh supports
+    and a dict from normal-form keys to eval(w2, a)'s elements, matched in
+    the order of eval(w, a)."""
+    s1, s2 = recursive_supp(w), recursive_supp(w2)
+    if s1 != s2:
+        raise SupportError("words have different supports")
+    if not s1.is_simple():
+        raise SupportError("common support is not simple")
+    left = eval_word(w, a)
+    right = eval_word(w2, a)
+    by_key = {_element_normal_form(w2, e): e for e in right}
+    if len(by_key) != len(right):
+        raise SupportError("normalization is not injective; support not simple")
+    out = {}
+    for e in left:
+        key = _element_normal_form(w, e)
+        if key not in by_key:
+            raise SupportError("evaluations do not match termwise")
+        out[e] = by_key[key]
+    if len(set(out.values())) != len(out) or len(out) != len(right):
+        raise SupportError("normalization failed to produce a bijection")
+    return out
 
 
 def check_value(inst: InvariantRingInstance, x: GSet, v) -> None:

@@ -305,11 +305,7 @@ def test_adjunction_cardinality_exhaustive_small():
 
 
 def test_adjunction_cardinality_sampled_at_size_four():
-    import random as _random
-
-    from randgen import random_gmap, random_gset
-
-    rng = _random.Random(41)
+    rng = random.Random(41)
     done = 0
     while done < 150:
         a = random_gset(C2, rng, 4)
@@ -341,11 +337,7 @@ def test_induced_gset_matches_coset_structure():
 
 def test_constructed_action_tables_are_valid_actions():
     # constructions skip validation for speed; re-validate their tables here
-    import random as _random
-
-    from randgen import random_gmap, random_gset
-
-    rng = _random.Random(31)
+    rng = random.Random(31)
     for group in (C2, S3):
         pt = point_gset(group)
         for _ in range(8):

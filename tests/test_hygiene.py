@@ -1,5 +1,6 @@
 """Static checks over the library's code, standing in for a linter: every
-module-level import of a library or test module is used, every function,
+module-level import of a library or test module is used and no function
+imports again what its file imports at the top, every function,
 class or method is run by the library or exported by it, every export is
 documented in the README, and every test oracle is called by a test."""
 
@@ -52,6 +53,32 @@ def test_no_unused_module_level_import():
                     if bound not in used:
                         unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
+
+
+def _imported(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """What an import statement brings in, as `module` or `module:name`, so
+    that `import random as _random` and `import random` read the same."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [f"{'.' * node.level}{node.module}:{alias.name}" for alias in node.names]
+
+
+def test_no_function_level_reimport():
+    """A function does not import again a module or name that its file
+    already imports at the top."""
+    again = []
+    for path in SOURCES + sorted(TESTS.glob("*.py")):
+        tree = _tree(path)
+        top = {
+            item for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            for item in _imported(node)
+        }
+        for node in ast.walk(tree):
+            if node in tree.body or not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            again += [f"{path.name}:{node.lineno} {item}"
+                      for item in _imported(node) if item in top]
+    assert again == []
 
 
 def _definitions(tree: ast.Module):

@@ -235,8 +235,6 @@ def test_burnside_instance_is_functorial_through_bispan_composition():
     # applying R_p, N_q, T_r of a composite bispan agrees with applying the
     # two factors in turn; exercises the composition pipeline at the level
     # of actual G-sets-over-X, where the group action is visible
-    import random as _random
-
     from randgen import random_bispan
 
     from gwitt.bispans import compose
@@ -246,7 +244,7 @@ def test_burnside_instance_is_functorial_through_bispan_composition():
             phi.r, inst.norm(phi.q, inst.restrict(phi.p, value))
         )
 
-    rng = _random.Random(23)
+    rng = random.Random(23)
     for group in (C2, S3):
         inst = BurnsideOverInstance(group)
         done = 0
