@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from math import isqrt
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import GroupOrderError, GwittError
@@ -15,8 +17,12 @@ class Group:
     """A finite group on element indices 0..order-1.
 
     Element 0 is always the identity; `mul_table[a][b]` is the product a*b.
-    Construction validates associativity, identity and inverses, so every
-    Group in circulation is genuinely a group.
+    Construction validates identity, inverses and associativity, so every
+    Group in circulation is genuinely a group.  Associativity is checked by
+    Light's test over a greedy generating set S, in O(n^2 |S|) steps with
+    |S| <= log2 n: (x s) y == x (s y) for every s in S and all x, y.  The
+    elements a with (x a) y == x (a y) for all x, y contain the identity and
+    are closed under the product, so they then include every element.
     """
 
     __slots__ = ("order", "mul_table", "inv_table", "labels", "name", "perm_rep", "_hash")
@@ -39,11 +45,12 @@ class Group:
                     inv[a] = b
             if inv[a] is None or table[inv[a]][a] != 0:
                 raise GwittError(f"element {a} has no two-sided inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise GwittError(f"associativity fails at ({a},{b},{c})")
+        for s in _greedy_generators(table):
+            s_times = itemgetter(*table[s])  # row x -> (x(s y) for every y)
+            for x, row in enumerate(table):
+                if table[row[s]] != s_times(row):
+                    y = next(y for y in range(n) if table[row[s]][y] != row[table[s][y]])
+                    raise GwittError(f"associativity fails at ({x},{s},{y})")
         self.order = n
         self.mul_table = table
         self.inv_table = tuple(inv)
@@ -77,6 +84,29 @@ class Group:
 
     def __repr__(self):
         return f"Group({self.name}, order={self.order})"
+
+
+def _greedy_generators(table) -> list[int]:
+    """A set S such that every element of the table is reached: the identity
+    is reached, and so is r*s for every reached r and s in S.  The first
+    element not yet reached joins S, until none is left.  Only a two-sided
+    identity is assumed, so this runs before the table is known to be
+    associative (unlike `_extend`, which needs a group)."""
+    reached = bytearray(len(table))
+    reached[0] = 1
+    closure, gens = [0], []
+    for a in range(1, len(table)):
+        if reached[a]:
+            continue
+        gens.append(a)
+        for r in closure:
+            row = table[r]
+            for s in gens:
+                x = row[s]
+                if not reached[x]:
+                    reached[x] = 1
+                    closure.append(x)
+    return gens
 
 
 def _perm_label(perm: tuple[int, ...]) -> str:
@@ -297,6 +327,9 @@ def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
     cyclic subgroup until a fixpoint.  Each subgroup carries the few
     generators it was built from, so a join is a coset closure over those
     generators plus one, and subgroups are compared as bitsets.
+
+    A cyclic C is skipped when it lies in H or in a join J = H v C' already
+    found with |J : H| prime: then H < H v C <= J, so H v C = J by Lagrange.
     """
     mul = group.mul_table
     cyclics: dict[int, tuple[list[int], list[int]]] = {}
@@ -311,11 +344,14 @@ def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
     while frontier:
         new = []
         for h_mask, (h_elems, h_gens) in frontier:
+            covered = h_mask  # H and its prime-index joins found so far
             for c_mask, (_, c_gens) in cyclics.items():
-                if c_mask & ~h_mask == 0:
+                if c_mask & ~covered == 0:
                     continue
                 gens = h_gens + c_gens
                 elems, mask = _extend(group, h_elems, h_mask, gens)
+                if _is_prime(len(elems) // len(h_elems)):
+                    covered |= mask
                 if mask not in known:
                     known[mask] = (elems, gens)
                     new.append((mask, known[mask]))
@@ -324,6 +360,10 @@ def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
         (Subgroup(group, tuple(elems)) for elems, _ in known.values()),
         key=lambda s: (s.order, s.elements),
     ))
+
+
+def _is_prime(k: int) -> bool:
+    return k > 1 and all(k % p for p in range(2, isqrt(k) + 1))
 
 
 def _generating_set(group: Group, elements) -> list[int]:

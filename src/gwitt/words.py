@@ -17,10 +17,11 @@ class Word:
     binary nodes labeled + or *.
 
     A Word must not be mutated once used: it caches its hash, its support
-    (`supp`) and, for the last assignment it was evaluated under by
-    `coherence_iso`, the normal-form order of that evaluation."""
+    (`supp`), whether that support is simple and, for the last assignment it
+    was evaluated under by `coherence_iso`, the normal-form order of that
+    evaluation."""
 
-    __slots__ = ("kind", "name", "left", "right", "_hash", "_supp", "_order")
+    __slots__ = ("kind", "name", "left", "right", "_hash", "_supp", "_simple", "_order")
 
     def __init__(self, kind: str, name: str | None = None,
                  left: "Word | None" = None, right: "Word | None" = None):
@@ -32,6 +33,7 @@ class Word:
         self.right = right
         self._hash = None
         self._supp = None
+        self._simple = None
         self._order = None
 
     @staticmethod
@@ -102,6 +104,14 @@ def supp(w: Word) -> Poly:
             s = supp(w.left) * supp(w.right)
         w._supp = s
     return s
+
+
+def _support_is_simple(w: Word) -> bool:
+    """Whether supp(w) is simple; tested once per node and kept on it."""
+    simple = w._simple
+    if simple is None:
+        simple = w._simple = supp(w).is_simple()
+    return simple
 
 
 @dataclass(frozen=True)
@@ -230,7 +240,7 @@ def coherence_iso(w: Word, w2: Word, a: SetAssignment) -> dict:
     s1, s2 = supp(w), supp(w2)
     if s1 != s2:
         raise SupportError("words have different supports")
-    if not s1.is_simple():
+    if not _support_is_simple(w):
         raise SupportError("common support is not simple")
     left = eval_word(w, a)
     right = eval_word(w2, a)
@@ -243,7 +253,7 @@ def normal_form_index(w: Word, a: SetAssignment) -> dict:
     """element -> (monomial, choices); raises unless it is a bijection onto
     the index family determined by supp(w)."""
     s = supp(w)
-    if not s.is_simple():
+    if not _support_is_simple(w):
         raise SupportError("support is not simple")
     elems = eval_word(w, a)
     nf = {e: _normal_form(w, e) for e in elems}

@@ -9,13 +9,14 @@ isomorphisms by filtering all functions and permutations, map
 representatives up to automorphisms by minimizing over every relabeling of
 every map, equality of G-sets over a base by an isomorphism search, and
 pullbacks and dependent products by looking their points up in dicts keyed
-by tuples.  Also reference functions the tests compare against: the order
-of the subconjugacy poset read off its census, isomorphism of G-sets over
-the point, the norm of an integer from the trivial level by unmarks, the
-depth of a word, its support rebuilt on every call, the coherence bijection
-by matching normal-form keys in a dict, the map into a pullback that two
-maps induce, and the equivariance and free rank of an invariant-ring value.
-Also the larger groups of the benchmark ladder."""
+by tuples, and associativity by trying every triple.  Also reference
+functions the tests compare against: the order of the subconjugacy poset
+read off its census, isomorphism of G-sets over the point, the norm of an
+integer from the trivial level by unmarks, the depth of a word, its support
+rebuilt on every call, the coherence bijection by matching normal-form keys
+in a dict, the map into a pullback that two maps induce, and the
+equivariance and free rank of an invariant-ring value.  Also the larger
+groups of the benchmark ladder."""
 
 import itertools
 from functools import cache
@@ -67,6 +68,18 @@ def s4_x_c2() -> Group:
     """S4 x C2 (order 48), the perm[(0 1),(0 1 2 3),(4 5)] of the ladder."""
     gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)]
     return group_from_generators(gens, n_points=6, name="S4xC2")
+
+
+def associativity_failure(table) -> tuple[int, int, int] | None:
+    """The first triple (a, b, c) with (ab)c != a(bc) in a square table over
+    0..n-1, or None: every triple is tried, O(n^3)."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
 
 
 def brute_force_subgroups(group: Group) -> list[tuple[int, ...]]:

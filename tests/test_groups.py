@@ -1,5 +1,7 @@
 """Groups, subgroup enumeration, and the subconjugacy poset."""
 
+import random
+import re
 from functools import partial
 
 import pytest
@@ -18,6 +20,7 @@ from gwitt.groups import (
     symmetric,
 )
 from oracles import (
+    associativity_failure,
     brute_force_subgroups,
     conjugates,
     containment_leq,
@@ -30,6 +33,10 @@ from oracles import (
 
 # the larger groups of the benchmark ladder, up to the order-64 cap
 LADDER = [symmetric(4), elementary_abelian_2(4), s4_x_c2(), dihedral(32)]
+# C2^5 is the ladder rung with the most subgroups (374); A5, as
+# perm[(0 1 2),(0 1 2 3 4)], is the only non-solvable group under the cap
+C2_5 = elementary_abelian_2(5)
+A5 = group_from_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], name="A5")
 
 
 def test_group_from_generators_examples():
@@ -88,6 +95,35 @@ def test_bad_cayley_tables_rejected():
         Group([[1, 0], [0, 1]])  # 0 is not the identity
 
 
+def _swapped_tables(group: Group, count: int, seed: int) -> list[list[list[int]]]:
+    """Copies of the group's table with the entries of two cells swapped in
+    one non-identity row.  Neither cell is in the identity column or holds
+    the identity, so the identity and every two-sided inverse survive and
+    only associativity can fail; each copy is kept if the oracle rejects it."""
+    rng = random.Random(seed)
+    n = group.order
+    tables = []
+    while len(tables) < count:
+        a = rng.randrange(1, n)
+        b, c = rng.sample([b for b in range(1, n) if group.mul_table[a][b]], 2)
+        table = [list(row) for row in group.mul_table]
+        table[a][b], table[a][c] = table[a][c], table[a][b]
+        if associativity_failure(table) is not None:
+            tables.append(table)
+    return tables
+
+
+def _assert_validation_matches_oracle(table):
+    failure = associativity_failure(table)
+    if failure is None:
+        assert Group(table).mul_table == tuple(map(tuple, table))
+        return
+    with pytest.raises(GwittError, match="associativity fails") as err:
+        Group(table)
+    x, s, y = map(int, re.search(r"\((\d+),(\d+),(\d+)\)", str(err.value)).groups())
+    assert table[table[x][s]][y] != table[x][table[s][y]]
+
+
 def test_cayley_validation_catches_non_associative():
     # a "random" magma with identity and inverses but broken associativity
     table = [
@@ -97,15 +133,39 @@ def test_cayley_validation_catches_non_associative():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(GwittError):
-        Group(table)
+    assert associativity_failure(table) is not None
+    _assert_validation_matches_oracle(table)
+
+
+def test_light_associativity_test_on_every_twisted_c2_by_v4():
+    """Each f: (V4 - 0)^2 -> C2 twists C2 x V4 into the magma
+    (i, v)(j, w) = (i + j + f(v, w), v + w), with (i, v) at index i + 2v.
+    Every one has the identity 0 and two-sided inverses, and it is
+    associative iff f is a 2-cocycle: 16 = |B^2| |H^2| = 2 * 8 of the 512.
+    The first greedy generator (1, 0) is central and associates with
+    everything, so only the generators after it can reject the others."""
+    accepted = 0
+    for bits in range(2 ** 9):
+        def f(v, w):
+            return bits >> (3 * v + w - 4) & 1 if v and w else 0
+        table = [[k ^ m ^ f(k >> 1, m >> 1) for m in range(8)] for k in range(8)]
+        _assert_validation_matches_oracle(table)
+        accepted += associativity_failure(table) is None
+    assert accepted == 16
+
+
+@pytest.mark.parametrize("group", LADDER + [C2_5, A5], ids=lambda g: g.name)
+def test_light_associativity_test_matches_cubic_oracle(group):
+    _assert_validation_matches_oracle([list(row) for row in group.mul_table])
+    for table in _swapped_tables(group, count=6, seed=group.order):
+        _assert_validation_matches_oracle(table)
 
 
 @pytest.mark.parametrize(
     "group,count",
     [(cyclic(2), 2), (cyclic(4), 3), (symmetric(3), 6), (klein_four(), 5),
      (cyclic(6), 4), (dihedral(4), 10), (symmetric(4), 30),
-     (elementary_abelian_2(4), 67), (dihedral(32), 69)],
+     (elementary_abelian_2(4), 67), (dihedral(32), 69), (C2_5, 374), (A5, 59)],
 )
 def test_subgroup_counts(group, count):
     assert len(all_subgroups(group)) == count
@@ -117,7 +177,7 @@ def test_subgroups_match_subset_closure_oracle(group):
     assert [s.elements for s in all_subgroups(group)] == oracle
 
 
-@pytest.mark.parametrize("group", LADDER, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", LADDER + [C2_5, A5], ids=lambda g: g.name)
 def test_subgroups_match_join_closure_oracle(group):
     assert [s.elements for s in all_subgroups(group)] == join_closure_subgroups(group)
     for a in group.elements():

@@ -82,26 +82,58 @@ def test_no_function_level_reimport():
 
 
 def _definitions(tree: ast.Module):
-    """(name, node) of every function, class and method, nested ones too."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+    """(owner, name, node) of every function, class and method, nested ones
+    too; the owner of a method is its class, of anything else None."""
+    stack: list[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield (node.name if isinstance(node, ast.ClassDef) else None), child.name, child
+            stack.append(child)
 
 
-def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """The identifiers read anywhere in `tree` outside the subtree `skip`."""
-    used = set()
+def _package_imports(tree: ast.Module) -> tuple[dict[str, str], set[tuple[str, str]]]:
+    """The package modules a file binds (`from . import m as alias` gives
+    alias -> m) and the names it imports from them (`from .m import name`
+    gives (m, name))."""
+    modules, names = {}, set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    names.add((node.module, alias.name))
+    return modules, names
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None, classes=frozenset(),
+                modules: dict[str, str] | None = None) -> tuple[set[str], set[tuple]]:
+    """What `tree` reads outside the subtree `skip`: the bare names, and the
+    attributes as (owner, name).  The owner of `C.name` is C for a class C
+    in `classes`, m for `alias.name` where `modules` maps alias to the
+    package module m, and None when the value's class is not known.  A
+    string constant that spells an identifier counts as an attribute of
+    unknown owner, since `getattr` dispatches on such strings."""
+    modules = modules or {}
+    names, attributes = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            value = node.value.id if isinstance(node.value, ast.Name) else None
+            owner = value if value in classes else modules.get(value)
+            attributes.add((owner, node.attr))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            attributes.add((None, node.value))
         stack.extend(ast.iter_child_nodes(node))
-    return used
+    return names, attributes
 
 
 def _exports() -> set[str]:
@@ -114,22 +146,37 @@ def _exports() -> set[str]:
 
 
 def test_every_definition_is_referenced():
-    """A definition is used when the library reads its name outside its own
-    body, or when gwitt/__init__.py exports it.  Tests and the benchmark do
-    not count: code that only they run belongs with them, not in src/."""
-    trees = {path: _tree(path) for path in SOURCES}
-    references = {path: _references(tree) for path, tree in trees.items()}
-    exported = _exports()
+    """A function or class of module m is used when m reads its name outside
+    its body, or another module (gwitt/__init__.py, which exports it, too)
+    imports it from m or reads it as an attribute of m.  A method is used
+    only when the library reads it as an attribute of its own class or of a
+    value of unknown class.  So a local name, an export or a method of the
+    same spelling elsewhere does not count.  Tests and the benchmark do not
+    count either: code that only they run belongs with them, not in src/."""
+    trees = {path.stem: _tree(path) for path in SOURCES}
+    classes = frozenset(
+        node.name for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    )
+    imports = {m: _package_imports(tree) for m, tree in trees.items()}
+    reads = {m: _references(tree, None, classes, imports[m][0]) for m, tree in trees.items()}
     unreferenced = []
-    for path in SOURCES:
-        for name, node in _definitions(trees[path]):
+    for module, tree in trees.items():
+        others = [m for m in trees if m != module]
+        for owner, name, node in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue  # called by the language
-            if name in exported:
-                continue
-            elsewhere = any(name in refs for p, refs in references.items() if p != path)
-            if not elsewhere and name not in _references(trees[path], skip=node):
-                unreferenced.append(f"{path.name}:{node.lineno} {name}")
+            names, attributes = _references(tree, node, classes, imports[module][0])
+            if owner is None:
+                used = name in names or any(
+                    (module, name) in imports[m][1] or (module, name) in reads[m][1]
+                    for m in others)
+            else:
+                wanted = {(owner, name), (None, name)}
+                used = any(wanted & a for a in [attributes] + [reads[m][1] for m in others])
+            if not used:
+                unreferenced.append(
+                    f"{module}.py:{node.lineno} {owner + '.' if owner else ''}{name}")
     assert unreferenced == []
 
 
@@ -146,11 +193,11 @@ def test_every_oracle_is_called():
     oracles = _tree(TESTS / "oracles.py")
     called = set()
     for path in sorted(TESTS.glob("test_*.py")):
-        called |= _references(_tree(path))
+        called |= _references(_tree(path))[0]
     uncalled = [
         f"oracles.py:{node.lineno} {node.name}"
         for node in oracles.body
         if isinstance(node, ast.FunctionDef)
-        and node.name not in called | _references(oracles, skip=node)
+        and node.name not in called | _references(oracles, skip=node)[0]
     ]
     assert uncalled == []
