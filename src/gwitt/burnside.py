@@ -9,7 +9,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .errors import GwittError, IntegralityError
-from .groups import ClassCensus, Group, subconjugacy_poset, subgroup_censuses
+from .groups import Group, subconjugacy_poset, subgroup_lattice
 from .gsets import GSet, orbit_decompose
 from .intpoly import Poly
 
@@ -27,11 +27,14 @@ class MarkColumns(NamedTuple):
     above: tuple[tuple[int, ...], ...]
 
 
-def _columns(census: ClassCensus) -> MarkColumns:
-    """Pfeiffer's marks |(K/L_k)^{L_h}| = |N_K(L_k):L_k| * #{L' ~ L_k :
-    L_h <= L'} from the census of K."""
+@cache
+def mark_columns(group: Group) -> MarkColumns:
+    """The table of marks of G by sparse columns, Pfeiffer's marks
+    |(G/H_k)^{H_h}| = |N_G(H_k):H_k| * #{H' ~ H_k : H_h <= H'} read off the
+    census of G; cached per group."""
+    census = subconjugacy_poset(group).census
     orders = census.orders
-    # |N_K(L):L| = |K| / (|L| * #K-conjugates of L)
+    # |N_G(H):H| = |G| / (|H| * #conjugates of H)
     weyl = [orders[-1] // (order * size) for order, size in zip(orders, census.sizes)]
     above = []
     for order, counts in zip(orders, census.above):
@@ -40,12 +43,6 @@ def _columns(census: ClassCensus) -> MarkColumns:
             column += (k, weyl[k] * n, orders[k] // order)
         above.append(tuple(column))
     return MarkColumns(tuple(weyl), tuple(above))
-
-
-@cache
-def mark_columns(group: Group) -> MarkColumns:
-    """The table of marks of G by sparse columns; cached per group."""
-    return _columns(subconjugacy_poset(group).census)
 
 
 def table_of_marks(group: Group) -> tuple[tuple[int, ...], ...]:
@@ -202,32 +199,38 @@ def burnside_mul(b1: BurnsideElement, b2: BurnsideElement) -> BurnsideElement:
     return unmarks(b1.group, product)
 
 
-@cache
-def _subgroup_rings(group: Group) -> tuple:
-    """For each class [K] of G: the G-class of each class [L] of K, which is
-    the transfer [K/L] -> [G/L] on the basis, the index |K:L| of each, and
-    the mark columns of A(K), all read off G's lattice; cached per group."""
-    return tuple(
-        (class_map, tuple(census.orders[-1] // o for o in census.orders), _columns(census))
-        for class_map, census in subgroup_censuses(group)
-    )
-
-
 def transferred_norms(group: Group, values) -> BurnsideElement:
     """The sum over the classes [K] of G of T_K^G N_e^K(x_K), for x_K in
     poset order.
 
-    N_e^K(x) is the triangular solve in A(K) of the mark vector
-    [L] -> x^|K:L|, and T_K^G sends [K/L] to [G/L].  The solve is exact on
-    an integer x, where integrality always holds, and runs over Q on a
-    polynomial x, whose norm has numerical-polynomial coefficients.
+    N_e^K(x) is the K-set Map(K, X) with |X| = x, counted by stabilizers on
+    G's subgroup lattice: e(L), the number of functions K -> X whose
+    stabilizer is exactly L, is x^|K:L| less e(M) for every L < M <= K, so
+    it runs down K's down-set from the top.  The orbits of stabilizer L
+    number e(L) / |K:L| and T_K^G sends [K/L] to [G/L], so [G/H] gets
+    (1/|K|) * sum of |L| * e(L) over the L <= K in [H].  That division is
+    exact on an integer x and runs over Q on a polynomial x, whose norm has
+    numerical-polynomial coefficients.  No table of marks is read.
     """
-    total = [0] * len(subconjugacy_poset(group))
-    for x, (class_map, indices, columns) in zip(values, _subgroup_rings(group)):
+    reps, down, orders, class_of = subgroup_lattice(group)
+    total = [0] * len(reps)
+    below = [0] * len(down)  # for L <= K: e(M) summed over L < M <= K
+    for x, top in zip(values, reps):
         if x == 0:  # N_e^K(0) = 0
             continue
+        order = orders[top]
+        members = down[top]
+        for m in members:
+            below[m] = 0
+        weighted: dict[int, object] = {}  # |L| * e(L) summed by G-class
+        for m in reversed(members):
+            exact = x ** (order // orders[m]) - below[m]
+            if exact != 0:
+                for sub in down[m]:  # m itself too, which is done
+                    below[sub] += exact
+                h = class_of[m]
+                weighted[h] = weighted.get(h, 0) + orders[m] * exact
         div = Poly.rational_div if isinstance(x, Poly) else _exact_div
-        norm = column_solve([x ** i for i in indices], columns, div=div)
-        for g_class, c in zip(class_map, norm):
-            total[g_class] += c
+        for h, s in weighted.items():
+            total[h] += div(s, order)
     return BurnsideElement(group, tuple(total))

@@ -91,7 +91,8 @@ def _greedy_generators(table) -> list[int]:
     is reached, and so is r*s for every reached r and s in S.  The first
     element not yet reached joins S, until none is left.  Only a two-sided
     identity is assumed, so this runs before the table is known to be
-    associative (unlike `_extend`, which needs a group)."""
+    associative (unlike `_extend`, which needs a group).  On a group, S
+    has at most log2 n elements and generates it."""
     reached = bytearray(len(table))
     reached[0] = 1
     closure, gens = [0], []
@@ -366,28 +367,15 @@ def _is_prime(k: int) -> bool:
     return k > 1 and all(k % p for p in range(2, isqrt(k) + 1))
 
 
-def _generating_set(group: Group, elements) -> list[int]:
-    """A generating set of at most log2 |K| elements of the subgroup K of
-    `group` with the given elements, chosen greedily."""
-    gens: list[int] = []
-    closure, mask = [0], 1
-    for a in elements:
-        if not mask >> a & 1:
-            gens.append(a)
-            closure, mask = _extend(group, closure, mask, gens)
-    return gens
-
-
 class ClassCensus(NamedTuple):
-    """The conjugacy classes of the subgroups of one K <= G and how they lie
-    in each other, read off G's subgroup bitsets.
+    """The conjugacy classes of the subgroups of G and how they lie in each
+    other, read off G's subgroup bitsets.
 
-    Classes run in the (order, elements) order of their representatives, so
-    they match the classes of K's own subconjugacy poset.  `reps[c]` is the
-    class-c representative as an index into `all_subgroups(G)`, `orders[c]`
-    its order, `sizes[c]` its number of K-conjugates, and `above[h]` the
-    flat list k1, n1, k2, n2, ... of the classes k > h with
-    n = #{L' ~_K L_k : L_h <= L'} > 0.
+    Classes run in the (order, elements) order of their representatives.
+    `reps[c]` is the class-c representative as an index into
+    `all_subgroups(G)`, `orders[c]` its order, `sizes[c]` its number of
+    conjugates, and `above[h]` the flat list k1, n1, k2, n2, ... of the
+    classes k > h with n = #{L' ~ L_k : L_h <= L'} > 0.
     """
 
     reps: tuple[int, ...]
@@ -398,9 +386,8 @@ class ClassCensus(NamedTuple):
 
 class _Lattice:
     """The subgroups of G as bitsets, each with its down-set (the indices of
-    its subgroups, ascending), and the conjugation tables needed so far;
-    built with G's poset and dropped once the subgroup censuses are read
-    off it."""
+    its subgroups, ascending); built with G's poset and dropped once
+    `subgroup_lattice` has read the down-sets off it."""
 
     def __init__(self, group: Group):
         self.group = group
@@ -418,39 +405,29 @@ class _Lattice:
             start = first.setdefault(len(elements[t]), t)
             below = [i for i in range(start) if not masks[i] & outside]
             below.append(t)
-            self.down.append(below)
-        self._conj: dict[int, tuple[int, ...]] = {}
+            self.down.append(tuple(below))
 
-    def conjugations(self, elements) -> list[tuple[int, ...]]:
-        """The tables a -> g a g^-1 for a greedy generating set of the
-        subgroup with these elements, leaving out generators central in it
-        (they fix every subgroup)."""
-        mul, inv = self.group.mul_table, self.group.inv_table
-        gens = _generating_set(self.group, elements)
-        tables = []
-        for g in gens:
-            if all(mul[g][x] == mul[x][g] for x in gens):
-                continue
-            if g not in self._conj:
-                self._conj[g] = tuple(mul[mul[g][a]][inv[g]] for a in self.group.elements())
-            tables.append(self._conj[g])
-        return tables
-
-    def classify(self, top: int) -> tuple[list[list[int]], ClassCensus]:
-        """The conjugacy classes of the subgroups of the subgroup K with
-        index `top`: orbits under conjugation by a generating set of K.
+    def classify(self) -> tuple[list[list[int]], ClassCensus]:
+        """The conjugacy classes of the subgroups of G: orbits under
+        conjugation by a generating set of G.
 
         Returns the orbits in class order, each a list of subgroup indices
-        headed by its least member, the class representative, and K's
+        headed by its least member, the class representative, and G's
         census.
         """
-        elements, position, down = self.elements, self.position, self.down
-        conjugations = self.conjugations(elements[top])
-        # down-sets ascend in (order, elements) order, so the first member
-        # of an orbit met is its least
+        group, elements, position, down = self.group, self.elements, self.position, self.down
+        mul, inv = group.mul_table, group.inv_table
+        gens = _greedy_generators(mul)
+        # a generator central in G fixes every subgroup
+        conjugations = [
+            tuple(mul[mul[g][a]][inv[g]] for a in group.elements())
+            for g in gens if any(mul[g][x] != mul[x][g] for x in gens)
+        ]
+        # subgroups run in (order, elements) order, so the first member of
+        # an orbit met is its least
         classified: set[int] = set()
         orbits = []
-        for i in down[top]:
+        for i in range(len(elements)):
             if i in classified:
                 continue
             orbit = [i]
@@ -506,15 +483,15 @@ class SubconjugacyPoset:
     `census` is the `ClassCensus` of G itself.  Its containment counts are
     the one source of the order relation ([H_i] <= [H_j] iff i == j or j is
     listed in `census.above[i]`) and of the table of marks.
-    The lattice of the pass is kept until `subgroup_censuses` reads the
-    censuses of the subgroups off it and drops it.
+    The lattice of the pass is kept until `subgroup_lattice` reads the
+    down-sets off it and drops it.
     """
 
     def __init__(self, group: Group):
         self.group = group
         lattice = _Lattice(group)
         subs = lattice.subgroups
-        orbits, self.census = lattice.classify(len(subs) - 1)
+        orbits, self.census = lattice.classify()
         counters: dict[int, int] = {}
         built = []
         for orbit in orbits:
@@ -558,16 +535,29 @@ def subconjugacy_poset(group: Group) -> SubconjugacyPoset:
     return SubconjugacyPoset(group)
 
 
-def subgroup_censuses(group: Group):
-    """For each class [K] of G in poset order, the G-class of every K-class
-    and the `ClassCensus` of K, read off G's lattice: the subgroups of K are
-    the G-subgroups whose bitset lies inside K's, and no subgroup of G is
-    built as a group of its own.  The pass runs on the lattice that built
-    G's poset, and its down-sets are dropped when the generator ends."""
+class LatticeTables(NamedTuple):
+    """G's subgroups as `all_subgroups` numbers them, without their elements.
+
+    `reps[c]` is the index of the representative of class c (poset order),
+    `down[i]` the indices of the subgroups of subgroup i, ascending and
+    ending with i, `orders[i]` its order and `class_of[i]` its class.
+    """
+
+    reps: tuple[int, ...]
+    down: tuple[tuple[int, ...], ...]
+    orders: tuple[int, ...]
+    class_of: tuple[int, ...]
+
+
+@cache
+def subgroup_lattice(group: Group) -> LatticeTables:
+    """G's subgroup down-sets with their orders and classes, taken off the
+    lattice that built G's poset (which then drops it); cached per group."""
     poset = subconjugacy_poset(group)
     lattice, poset._lattice = poset._lattice or _Lattice(group), None
-    class_of = [poset._index[e] for e in lattice.elements]
-    for cls in poset.classes[:-1]:
-        _, census = lattice.classify(lattice.position[_mask(cls.rep.elements)])
-        yield tuple(class_of[r] for r in census.reps), census
-    yield tuple(range(len(poset))), poset.census
+    return LatticeTables(
+        reps=poset.census.reps,
+        down=tuple(lattice.down),
+        orders=tuple(map(len, lattice.elements)),
+        class_of=tuple(poset._index[e] for e in lattice.elements),
+    )

@@ -4,7 +4,8 @@ subconjugacy by conjugating with every group element, the table of marks by
 counting fixed cosets (also the marks of any G-set), Burnside products by
 decomposing product G-sets, maps over a base by counting candidate images, and
 the Teichmueller map and its marks by building every subgroup as a group of
-its own, stabilizers and fibers by scanning, equivariant maps and
+its own, the norm N_e^G(x) by the orbits of all functions G -> {0..x-1},
+stabilizers and fibers by scanning, equivariant maps and
 isomorphisms by filtering all functions and permutations, map
 representatives up to automorphisms by minimizing over every relabeling of
 every map, equality of G-sets over a base by an isomorphism search, and
@@ -242,6 +243,26 @@ def norm_from_trivial(group: Group, x: int) -> BurnsideElement:
     Integrality holds for every integer x."""
     poset = subconjugacy_poset(group)
     return unmarks(group, tuple(x ** (group.order // cls.order) for cls in poset.classes))
+
+
+def function_orbits_by_stabilizer(group: Group, x: int) -> tuple[int, ...]:
+    """The G-set Map(G, {0..x-1}) of all functions, with (g.f)(a) =
+    f(g^-1 a), as coefficients: its orbits, found by applying every group
+    element to every function, counted by the class of their stabilizers.
+    This is N_e^G(x) with no table of marks; for tiny groups and x."""
+    mul, inv = group.mul_table, group.inv_table
+    poset = subconjugacy_poset(group)
+    counts = [0] * len(poset)
+    seen = set()
+    for f in itertools.product(range(x), repeat=group.order):
+        if f in seen:
+            continue
+        moved = {g: tuple(f[mul[inv[g]][a]] for a in group.elements())
+                 for g in group.elements()}
+        seen.update(moved.values())
+        stabilizer = Subgroup(group, tuple(g for g, image in moved.items() if image == f))
+        counts[poset.class_index(stabilizer)] += 1
+    return tuple(counts)
 
 
 def tau_via_subgroup_groups(w) -> BurnsideElement:

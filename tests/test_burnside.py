@@ -8,7 +8,6 @@ import pytest
 
 from gwitt.burnside import (
     BurnsideElement,
-    _subgroup_rings,
     burnside_basis,
     burnside_mul,
     burnside_of_gset,
@@ -40,11 +39,11 @@ from oracles import (
     coset_space_table_of_marks,
     elementary_abelian_2,
     fixed_points,
+    function_orbits_by_stabilizer,
     norm_from_trivial,
     poset_leq,
     product_basis_decomposition,
     s4_x_c2,
-    subgroup_class_map,
 )
 
 C2 = cyclic(2)
@@ -83,35 +82,6 @@ def test_burnside_mul_matches_product_gset_oracle(group):
         for j in range(n):
             got = burnside_mul(burnside_basis(group, i), burnside_basis(group, j))
             assert got.coeffs == product_basis_decomposition(group, i, j)
-
-
-@pytest.mark.parametrize(
-    "group", [symmetric(4), s4_x_c2(), dihedral(32), elementary_abelian_2(4)],
-    ids=lambda g: g.name,
-)
-def test_subgroup_marks_match_the_subgroups_own_tables(group):
-    """For every class [K], the Burnside ring of K read off G's lattice, with
-    each class of K sent to its class in G, is K's own table of marks and
-    K's own class map, computed from K built as a group."""
-    poset = subconjugacy_poset(group)
-    split = 0
-    for cls, (class_map, indices, (diag, above)) in zip(poset.classes, _subgroup_rings(group)):
-        sub_group, _ = cls.rep.as_group()
-        sub_classes = subconjugacy_poset(sub_group).classes
-        n = len(sub_classes)
-        dense = [[0] * n for _ in range(n)]
-        for h, column in enumerate(above):
-            dense[h][h] = diag[h]
-            for j in range(0, len(column), 3):
-                k = column[j]
-                dense[k][h] = column[j + 1]
-                assert column[j + 2] == sub_classes[k].order // sub_classes[h].order
-        assert tuple(map(tuple, dense)) == table_of_marks(sub_group)
-        assert class_map == subgroup_class_map(group, cls.rep)
-        assert indices == tuple(cls.order // c.order for c in sub_classes)
-        split += len(set(class_map)) < n
-    # some G-class splits into several K-classes (only where G is non-abelian)
-    assert split > 0 or all(len(c.members) == 1 for c in poset.classes)
 
 
 def test_table_of_marks_triangular_with_weyl_diagonal():
@@ -215,6 +185,18 @@ def _norm(group, k):
     """N_e^G(k): the transferred norms that tau runs, with k at [G] and 0
     elsewhere."""
     return transferred_norms(group, (0,) * (len(subconjugacy_poset(group)) - 1) + (k,))
+
+
+@pytest.mark.parametrize(
+    "group", [C2, cyclic(3), klein_four(), cyclic(4), S3], ids=lambda g: g.name,
+)
+def test_norm_counts_the_orbits_of_functions(group):
+    """N_e^K(x), as tau computes it off the lattice, is the K-set of
+    functions K -> {0..x-1}: its orbits, counted by stabilizer class."""
+    for x in range(4):
+        orbits = function_orbits_by_stabilizer(group, x)
+        assert _norm(group, x).coeffs == orbits, x
+        assert norm_from_trivial(group, x).coeffs == orbits, x
 
 
 def test_norm_examples():

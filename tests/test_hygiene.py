@@ -2,7 +2,8 @@
 module-level import of a library or test module is used and no function
 imports again what its file imports at the top, every function,
 class or method is run by the library or exported by it, every export is
-documented in the README, and every test oracle is called by a test."""
+documented in the README, the README names every per-group memo, and every
+test oracle is called by a test."""
 
 import ast
 import re
@@ -201,3 +202,26 @@ def test_every_oracle_is_called():
         and node.name not in called | _references(oracles, skip=node)[0]
     ]
     assert uncalled == []
+
+
+def _is_cache(decorator: ast.expr) -> bool:
+    """`@cache` or `@functools.cache`."""
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", "")
+    return name == "cache"
+
+
+def test_readme_names_every_per_group_memo():
+    """The README's list of per-group memos names exactly the module-level
+    `functools.cache` functions of src/ that take a `Group`."""
+    memos = set()
+    for path in SOURCES:
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef) and any(map(_is_cache, node.decorator_list)):
+                annotations = [ast.unparse(arg.annotation) for arg in node.args.args
+                               if arg.annotation]
+                if "Group" in annotations:
+                    memos.add(node.name)
+    listed = re.findall(r"per-group\s+memos\s+\(([^)]*)\)", (ROOT / "README.md").read_text())
+    assert len(listed) == 1, "README.md has no single list of per-group memos"
+    named = {span.split(".")[-1] for span in re.findall(r"`([^`]+)`", listed[0])}
+    assert sorted(named) == sorted(memos)

@@ -9,7 +9,16 @@ import pytest
 from gwitt import burnside, groups
 from gwitt.burnside import marks, transferred_norms
 from gwitt.errors import GwittError, IntegralityError
-from gwitt.groups import Group, cyclic, dihedral, klein_four, subconjugacy_poset, symmetric
+from gwitt.groups import (
+    Group,
+    cyclic,
+    dihedral,
+    direct_product,
+    group_from_generators,
+    klein_four,
+    subconjugacy_poset,
+    symmetric,
+)
 from gwitt.intpoly import Poly
 from gwitt.witt import (
     DIRECT_CLASS_CAP,
@@ -33,7 +42,9 @@ from gwitt.witt import (
     witt_zero,
 )
 from oracles import (
+    burnside_transfer,
     elementary_abelian_2,
+    norm_from_trivial,
     s4_x_c2,
     symbolic_tau_marks_via_subgroup_groups,
     tau_via_subgroup_groups,
@@ -242,13 +253,17 @@ def test_cyclic_two_groups_match_classical_witt(group):
             assert got == want
 
 
+# A5 is not solvable; C3xS3 has a non-cyclic Sylow 3-subgroup
+A5 = group_from_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], n_points=5, name="A5")
+C3_X_S3 = direct_product(cyclic(3), symmetric(3))
 TAU_GROUPS = [C2, klein_four(), cyclic(6), symmetric(3), dihedral(4), symmetric(4),
-              elementary_abelian_2(4), s4_x_c2(), dihedral(32), elementary_abelian_2(5)]
+              elementary_abelian_2(4), s4_x_c2(), dihedral(32), elementary_abelian_2(5),
+              A5, C3_X_S3]
 
 
 @pytest.mark.parametrize(
     "group", [C2, cyclic(4), klein_four(), cyclic(6), symmetric(3), dihedral(4), symmetric(4),
-              s4_x_c2(), dihedral(16)],
+              s4_x_c2(), dihedral(16), A5, C3_X_S3],
     ids=lambda g: g.name,
 )
 def test_symbolic_tau_marks_match_the_subgroup_group_oracle(group):
@@ -273,6 +288,20 @@ def test_tau_matches_the_subgroup_group_oracle(group):
         assert teichmuller_tau(w) == tau_via_subgroup_groups(w), comps
 
 
+@pytest.mark.parametrize("group", TAU_GROUPS, ids=lambda g: g.name)
+def test_tau_of_each_class_is_the_norm_in_its_own_burnside_ring(group):
+    """tau of x at [K] and 0 elsewhere is T_K^G N_e^K(x), with K built as a
+    group of its own and N_e^K(x) solved by unmarks in A(K)."""
+    poset = subconjugacy_poset(group)
+    for k, cls in enumerate(poset.classes):
+        sub_group, _ = cls.rep.as_group()
+        for x in range(-2, 4):
+            comps = [0] * len(poset)
+            comps[k] = x
+            want = burnside_transfer(cls.rep, norm_from_trivial(sub_group, x))
+            assert teichmuller_tau(WittVector(group, tuple(comps))) == want, (cls.label, x)
+
+
 def _tau_of_a_vector(group):
     n = len(subconjugacy_poset(group))
     return teichmuller_tau(WittVector(group, tuple(range(-3, n - 3))))
@@ -291,16 +320,17 @@ LATTICE_FREE = {
     for group in (elementary_abelian_2(5), s4_x_c2()) for operation in LATTICE_FREE
 ])
 def test_tau_builds_no_group_and_no_subgroup_lattice(monkeypatch, group, operation):
-    """tau and the symbolic verifiers read every A(K) off G's lattice: they
-    build no Group and add no entry to the per-group memos beyond the one
-    of G's subgroup rings."""
+    """tau and the symbolic verifiers count on G's subgroup down-sets: they
+    build no Group, add no entry to the per-group memos beyond the one of
+    G's lattice tables, read no table of marks but G's and solve in none."""
     memos = (groups.all_subgroups, groups.subconjugacy_poset, burnside.mark_columns,
              witt_context)
     witt_context(group)
-    burnside._subgroup_rings.cache_clear()
+    groups.subgroup_lattice.cache_clear()
     cached = [memo.cache_info().currsize for memo in memos]
     built = []
     original_init = Group.__init__
+    mark_columns = burnside.mark_columns
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
@@ -309,10 +339,19 @@ def test_tau_builds_no_group_and_no_subgroup_lattice(monkeypatch, group, operati
     def no_unmarks(*args, **kwargs):
         raise AssertionError("tau called unmarks")
 
+    def no_solve(*args, **kwargs):
+        raise AssertionError("tau called column_solve")
+
+    def columns_of_g_only(of):
+        assert of == group, f"tau read the table of marks of {of.name}"
+        return mark_columns(of)
+
     monkeypatch.setattr(Group, "__init__", counting_init)
     monkeypatch.setattr(burnside, "unmarks", no_unmarks)
+    monkeypatch.setattr(burnside, "column_solve", no_solve)
+    monkeypatch.setattr(burnside, "mark_columns", columns_of_g_only)
     result = LATTICE_FREE[operation](group)
     assert getattr(result, "ok", True), result.failures
     assert built == []
     assert [memo.cache_info().currsize for memo in memos] == cached
-    assert burnside._subgroup_rings.cache_info().currsize == 1
+    assert groups.subgroup_lattice.cache_info().currsize == 1
