@@ -9,7 +9,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .errors import GwittError, IntegralityError
-from .groups import Group, subconjugacy_poset, subgroup_lattice
+from .groups import Group, subconjugacy_poset
 from .gsets import GSet, orbit_decompose
 from .intpoly import Poly
 
@@ -31,13 +31,13 @@ class MarkColumns(NamedTuple):
 def mark_columns(group: Group) -> MarkColumns:
     """The table of marks of G by sparse columns, Pfeiffer's marks
     |(G/H_k)^{H_h}| = |N_G(H_k):H_k| * #{H' ~ H_k : H_h <= H'} read off the
-    census of G; cached per group."""
-    census = subconjugacy_poset(group).census
-    orders = census.orders
+    containment counts of G's poset; cached per group."""
+    poset = subconjugacy_poset(group)
+    orders = [c.order for c in poset.classes]
     # |N_G(H):H| = |G| / (|H| * #conjugates of H)
-    weyl = [orders[-1] // (order * size) for order, size in zip(orders, census.sizes)]
+    weyl = [group.order // (c.order * len(c.members)) for c in poset.classes]
     above = []
-    for order, counts in zip(orders, census.above):
+    for order, counts in zip(orders, poset.above):
         column = []
         for k, n in zip(counts[::2], counts[1::2]):
             column += (k, weyl[k] * n, orders[k] // order)
@@ -148,6 +148,8 @@ def column_sums(coeffs, columns: MarkColumns, powered: bool = False) -> list:
         total = diag[h] * coeffs[h]
         for j in range(0, len(column), 3):
             c = coeffs[column[j]]
+            if not c:  # adding m * 0 to a Poly total would copy it
+                continue
             total = total + column[j + 1] * (c ** column[j + 2] if powered else c)
         out.append(total)
     return out
@@ -212,10 +214,11 @@ def transferred_norms(group: Group, values) -> BurnsideElement:
     exact on an integer x and runs over Q on a polynomial x, whose norm has
     numerical-polynomial coefficients.  No table of marks is read.
     """
-    reps, down, orders, class_of = subgroup_lattice(group)
-    total = [0] * len(reps)
+    poset = subconjugacy_poset(group)
+    down, orders, class_of = poset.down, poset.orders, poset.class_of
+    total = [0] * len(poset)
     below = [0] * len(down)  # for L <= K: e(M) summed over L < M <= K
-    for x, top in zip(values, reps):
+    for x, top in zip(values, poset.reps):
         if x == 0:  # N_e^K(0) = 0
             continue
         order = orders[top]

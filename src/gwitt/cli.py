@@ -54,8 +54,8 @@ SCHEMA = 1
 # the largest set an --assign entry may name
 MAX_EVAL_ELEMENTS = 100_000
 
-# the largest --budget of `check tambara` (budget 5: 5 s on invariant C2, 41 s
-# on Burnside S3, on a 2-core machine) and --samples of `witt verify`
+# the largest --budget of `check tambara` (budget 5: 3.5-3.7 s on invariant
+# C2, 20-22 s on Burnside S3, on a 2-core machine) and --samples of `witt verify`
 MAX_BUDGET = 5
 MAX_SAMPLES = 100_000
 
@@ -150,7 +150,7 @@ def _cmd_lattice(args):
     poset = subconjugacy_poset(group)
     classes, lines = [], [_class_header(group)]
     for i, cls in enumerate(poset.classes):
-        above = [cls.label] + [poset.label(k) for k in poset.census.above[i][::2]]
+        above = [cls.label] + [poset.label(k) for k in poset.above[i][::2]]
         classes.append({
             "label": cls.label,
             "order": cls.order,

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from math import isqrt
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import GroupOrderError, GwittError
 
@@ -367,98 +366,51 @@ def _is_prime(k: int) -> bool:
     return k > 1 and all(k % p for p in range(2, isqrt(k) + 1))
 
 
-class ClassCensus(NamedTuple):
-    """The conjugacy classes of the subgroups of G and how they lie in each
-    other, read off G's subgroup bitsets.
-
-    Classes run in the (order, elements) order of their representatives.
-    `reps[c]` is the class-c representative as an index into
-    `all_subgroups(G)`, `orders[c]` its order, `sizes[c]` its number of
-    conjugates, and `above[h]` the flat list k1, n1, k2, n2, ... of the
-    classes k > h with n = #{L' ~ L_k : L_h <= L'} > 0.
-    """
-
-    reps: tuple[int, ...]
-    orders: tuple[int, ...]
-    sizes: tuple[int, ...]
-    above: tuple[tuple[int, ...], ...]
+def _down_sets(masks: list[int], orders) -> tuple[tuple[int, ...], ...]:
+    """The down-set of each subgroup bitset: the indices of its subgroups,
+    ascending and ending with its own.  Subgroups run by order, so a proper
+    subgroup of L comes before the first subgroup of L's order."""
+    first: dict[int, int] = {}
+    down = []
+    for t, mask in enumerate(masks):
+        outside = ~mask
+        start = first.setdefault(orders[t], t)
+        below = [i for i in range(start) if not masks[i] & outside]
+        below.append(t)
+        down.append(tuple(below))
+    return tuple(down)
 
 
-class _Lattice:
-    """The subgroups of G as bitsets, each with its down-set (the indices of
-    its subgroups, ascending); built with G's poset and dropped once
-    `subgroup_lattice` has read the down-sets off it."""
-
-    def __init__(self, group: Group):
-        self.group = group
-        self.subgroups = all_subgroups(group)
-        elements = [s.elements for s in self.subgroups]
-        masks = [_mask(e) for e in elements]
-        self.elements = elements
-        self.position = {m: i for i, m in enumerate(masks)}
-        # subgroups run by order, so a proper subgroup of L comes before the
-        # first subgroup of L's order
-        first: dict[int, int] = {}
-        self.down = []
-        for t, mask in enumerate(masks):
-            outside = ~mask
-            start = first.setdefault(len(elements[t]), t)
-            below = [i for i in range(start) if not masks[i] & outside]
-            below.append(t)
-            self.down.append(tuple(below))
-
-    def classify(self) -> tuple[list[list[int]], ClassCensus]:
-        """The conjugacy classes of the subgroups of G: orbits under
-        conjugation by a generating set of G.
-
-        Returns the orbits in class order, each a list of subgroup indices
-        headed by its least member, the class representative, and G's
-        census.
-        """
-        group, elements, position, down = self.group, self.elements, self.position, self.down
-        mul, inv = group.mul_table, group.inv_table
-        gens = _greedy_generators(mul)
-        # a generator central in G fixes every subgroup
-        conjugations = [
-            tuple(mul[mul[g][a]][inv[g]] for a in group.elements())
-            for g in gens if any(mul[g][x] != mul[x][g] for x in gens)
-        ]
-        # subgroups run in (order, elements) order, so the first member of
-        # an orbit met is its least
-        classified: set[int] = set()
-        orbits = []
-        for i in range(len(elements)):
-            if i in classified:
-                continue
-            orbit = [i]
-            classified.add(i)
-            for m in orbit:
-                elems = elements[m]
-                for conj in conjugations:
-                    image = position[_mask(conj[a] for a in elems)]
-                    if image not in classified:
-                        classified.add(image)
-                        orbit.append(image)
-            orbits.append(orbit)
-        class_of_rep = {orbit[0]: c for c, orbit in enumerate(orbits)}
-        above: list[list[int]] = [[] for _ in orbits]
-        for k, orbit in enumerate(orbits):
-            counts: dict[int, int] = {}
-            for m in orbit:
-                for i in down[m]:
-                    h = class_of_rep.get(i)
-                    if h is not None:
-                        counts[h] = counts.get(h, 0) + 1
-            del counts[k]  # of its own class, L_k lies in itself only
-            for h, n in counts.items():
-                above[h] += (k, n)
-        census = ClassCensus(
-            reps=tuple(orbit[0] for orbit in orbits),
-            orders=tuple(len(elements[orbit[0]]) for orbit in orbits),
-            sizes=tuple(map(len, orbits)),
-            above=tuple(map(tuple, above)),
-        )
-        return orbits, census
+def _classify(group: Group, subgroups, position: dict[int, int]) -> list[list[int]]:
+    """The conjugacy classes of the subgroups of G: orbits under conjugation
+    by a generating set of G, in class order, each a list of subgroup indices
+    headed by its least member, the class representative.  `position` maps
+    each subgroup's bitset to its index."""
+    mul, inv = group.mul_table, group.inv_table
+    gens = _greedy_generators(mul)
+    # a generator central in G fixes every subgroup
+    conjugations = [
+        tuple(mul[mul[g][a]][inv[g]] for a in group.elements())
+        for g in gens if any(mul[g][x] != mul[x][g] for x in gens)
+    ]
+    # subgroups run in (order, elements) order, so the first member of an
+    # orbit met is its least
+    classified: set[int] = set()
+    orbits = []
+    for i in range(len(subgroups)):
+        if i in classified:
+            continue
+        orbit = [i]
+        classified.add(i)
+        for m in orbit:
+            elems = subgroups[m].elements
+            for conj in conjugations:
+                image = position[_mask(conj[a] for a in elems)]
+                if image not in classified:
+                    classified.add(image)
+                    orbit.append(image)
+        orbits.append(orbit)
+    return orbits
 
 
 @dataclass(frozen=True)
@@ -475,23 +427,47 @@ class SubgroupClass:
 
 
 class SubconjugacyPoset:
-    """Conjugacy classes of subgroups ordered by subconjugacy.
+    """Conjugacy classes of subgroups ordered by subconjugacy, with the
+    subgroup lattice of G they were read off.
 
     Classes are sorted by subgroup order, ties broken by the representative's
     element tuple; the first class is [e] and the last is [G].
 
-    `census` is the `ClassCensus` of G itself.  Its containment counts are
+    Subgroup i is `all_subgroups(G)[i]`: `down[i]` lists the indices of its
+    subgroups, ascending and ending with i, `orders[i]` is its order and
+    `class_of[i]` its class; `reps[c]` is the index of the representative of
+    class c.  `above[h]` is the flat list k1, n1, k2, n2, ... of the classes
+    k > h with n = #{L' ~ L_k : L_h <= L'} > 0.  These containment counts are
     the one source of the order relation ([H_i] <= [H_j] iff i == j or j is
-    listed in `census.above[i]`) and of the table of marks.
-    The lattice of the pass is kept until `subgroup_lattice` reads the
-    down-sets off it and drops it.
+    listed in `above[i]`) and of the table of marks.
     """
 
     def __init__(self, group: Group):
         self.group = group
-        lattice = _Lattice(group)
-        subs = lattice.subgroups
-        orbits, self.census = lattice.classify()
+        subs = all_subgroups(group)
+        masks = [_mask(s.elements) for s in subs]
+        self._position = {m: i for i, m in enumerate(masks)}
+        self.orders = tuple(s.order for s in subs)
+        self.down = down = _down_sets(masks, self.orders)
+        orbits = _classify(group, subs, self._position)
+        self.reps = reps = tuple(orbit[0] for orbit in orbits)
+        class_of = [0] * len(subs)
+        for c, orbit in enumerate(orbits):
+            for m in orbit:
+                class_of[m] = c
+        self.class_of = tuple(class_of)
+        above: list[list[int]] = [[] for _ in orbits]
+        for k, orbit in enumerate(orbits):
+            counts: dict[int, int] = {}
+            for m in orbit:
+                for i in down[m]:
+                    h = class_of[i]
+                    if reps[h] == i:
+                        counts[h] = counts.get(h, 0) + 1
+            del counts[k]  # of its own class, L_k lies in itself only
+            for h, n in counts.items():
+                above[h] += (k, n)
+        self.above = tuple(map(tuple, above))
         counters: dict[int, int] = {}
         built = []
         for orbit in orbits:
@@ -508,20 +484,15 @@ class SubconjugacyPoset:
                     break
             built.append(SubgroupClass(rep, members, f"{rep.order}{letter}"))
         self.classes: tuple[SubgroupClass, ...] = tuple(built)
-        self._index: dict[tuple[int, ...], int] = {}
-        for i, cls in enumerate(self.classes):
-            for member in cls.members:
-                self._index[member.elements] = i
-        self._lattice: _Lattice | None = lattice
 
     def __len__(self) -> int:
         return len(self.classes)
 
     def class_index(self, sub: Subgroup) -> int:
-        try:
-            return self._index[sub.elements]
-        except KeyError:
-            raise GwittError(f"{sub} is not a subgroup of {self.group.name}") from None
+        i = self._position.get(_mask(sub.elements))
+        if i is None:
+            raise GwittError(f"{sub} is not a subgroup of {self.group.name}")
+        return self.class_of[i]
 
     def label(self, i: int) -> str:
         return self.classes[i].label
@@ -533,31 +504,3 @@ class SubconjugacyPoset:
 @cache
 def subconjugacy_poset(group: Group) -> SubconjugacyPoset:
     return SubconjugacyPoset(group)
-
-
-class LatticeTables(NamedTuple):
-    """G's subgroups as `all_subgroups` numbers them, without their elements.
-
-    `reps[c]` is the index of the representative of class c (poset order),
-    `down[i]` the indices of the subgroups of subgroup i, ascending and
-    ending with i, `orders[i]` its order and `class_of[i]` its class.
-    """
-
-    reps: tuple[int, ...]
-    down: tuple[tuple[int, ...], ...]
-    orders: tuple[int, ...]
-    class_of: tuple[int, ...]
-
-
-@cache
-def subgroup_lattice(group: Group) -> LatticeTables:
-    """G's subgroup down-sets with their orders and classes, taken off the
-    lattice that built G's poset (which then drops it); cached per group."""
-    poset = subconjugacy_poset(group)
-    lattice, poset._lattice = poset._lattice or _Lattice(group), None
-    return LatticeTables(
-        reps=poset.census.reps,
-        down=tuple(lattice.down),
-        orders=tuple(map(len, lattice.elements)),
-        class_of=tuple(poset._index[e] for e in lattice.elements),
-    )

@@ -4,9 +4,11 @@ Monomials are stored as sorted tuples of (variable name, exponent) with
 positive exponents; equality is exact and printing is canonical, so
 polynomial identity can serve as a test assertion.
 
-Coefficients are integers; exact rational coefficients are tolerated as
-intermediate values (triangular solves divide before their denominators
-cancel) and `is_integral` tells the two apart.
+Coefficients are integers, except where `rational_div` divides inside
+Q[X]: the symbolic norms of `burnside.transferred_norms` are integer-valued
+polynomials whose coefficients may be exact fractions.  `is_integral` tells
+the two apart.  `exact_div`, the division of the triangular solves, keeps
+integers or raises.
 """
 
 from __future__ import annotations
@@ -156,10 +158,10 @@ class Poly:
             raise ZeroDivisionError("division of polynomial by zero")
         terms = {}
         for mono, coeff in self.terms.items():
-            q = Fraction(coeff, n)
-            if q.denominator != 1:
+            q, r = divmod(coeff, n)
+            if r:
                 raise IntegralityError(f"coefficient {coeff} not divisible by {n}")
-            terms[mono] = int(q)
+            terms[mono] = q
         return Poly(terms)
 
     def rational_div(self, n: int) -> Poly:

@@ -334,10 +334,10 @@ def ghost_injectivity_double_coset_identity(group: Group) -> Report:
         want = ctx.ghost_components(values)
         for h in range(ctx.n):
             report.checked += 1
-            if Poly.coerce(got[h]) != Poly.coerce(want[h]):
+            if got[h] != want[h]:
                 report.fail(
                     f"H={ctx.poset.label(h)}, K={ctx.poset.label(k)}: "
-                    f"{Poly.coerce(got[h])} != {Poly.coerce(want[h])}"
+                    f"{got[h]} != {want[h]}"
                 )
     return report
 

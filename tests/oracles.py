@@ -12,12 +12,12 @@ every map, equality of G-sets over a base by an isomorphism search, and
 pullbacks and dependent products by looking their points up in dicts keyed
 by tuples, and associativity by trying every triple.  Also reference
 functions the tests compare against: the order of the subconjugacy poset
-read off its census, isomorphism of G-sets over the point, the norm of an
-integer from the trivial level by unmarks, the depth of a word, its support
-rebuilt on every call, the coherence bijection by matching normal-form keys
-in a dict, the map into a pullback that two maps induce, and the
-equivariance and free rank of an invariant-ring value.  Also the larger
-groups of the benchmark ladder."""
+read off its containment counts, isomorphism of G-sets over the point, the
+norm of an integer from the trivial level by unmarks, the depth of a word,
+its support rebuilt on every call, the coherence bijection by matching
+normal-form keys in a dict, the map into a pullback that two maps induce,
+and the equivariance and free rank of an invariant-ring value.  Also the
+larger groups of the benchmark ladder."""
 
 import itertools
 from functools import cache
@@ -144,9 +144,9 @@ def conjugates(group: Group, elements) -> set[frozenset[int]]:
 
 
 def poset_leq(poset: SubconjugacyPoset, i: int, j: int) -> bool:
-    """[H_i] <= [H_j], read off the containment counts of G's census: H_i
+    """[H_i] <= [H_j], read off the containment counts of G's poset: H_i
     lies in some conjugate of H_j."""
-    return i == j or j in poset.census.above[i][::2]
+    return i == j or j in poset.above[i][::2]
 
 
 def containment_leq(group: Group) -> tuple[tuple[bool, ...], ...]:

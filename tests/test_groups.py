@@ -9,6 +9,7 @@ import pytest
 from gwitt.errors import GroupOrderError, GwittError
 from gwitt.groups import (
     Group,
+    Subgroup,
     all_subgroups,
     cyclic,
     dihedral,
@@ -191,17 +192,32 @@ def test_subgroups_match_join_closure_oracle(group):
 )
 def test_poset_matches_conjugation_and_containment_oracle(group):
     poset = subconjugacy_poset(group)
+    subs = all_subgroups(group)
     seen = set()
-    for cls in poset.classes:
+    for c, cls in enumerate(poset.classes):
         members = {frozenset(m.elements) for m in cls.members}
         assert members == conjugates(group, cls.rep.elements)
         assert cls.rep.elements == min(m.elements for m in cls.members)
+        assert subs[poset.reps[c]] == cls.rep
+        assert {subs[i].elements for i in range(len(subs)) if poset.class_of[i] == c} \
+            == {m.elements for m in cls.members}
         seen |= members
-    assert seen == {frozenset(s.elements) for s in all_subgroups(group)}
+    assert seen == {frozenset(s.elements) for s in subs}
+    for i, sub in enumerate(subs):
+        assert poset.orders[i] == sub.order
+        assert poset.down[i] == tuple(
+            j for j, other in enumerate(subs) if set(other.elements) <= set(sub.elements)
+        )
     n = len(poset)
     assert tuple(
         tuple(poset_leq(poset, i, j) for j in range(n)) for i in range(n)
     ) == containment_leq(group)
+
+
+def test_class_index_rejects_a_non_subgroup():
+    poset = subconjugacy_poset(cyclic(4))
+    with pytest.raises(GwittError, match="not a subgroup of C4"):
+        poset.class_index(Subgroup(cyclic(3), (0, 1, 2)))
 
 
 def test_s3_subgroup_shapes():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gwitt import burnside, groups
+from gwitt import burnside, groups, gsets
 from gwitt.burnside import marks, transferred_norms
 from gwitt.errors import GwittError, IntegralityError
 from gwitt.groups import (
@@ -320,13 +320,12 @@ LATTICE_FREE = {
     for group in (elementary_abelian_2(5), s4_x_c2()) for operation in LATTICE_FREE
 ])
 def test_tau_builds_no_group_and_no_subgroup_lattice(monkeypatch, group, operation):
-    """tau and the symbolic verifiers count on G's subgroup down-sets: they
-    build no Group, add no entry to the per-group memos beyond the one of
-    G's lattice tables, read no table of marks but G's and solve in none."""
+    """tau and the symbolic verifiers count on the subgroup down-sets of G's
+    poset: they build no Group, add no entry to any per-group memo, read no
+    table of marks but G's and solve in none."""
     memos = (groups.all_subgroups, groups.subconjugacy_poset, burnside.mark_columns,
-             witt_context)
+             gsets._class_coset_spaces, witt_context)
     witt_context(group)
-    groups.subgroup_lattice.cache_clear()
     cached = [memo.cache_info().currsize for memo in memos]
     built = []
     original_init = Group.__init__
@@ -354,4 +353,3 @@ def test_tau_builds_no_group_and_no_subgroup_lattice(monkeypatch, group, operati
     assert getattr(result, "ok", True), result.failures
     assert built == []
     assert [memo.cache_info().currsize for memo in memos] == cached
-    assert groups.subgroup_lattice.cache_info().currsize == 1
