@@ -82,7 +82,6 @@ from .witt import (
     GhostVector,
     WittVector,
     ghost,
-    ghost_injectivity_double_coset_identity,
     teichmuller_tau,
     unghost,
     verify_dress_siebeneicher_iso,

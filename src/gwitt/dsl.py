@@ -31,8 +31,6 @@ from .gsets import GMap, GSet, coset_space, disjoint_union, identity_map, produc
 from .intpoly import Poly
 from .words import Word
 
-_PUNCT = ("->", "(", ")", "<", ">", "[", "]", ",", ";", "+", "*", "/", "^", "-")
-
 # Fixed input bounds, checked while parsing so that no input builds an
 # unbounded structure: bracket nesting and parse-tree depth (which bound
 # every recursive walk over the tree), the digits of a number, the point

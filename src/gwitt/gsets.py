@@ -81,7 +81,8 @@ class GSet:
         """Orbits as (sorted points, transporter); transporter[u] maps rep to u.
 
         The representative of each orbit is its minimal point, carried by the
-        identity.
+        identity; the orbit of x is {g•x : g in G}, so one pass over the rows
+        of the action table finds it.
         """
         if self._orbit_cache is not None:
             return self._orbit_cache
@@ -90,19 +91,11 @@ class GSet:
         for x in self.points():
             if seen[x]:
                 continue
-            transporter = {x: 0}
-            frontier = [x]
-            seen[x] = True
-            while frontier:
-                new = []
-                for u in frontier:
-                    for g in self.group.elements():
-                        v = self.act_table[g][u]
-                        if v not in transporter:
-                            transporter[v] = self.group.mul(g, transporter[u])
-                            seen[v] = True
-                            new.append(v)
-                frontier = new
+            transporter: dict[int, int] = {}
+            for g, row in enumerate(self.act_table):
+                transporter.setdefault(row[x], g)
+            for u in transporter:
+                seen[u] = True
             out.append((tuple(sorted(transporter)), transporter))
         self._orbit_cache = tuple(out)
         return self._orbit_cache
@@ -269,22 +262,12 @@ def disjoint_union(parts: list[GSet]) -> tuple[GSet, list[GMap]]:
 
 
 def product(x: GSet, y: GSet) -> tuple[GSet, GMap, GMap]:
+    """X × Y as the pullback over the point; (i, j) has index i·|Y| + j."""
     if x.group != y.group:
         raise GwittError("product across different groups")
     _check_points("product", x.size * y.size)
-    group = x.group
-    table = []
-    for g in group.elements():
-        row = []
-        for i in x.points():
-            gi = x.act_table[g][i]
-            for j in y.points():
-                row.append(gi * y.size + y.act_table[g][j])
-        table.append(row)
-    prod = GSet(group, table, validate=False)
-    pr1 = GMap(prod, x, tuple(i // y.size for i in prod.points()), validate=False)
-    pr2 = GMap(prod, y, tuple(i % y.size for i in prod.points()), validate=False)
-    return prod, pr1, pr2
+    pb = pullback(to_point(y), to_point(x))
+    return pb.gset, pb.to_x, pb.to_a
 
 
 def induced_gset(group: Group, sub: Subgroup, fiber: GSet) -> tuple[GSet, GMap]:
@@ -468,35 +451,28 @@ def pullback(f: GMap, g: GMap) -> Pullback:
 @dataclass(frozen=True)
 class DependentProduct:
     """Π_f A -> Y for p: A -> X, f: X -> Y; points over y are sections of p
-    on the fiber f^-1(y), stored as tuples aligned with the sorted fiber
-    fiber_points[y]."""
+    on the fiber f^-1(y), stored as tuples aligned with f.fibers()[y]."""
 
     gset: GSet
     to_y: GMap
     sections: tuple[tuple[int, tuple[int, ...]], ...]
-    fiber_points: tuple[tuple[int, ...], ...]
-
-    def evaluate(self, section_index: int, x: int) -> int:
-        y, sec = self.sections[section_index]
-        xs = self.fiber_points[y]
-        return sec[xs.index(x)]
 
 
 def dependent_product(p: GMap, f: GMap) -> DependentProduct:
     if p.target != f.source:
         raise GwittError("dependent product needs p: A -> X and f: X -> Y")
     a, x, y = p.source, p.target, f.target
-    fiber_points, p_fibers = f.fibers(), p.fibers()
-    sizes = [math.prod([len(p_fibers[xx]) for xx in xs]) for xs in fiber_points]
+    f_fibers, p_fibers = f.fibers(), p.fibers()
+    sizes = [math.prod([len(p_fibers[xx]) for xx in xs]) for xs in f_fibers]
     _check_points("dependent product", sum(sizes))
     # itertools.product yields the sections over each y in ascending order, so
     # a section s over y has the mixed-radix index
     # offset[y] + sum over x in the fiber of y of place[s(x)] * stride[x]
-    sections = tuple((yy, combo) for yy, xs in enumerate(fiber_points)
+    sections = tuple((yy, combo) for yy, xs in enumerate(f_fibers)
                      for combo in itertools.product(*[p_fibers[xx] for xx in xs]))
     offset = list(itertools.accumulate(sizes, initial=0))
     stride = [0] * x.size
-    for xs in fiber_points:
+    for xs in f_fibers:
         step = 1
         for xx in reversed(xs):
             stride[xx] = step
@@ -504,7 +480,7 @@ def dependent_product(p: GMap, f: GMap) -> DependentProduct:
     place = _places(p_fibers)
     # a point x with one value in its p-fiber adds place 0 to every index
     spread = [(yy, [xx for xx in xs if len(p_fibers[xx]) > 1])
-              for yy, xs in enumerate(fiber_points) if sizes[yy]]
+              for yy, xs in enumerate(f_fibers) if sizes[yy]]
     table = []
     for x_row, a_row, y_row in zip(x.act_table, a.act_table, y.act_table):
         # g sends the section s over y to the one over g•y whose value at g•x
@@ -520,40 +496,29 @@ def dependent_product(p: GMap, f: GMap) -> DependentProduct:
         table.append(row)
     pi = GSet(x.group, table, validate=False)
     to_y = GMap(pi, y, [yy for yy, _ in sections], validate=False)
-    return DependentProduct(pi, to_y, sections, fiber_points)
+    return DependentProduct(pi, to_y, sections)
 
 
 @dataclass(frozen=True)
 class ExponentialDiagram:
-    """The six-object diagram built from p: A -> X and f: X -> Y.
+    """The exponential diagram of p: A -> X and f: X -> Y.
 
-    w = X ×_Y Π_f A; e evaluates a section at a point; f_prime projects to
-    Π_f A; pi_p is the structure map of the dependent product.  The square
-    (p∘e, f, f_prime, pi_p) is a pullback and the whole rectangle commutes.
+    W = X ×_Y Π_f A is e.source and Π_f A is pi_p.source; e evaluates a
+    section at a point, f_prime projects W to Π_f A and pi_p is the structure
+    map of the dependent product.  The square (p∘e, f, f_prime, pi_p) is a
+    pullback and the whole rectangle commutes.
     """
 
-    x: GSet
-    a: GSet
-    w: GSet
-    y: GSet
-    pi: GSet
-    p: GMap
-    f: GMap
     e: GMap
     f_prime: GMap
     pi_p: GMap
-    dp: DependentProduct
 
 
 def exponential_diagram(p: GMap, f: GMap) -> ExponentialDiagram:
     dp = dependent_product(p, f)
     pb = pullback(dp.to_y, f)  # W = X ×_Y Π, points (x, section)
-    w = pb.gset
-    e_images = []
-    for (xx, si) in pb.points:
-        e_images.append(dp.evaluate(si, xx))
-    e = GMap(w, p.source, tuple(e_images), validate=False)
-    return ExponentialDiagram(
-        x=p.target, a=p.source, w=w, y=f.target, pi=dp.gset,
-        p=p, f=f, e=e, f_prime=pb.to_a, pi_p=dp.to_y, dp=dp,
-    )
+    # e(x, s) = s(x), read at the place of x in its f-fiber
+    place = _places(f.fibers())
+    e = GMap(pb.gset, p.source, [dp.sections[si][1][place[xx]] for xx, si in pb.points],
+             validate=False)
+    return ExponentialDiagram(e=e, f_prime=pb.to_a, pi_p=dp.to_y)

@@ -137,23 +137,16 @@ class InvariantRingInstance(TambaraInstance):
     def norm(self, f: GMap, v):
         return self._fold_fibers(f, v, operator.mul, 1)
 
-    def _stabilizer_orbits(self, x: GSet, point: int) -> list[list[int]]:
+    def _stabilizer_orbits(self, x: GSet, point: int) -> list[set[int]]:
         """The orbits of the stabilizer of `point` in X on the base, in the
-        order of their least base point."""
+        order of their least base point: the orbit of j is {g•j : g in stab}."""
         stab = x.stabilizers()[point]
         orbits, seen = [], set()
         for j in self.base.points():
-            if j in seen:
-                continue
-            seen.add(j)
-            orbit = [j]
-            for u in orbit:
-                for g in stab:
-                    w = self.base.act_table[g][u]
-                    if w not in seen:
-                        seen.add(w)
-                        orbit.append(w)
-            orbits.append(orbit)
+            if j not in seen:
+                orbit = {self.base.act_table[g][j] for g in stab}
+                seen |= orbit
+                orbits.append(orbit)
         return orbits
 
     def sampler(self, x: GSet) -> Callable[[random.Random, int], list]:

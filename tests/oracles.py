@@ -5,10 +5,10 @@ counting fixed cosets (also the marks of any G-set), Burnside products by
 decomposing product G-sets, maps over a base by counting candidate images, and
 the Teichmueller map and its marks by building every subgroup as a group of
 its own, the norm N_e^G(x) by the orbits of all functions G -> {0..x-1},
-stabilizers and fibers by scanning, equivariant maps and
-isomorphisms by filtering all functions and permutations, map
-representatives up to automorphisms by minimizing over every relabeling of
-every map, equality of G-sets over a base by an isomorphism search, and
+stabilizers and fibers by scanning, orbits by closing a frontier, products
+by nested loops, equivariant maps and isomorphisms by filtering all
+functions and permutations, map representatives up to automorphisms by
+minimizing over every relabeling of every map, equality of G-sets over a base by an isomorphism search, and
 pullbacks and dependent products by looking their points up in dicts keyed
 by tuples, and associativity by trying every triple.  Also reference
 functions the tests compare against: the order of the subconjugacy poset
@@ -308,6 +308,43 @@ def scanned_fibers(f: GMap) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def closure_orbits(x: GSet) -> tuple[tuple[tuple[int, ...], dict[int, int]], ...]:
+    """The orbits as (sorted points, transporter), each grown from its least
+    point by closing a frontier under every group element; a new point
+    v = g•u is carried by g times the carrier of u."""
+    seen = [False] * x.size
+    out = []
+    for p in x.points():
+        if seen[p]:
+            continue
+        transporter = {p: 0}
+        frontier = [p]
+        seen[p] = True
+        while frontier:
+            new = []
+            for u in frontier:
+                for g in x.group.elements():
+                    v = x.act_table[g][u]
+                    if v not in transporter:
+                        transporter[v] = x.group.mul(g, transporter[u])
+                        seen[v] = True
+                        new.append(v)
+            frontier = new
+        out.append((tuple(sorted(transporter)), transporter))
+    return tuple(out)
+
+
+def loop_product(x: GSet, y: GSet) -> tuple[GSet, GMap, GMap]:
+    """X × Y with (i, j) at index i·|Y| + j, its table built by nested loops
+    over the group, X and Y."""
+    table = [[x.act_table[g][i] * y.size + y.act_table[g][j]
+              for i in x.points() for j in y.points()]
+             for g in x.group.elements()]
+    prod = GSet(x.group, table)
+    return (prod, GMap(prod, x, [i // y.size for i in prod.points()]),
+            GMap(prod, y, [i % y.size for i in prod.points()]))
+
+
 def _is_equivariant(a: GSet, x: GSet, images) -> bool:
     return all(
         images[a.act_table[g][u]] == x.act_table[g][images[u]]
@@ -513,5 +550,4 @@ def dict_dependent_product(p: GMap, f: GMap) -> DependentProduct:
             row.append(index[(y2, moved)])
         table.append(row)
     pi = GSet(group, table)
-    return DependentProduct(pi, GMap(pi, y, [yy for yy, _ in sections]), tuple(sections),
-                            fiber_points)
+    return DependentProduct(pi, GMap(pi, y, [yy for yy, _ in sections]), tuple(sections))

@@ -45,11 +45,13 @@ from gwitt.tambara import small_gsets
 from oracles import (
     all_equivariant_maps,
     all_isos_over,
+    closure_orbits,
     count_maps_over,
     dict_dependent_product,
     dict_pullback,
     fixed_points,
     gset_iso,
+    loop_product,
     marks_vector,
     poset_leq,
     pullback_pair,
@@ -253,21 +255,22 @@ def test_exponential_diagram_commutes_and_is_pullback():
     fold = GMap(a, free, (0, 1, 0, 1))
     f = GMap(free, pt, (0, 0))
     ed = exponential_diagram(fold, f)
-    for t in ed.w.points():
+    w, pi = ed.e.source, ed.pi_p.source
+    for t in w.points():
         assert f.images[fold.images[ed.e.images[t]]] == ed.pi_p.images[ed.f_prime.images[t]]
     got = sorted(
-        (fold.images[ed.e.images[t]], ed.f_prime.images[t]) for t in ed.w.points()
+        (fold.images[ed.e.images[t]], ed.f_prime.images[t]) for t in w.points()
     )
     want = sorted(
-        (xx, s) for xx in free.points() for s in ed.pi.points()
+        (xx, s) for xx in free.points() for s in pi.points()
         if f.images[xx] == ed.pi_p.images[s]
     )
     assert got == want
-    # evaluation is adjoint to the identity: e(x, s) = s(x)
-    for t, (xx, si) in enumerate(
-        (ed.e.images[t], ed.f_prime.images[t]) for t in ed.w.points()
-    ):
-        pass  # e already checked pointwise above
+    # evaluation: e(x, s) = s(x), s aligned with the fiber of f through x
+    sections = dependent_product(fold, f).sections
+    for t in w.points():
+        xx, (yy, values) = fold.images[ed.e.images[t]], sections[ed.f_prime.images[t]]
+        assert ed.e.images[t] == values[f.fibers()[yy].index(xx)]
 
     # f = identity makes e an isomorphism
     ed2 = exponential_diagram(fold, identity_map(free))
@@ -354,7 +357,7 @@ def test_constructed_action_tables_are_valid_actions():
             GSet(group, dp.gset.act_table)
             GMap(dp.to_y.source, dp.to_y.target, dp.to_y.images)  # equivariance
             ed = exponential_diagram(p, f)
-            GSet(group, ed.w.act_table)
+            GSet(group, ed.e.source.act_table)
             GMap(ed.e.source, ed.e.target, ed.e.images)
         c3_like = [s for s in all_subgroups(group) if 1 < s.order < group.order]
         for sub in c3_like[:2]:
@@ -404,6 +407,12 @@ def test_stabilizers_and_fibers_match_the_scan_oracle(group):
         assert a.stabilizers() == scanned_stabilizers(a)
         assert all(a.stabilizer(p).elements == tuple(sorted(s))
                    for p, s in enumerate(scanned_stabilizers(a)))
+        for y in (a, x):
+            assert [points for points, _ in y.orbits()] == \
+                [points for points, _ in closure_orbits(y)]
+            for points, transporter in y.orbits():
+                assert transporter[points[0]] == 0  # the identity
+                assert all(y.act_table[g][points[0]] == u for u, g in transporter.items())
         f = random_gmap(a, x, rng)
         if f is not None:
             assert f.fibers() == scanned_fibers(f)
@@ -456,6 +465,8 @@ def test_pullback_and_dependent_product_match_the_dict_oracles(group):
         by_source.setdefault(m.source, []).append(m)
     pullbacks = products = 0
     for f in maps:
+        got, want = product(f.source, f.target), loop_product(f.source, f.target)
+        assert got == want
         for g in by_target[f.target][:4]:
             got, want = pullback(f, g), dict_pullback(f, g)
             assert got.gset == want.gset and got.points == want.points
@@ -464,6 +475,6 @@ def test_pullback_and_dependent_product_match_the_dict_oracles(group):
         for h in by_source.get(f.target, [])[:4]:
             got, want = dependent_product(f, h), dict_dependent_product(f, h)
             assert got.gset == want.gset and got.sections == want.sections
-            assert got.to_y == want.to_y and got.fiber_points == want.fiber_points
+            assert got.to_y == want.to_y
             products += 1
     assert pullbacks >= 60 and products >= 20

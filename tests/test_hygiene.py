@@ -1,9 +1,9 @@
 """Static checks over the library's code, standing in for a linter: every
 module-level import of a library or test module is used and no function
-imports again what its file imports at the top, every function,
-class or method is run by the library or exported by it, every export is
-documented in the README, the README names every per-group memo, and every
-test oracle is called by a test."""
+imports again what its file imports at the top, every function, class,
+method or module-level assigned name is used by the library or exported by
+it, every export is documented in the README, the README names every
+per-group memo, and every test oracle is called by a test."""
 
 import ast
 import re
@@ -94,6 +94,16 @@ def _definitions(tree: ast.Module):
             stack.append(child)
 
 
+def _assignments(tree: ast.Module):
+    """(None, name, node) of every name that a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield None, name.id, node
+
+
 def _package_imports(tree: ast.Module) -> tuple[dict[str, str], set[tuple[str, str]]]:
     """The package modules a file binds (`from . import m as alias` gives
     alias -> m) and the names it imports from them (`from .m import name`
@@ -147,8 +157,8 @@ def _exports() -> set[str]:
 
 
 def test_every_definition_is_referenced():
-    """A function or class of module m is used when m reads its name outside
-    its body, or another module (gwitt/__init__.py, which exports it, too)
+    """A function, class or module-level assigned name of module m is used
+    when m reads its name outside its body (the assignment, for a name), or another module (gwitt/__init__.py, which exports it, too)
     imports it from m or reads it as an attribute of m.  A method is used
     only when the library reads it as an attribute of its own class or of a
     value of unknown class.  So a local name, an export or a method of the
@@ -164,9 +174,9 @@ def test_every_definition_is_referenced():
     unreferenced = []
     for module, tree in trees.items():
         others = [m for m in trees if m != module]
-        for owner, name, node in _definitions(tree):
+        for owner, name, node in [*_definitions(tree), *_assignments(tree)]:
             if name.startswith("__") and name.endswith("__"):
-                continue  # called by the language
+                continue  # called or read by the language
             names, attributes = _references(tree, node, classes, imports[module][0])
             if owner is None:
                 used = name in names or any(

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from gwitt import burnside, groups, gsets
-from gwitt.burnside import marks, transferred_norms
+from gwitt import burnside, groups, gsets, witt
+from gwitt.burnside import BurnsideElement, marks, transferred_norms
 from gwitt.errors import GwittError, IntegralityError
 from gwitt.groups import (
     Group,
@@ -26,7 +26,6 @@ from gwitt.witt import (
     GhostVector,
     WittVector,
     ghost,
-    ghost_injectivity_double_coset_identity,
     random_witt_vector,
     teichmuller_tau,
     unghost,
@@ -146,9 +145,21 @@ def test_dress_siebeneicher_iso(group):
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
-def test_double_coset_identity(group):
-    report = ghost_injectivity_double_coset_identity(group)
-    assert report.ok, report.failures
+def test_double_coset_identity(monkeypatch, group):
+    """The symbolic factorization check certifies every per-class identity
+    marks_[H](T_K^G N_e^K(a_K)) = |(G/K)^H| * a_K^(K:H): a wrong term in
+    a_K alone, added at any class [H], makes it fail."""
+    assert verify_ghost_factorization(group, samples=0).ok
+    n = len(subconjugacy_poset(group))
+    for k in range(n):
+        for h in range(n):
+            def wrong(of, values, k=k, h=h):
+                coeffs = list(transferred_norms(of, values).coeffs)
+                coeffs[h] += values[k]
+                return BurnsideElement(of, tuple(coeffs))
+
+            monkeypatch.setattr(witt, "transferred_norms", wrong)
+            assert not verify_ghost_factorization(group, samples=0).ok, (k, h)
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
@@ -310,7 +321,6 @@ def _tau_of_a_vector(group):
 LATTICE_FREE = {
     "tau": _tau_of_a_vector,
     "factorization": lambda group: verify_ghost_factorization(group, samples=0),
-    "double-coset": ghost_injectivity_double_coset_identity,
 }
 
 
