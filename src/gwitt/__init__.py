@@ -33,7 +33,6 @@ from .errors import (
     GroupOrderError,
     GwittError,
     IntegralityError,
-    SearchBudgetError,
     SupportError,
 )
 from .groups import (
@@ -60,7 +59,7 @@ from .gsets import (
     equivariant_maps,
     exponential_diagram,
     induced_gset,
-    iso_over,
+    iso_class_over,
     natural_gset,
     orbit_decompose,
     point_gset,

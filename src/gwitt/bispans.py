@@ -14,14 +14,10 @@ from .gsets import (
     disjoint_union,
     exponential_diagram,
     identity_map,
-    iso_over,
-    isos_over,
-    product,
+    iso_class_over,
     pullback,
 )
 from .intpoly import Poly
-
-DEFAULT_SEARCH_BUDGET = 10 ** 6
 
 
 class Bispan:
@@ -122,30 +118,34 @@ def pair(u: Bispan, v: Bispan) -> Bispan:
     return Bispan(p, q, r)
 
 
-def bispan_equivalent(u: Bispan, v: Bispan,
-                      budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
-    """Decide equivalence: isomorphisms A -> A', B -> B' making the ladder
-    commute over the shared X and Y."""
+def _decorated_census(u: Bispan) -> Counter:
+    """The multiset {(r(b), G_b, D(b)) : b in B}, as `iso_class_over` counts
+    it, where D(b), frozen, is the multiset {(p(a), G_a) : a in q^-1(b)}."""
+    stabs = u.a.stabilizers()
+    census = [frozenset(Counter((u.p.images[a], stabs[a]) for a in xs).items())
+              for xs in u.q.fibers()]
+    return iso_class_over(u.b, zip(u.r.images, census))
+
+
+def bispan_equivalent(u: Bispan, v: Bispan) -> bool:
+    """Decide equivalence, isomorphisms A -> A' and B -> B' making the
+    ladder commute over the shared X and Y, without a search: u ≅ v iff A
+    and A', B and B' have equal sizes and the multisets
+    {(r(b), G_b, D(b)) : b in B}, D(b) = {(p(a), G_a) : a in q^-1(b)}, agree.
+
+    An isomorphism keeps all three parts, so equivalent bispans have equal
+    multisets.  Conversely, b ↦ (r(b), D(b)) is an equivariant labelling of
+    B, so by `iso_class_over` equal multisets give an isomorphism β: B -> B'
+    over the labels.  Each fiber q^-1(b) is a G_b-set over X, and D(b) is
+    its stabilizer census because G_a ≤ G_b; since D'(βb) = D(b), the same
+    rule gives a G_b-isomorphism α_b: q^-1(b) -> q'^-1(βb) over X for each
+    representative b of the orbits of B.  Then α(g•a) = g•α_b(a) is well
+    defined (g•a = g'•a' in q^-1(b) forces g'^-1 g in G_b), bijective, and
+    satisfies p'α = p and q'α = βq."""
     if u.x != v.x or u.y != v.y:
         raise GwittError("bispans do not share end objects")
-    if u.a.size != v.a.size or u.b.size != v.b.size:
-        return False
-    # search beta: B -> B' over Y, then alpha: A -> A' over X and beta∘q
-    xb, _, _ = product(u.x, v.b)
-
-    def into_product(pmap: GMap, qmap: GMap) -> GMap:
-        images = tuple(
-            pmap.images[i] * v.b.size + qmap.images[i]
-            for i in pmap.source.points()
-        )
-        return GMap(pmap.source, xb, images, validate=False)
-
-    m2 = into_product(v.p, v.q)
-    for beta in isos_over(u.r, v.r, budget=budget):
-        m1 = into_product(u.p, compose_maps(beta, u.q))
-        if iso_over(m1, m2, budget=budget) is not None:
-            return True
-    return False
+    return (u.a.size == v.a.size and u.b.size == v.b.size
+            and _decorated_census(u) == _decorated_census(v))
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,6 @@ class GroupOrderError(GwittError):
     """Generated group exceeds the configured order cap."""
 
 
-class SearchBudgetError(GwittError):
-    """Backtracking search exceeded its node budget."""
-
-
 class SupportError(GwittError):
     """Word supports differ or the common support is not simple."""
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import EquivarianceError, GwittError, SearchBudgetError
+from .errors import EquivarianceError, GwittError
 from .groups import Group, Subgroup, subconjugacy_poset
 
 
@@ -330,7 +331,7 @@ def reassemble(group: Group, class_indices) -> GSet:
     return disjoint_union(parts)[0] if parts else empty_gset(group)
 
 
-# -- map enumeration and isomorphism search ----------------------------------
+# -- map enumeration and isomorphism classes ---------------------------------
 
 
 def _extend_images(a: GSet, x: GSet, targets) -> GMap:
@@ -357,9 +358,10 @@ def equivariant_maps(a: GSet, x: GSet):
         yield _extend_images(a, x, combo)
 
 
-def isos_over(f: GMap, g: GMap, budget: int | None = None):
+def isos_over(f: GMap, g: GMap):
     """Yield equivariant bijections h: source(f) -> source(g) with g∘h = f,
-    in ascending order of images."""
+    in ascending order of images.  Deciding whether one exists needs no
+    search (`iso_class_over`); this enumerates them all."""
     if f.target != g.target:
         raise GwittError("maps must share a target")
     a, b = f.source, g.source
@@ -374,19 +376,14 @@ def isos_over(f: GMap, g: GMap, budget: int | None = None):
         if not cands:
             return
         candidates.append(cands)
-    nodes = 0
     used = [False] * len(b.orbits())
     assignment: list[int] = []
 
     def backtrack(k: int):
-        nonlocal nodes
         if k == len(candidates):
             yield _extend_images(a, b, assignment)
             return
         for p in candidates[k]:
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchBudgetError(f"isomorphism search exceeded {budget} nodes")
             ob = orbit_of_b[p]
             if used[ob]:
                 continue
@@ -399,11 +396,21 @@ def isos_over(f: GMap, g: GMap, budget: int | None = None):
     yield from backtrack(0)
 
 
-def iso_over(f: GMap, g: GMap, budget: int | None = None) -> GMap | None:
-    """The first isomorphism over the base, or None when none exists."""
-    for h in isos_over(f, g, budget=budget):
-        return h
-    return None
+def iso_class_over(x: GSet, labels) -> Counter:
+    """The multiset of (label, stabilizer) over the points of x, for an
+    equivariant labelling `labels` (one hashable label per point) of x in
+    some G-set L.  Two G-sets labelled in L are isomorphic over L iff these
+    multisets agree.
+
+    An isomorphism over L keeps labels and stabilizers, so isomorphic
+    labelled G-sets have equal multisets.  Conversely, x is the disjoint
+    union of the G ×_{G_l} x_l over representatives l of the label orbits,
+    where x_l, the points labelled l, is a G_l-set.  In x_l the points with
+    stabilizer exactly H number (orbits of type [H]) × |N_{G_l}(H):H|, so
+    equal multisets give a G_l-isomorphism α_l between the points labelled
+    l for every l, and these extend by g•u ↦ g•α_l(u) to an isomorphism
+    over L."""
+    return Counter(zip(labels, x.stabilizers()))
 
 
 # -- pullback, dependent product, exponential diagram ------------------------

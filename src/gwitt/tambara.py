@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -26,6 +25,7 @@ from .gsets import (
     equivariant_maps,
     exponential_diagram,
     identity_map,
+    iso_class_over,
     isos_over,
     pullback,
     reassemble,
@@ -205,13 +205,9 @@ class BurnsideOverInstance(TambaraInstance):
 
     def eq(self, x: GSet, u, v) -> bool:
         """(A, p) ≅ (B, q) over X iff the multisets {(p(a), G_a)} and
-        {(q(b), G_b)} agree.  A over X is the disjoint union of the
-        G x_{G_x} p^-1(x), and in the G_x-set p^-1(x) the points with
-        stabilizer exactly H number (orbits of type [H]) x |N(H):H|, so the
-        stabilizers over x fix the fiber up to isomorphism."""
+        {(q(b), G_b)} agree (`iso_class_over`, with p and q as labels)."""
         (a, p), (b, q) = u, v
-        return a.size == b.size and (Counter(zip(p.images, a.stabilizers()))
-                                     == Counter(zip(q.images, b.stabilizers())))
+        return a.size == b.size and iso_class_over(a, p.images) == iso_class_over(b, q.images)
 
     def restrict(self, f: GMap, v):
         a, p = v

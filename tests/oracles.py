@@ -8,9 +8,10 @@ its own, the norm N_e^G(x) by the orbits of all functions G -> {0..x-1},
 stabilizers and fibers by scanning, orbits by closing a frontier, products
 by nested loops, equivariant maps and isomorphisms by filtering all
 functions and permutations, map representatives up to automorphisms by
-minimizing over every relabeling of every map, equality of G-sets over a base by an isomorphism search, and
-pullbacks and dependent products by looking their points up in dicts keyed
-by tuples, and associativity by trying every triple.  Also reference
+minimizing over every relabeling of every map, equality of G-sets over a
+base and equivalence of bispans by an isomorphism search, pullbacks and
+dependent products by looking their points up in dicts keyed by tuples,
+and associativity by trying every triple.  Also reference
 functions the tests compare against: the order of the subconjugacy poset
 read off its containment counts, isomorphism of G-sets over the point, the
 norm of an integer from the trivial level by unmarks, the depth of a word,
@@ -42,9 +43,10 @@ from gwitt.gsets import (
     GMap,
     GSet,
     Pullback,
+    compose_maps,
     coset_space,
     equivariant_maps,
-    iso_over,
+    isos_over,
     orbit_decompose,
     product,
     to_point,
@@ -397,7 +399,7 @@ def min_relabeling_reps(x: GSet, y: GSet, auts_x: list[GMap],
 def gset_iso(x: GSet, y: GSet) -> GMap | None:
     """An equivariant bijection x -> y (an isomorphism over the point), or
     None."""
-    return iso_over(to_point(x), to_point(y))
+    return next(isos_over(to_point(x), to_point(y)), None)
 
 
 def word_depth(w: Word) -> int:
@@ -507,7 +509,25 @@ def pullback_pair(pb: Pullback, m_x: GMap, m_a: GMap) -> GMap:
 def iso_over_eq(u, v) -> bool:
     """Equality of two Burnside values (A, p) and (B, q) at one level: an
     isomorphism A -> B over the level exists."""
-    return iso_over(u[1], v[1]) is not None
+    return next(isos_over(u[1], v[1]), None) is not None
+
+
+def search_bispan_equivalent(u, v) -> bool:
+    """Equivalence of two bispans with common ends by backtracking: some
+    β: B -> B' over Y and α: A -> A' over X × B' with p'α = p and q'α = βq,
+    found by searching β and then α as an isomorphism into the product."""
+    if u.a.size != v.a.size or u.b.size != v.b.size:
+        return False
+    xb, _, _ = product(u.x, v.b)
+
+    def into_product(pmap: GMap, qmap: GMap) -> GMap:
+        images = tuple(pmap.images[i] * v.b.size + qmap.images[i]
+                       for i in pmap.source.points())
+        return GMap(pmap.source, xb, images, validate=False)
+
+    m2 = into_product(v.p, v.q)
+    return any(next(isos_over(into_product(u.p, compose_maps(beta, u.q)), m2), None) is not None
+               for beta in isos_over(u.r, v.r))
 
 
 def dict_pullback(f: GMap, g: GMap) -> Pullback:

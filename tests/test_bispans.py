@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from randgen import random_bispan
+from oracles import search_bispan_equivalent
+from randgen import random_bispan, random_gmap
 
 from gwitt.bispans import (
     Bispan,
@@ -23,7 +24,7 @@ from gwitt.bispans import (
     substitute_fibers,
 )
 from gwitt.errors import GwittError
-from gwitt.groups import cyclic, symmetric
+from gwitt.groups import cyclic, dihedral, klein_four, symmetric
 from gwitt.gsets import (
     GMap,
     compose_maps,
@@ -102,6 +103,55 @@ def test_equivalence_distinguishes_fiber_structure():
     # and equal partitions in a different labeling are equivalent
     w = Bispan(to_pt, GMap(four, two, (1, 1, 0, 0)), GMap(two, pt1, (0, 0)))
     assert bispan_equivalent(u, w)
+    # over C2 with X = Y = pt and A empty, two fixed points against one free
+    # orbit as B: only the stabilizers of B tell them apart
+    empty = empty_gset(C2)
+    fixed = trivial_gset(C2, 2)
+
+    def over_empty(b):
+        return Bispan(GMap(empty, PT, ()), GMap(empty, b, ()), GMap(b, PT, (0, 0)))
+
+    assert not bispan_equivalent(over_empty(fixed), over_empty(FREE))
+    assert not search_bispan_equivalent(over_empty(fixed), over_empty(FREE))
+    # A = free orbit ⊔ two fixed points over B = two fixed points: the
+    # multisets of (p(a), G_a) and of (r(b), G_b) agree, only the fibers of
+    # q differ
+    a, _ = disjoint_union([FREE, fixed])
+    to_pt = GMap(a, PT, (0,) * 4)
+    u = Bispan(to_pt, GMap(a, fixed, (0, 0, 1, 1)), GMap(fixed, PT, (0, 0)))
+    v = Bispan(to_pt, GMap(a, fixed, (0, 0, 0, 1)), GMap(fixed, PT, (0, 0)))
+    assert not bispan_equivalent(u, v) and not search_bispan_equivalent(u, v)
+    assert bispan_equivalent(u, Bispan(to_pt, GMap(a, fixed, (1, 1, 0, 0)), u.r))
+
+    # one free orbit against two fixed points as A, over X = B = Y = pt:
+    # only the stabilizers within the one fiber of q tell them apart
+    def over_pt(a):
+        return Bispan(GMap(a, PT, (0, 0)), GMap(a, PT, (0, 0)), identity_map(PT))
+
+    assert not bispan_equivalent(over_pt(fixed), over_pt(FREE))
+    assert not search_bispan_equivalent(over_pt(fixed), over_pt(FREE))
+
+
+@pytest.mark.parametrize("group", [C2, cyclic(4), klein_four(), symmetric(3), dihedral(4)],
+                         ids=lambda g: g.name)
+def test_equivalence_matches_the_search_oracle(group):
+    # each seeded bispan against its factorization round trip and against
+    # maps p, q, r drawn again on the same A, B, X and Y; both verdicts must
+    # occur often, since the round trips alone only ever give True
+    rng = random.Random(f"equivalence:{group.name}")
+    verdicts = {True: 0, False: 0}
+    for _ in range(40):
+        phi = random_bispan(group, rng, 6)
+        others = [recompose(phi.p, phi.q, phi.r)] + [
+            Bispan(random_gmap(phi.a, phi.x, rng), random_gmap(phi.a, phi.b, rng),
+                   random_gmap(phi.b, phi.y, rng))
+            for _ in range(6)
+        ]
+        for psi in others:
+            verdict = bispan_equivalent(psi, phi)
+            assert verdict == search_bispan_equivalent(psi, phi)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 20, verdicts
 
 
 def test_compose_unit_laws():
@@ -290,7 +340,6 @@ def test_generators_transform_fiber_polynomials_as_predicted():
         assert fiber_polynomial(n_comp, 0).poly == prod_poly
         # restriction along any map into y picks out the fiber polynomial
         for g_src in (y, regular_gset(C2)):
-            from randgen import random_gmap
             g = random_gmap(g_src, y, rng)
             if g is None:
                 continue
@@ -352,15 +401,4 @@ def test_compose_associativity_random_triples():
         lhs = compose(chi, compose(psi, phi))
         rhs = compose(compose(chi, psi), phi)
         assert bispan_equivalent(lhs, rhs)
-
-
-def test_equivalence_search_budget_cap():
-    from gwitt.errors import SearchBudgetError
-
-    four = trivial_gset(C2, 4)
-    pt1 = point_gset(C2)
-    t = gen_T(GMap(four, pt1, (0, 0, 0, 0)))
-    with pytest.raises(SearchBudgetError):
-        bispan_equivalent(t, t, budget=2)
-    assert bispan_equivalent(t, t)  # default cap of 10^6 nodes is ample here
 

@@ -29,7 +29,7 @@ from gwitt.gsets import (
     exponential_diagram,
     identity_map,
     induced_gset,
-    iso_over,
+    iso_class_over,
     isos_over,
     natural_gset,
     orbit_decompose,
@@ -124,14 +124,21 @@ def test_iso_over_examples():
     free = regular_gset(C2)
     pt = point_gset(C2)
     f = GMap(free, pt, (0, 0))
-    ident = iso_over(f, f)
-    assert ident is not None and compose_maps(f, ident).images == f.images
+    # the identity first, then the swap
+    assert [h.images for h in isos_over(f, f)] == [(0, 1), (1, 0)]
     # two free orbits over a point in either labeling
     a1, _ = disjoint_union([free, free])
     g1 = GMap(a1, pt, (0,) * 4)
-    assert iso_over(g1, g1) is not None
-    # free orbit vs two fixed points: no isomorphism
-    assert iso_over(f, GMap(trivial_gset(C2, 2), pt, (0, 0))) is None
+    isos = [h.images for h in isos_over(g1, g1)]
+    assert len(isos) == 8 and isos[0] == (0, 1, 2, 3)
+    # free orbit vs two fixed points: no isomorphism over the point
+    fixed = trivial_gset(C2, 2)
+    assert iso_class_over(free, f.images) != iso_class_over(fixed, (0, 0))
+    assert list(isos_over(f, GMap(fixed, pt, (0, 0)))) == []
+    # the same orbits over different labels: no isomorphism over a two-point base
+    both, _ = disjoint_union([free, fixed])
+    assert iso_class_over(both, (0, 0, 0, 1)) != iso_class_over(both, (0, 0, 1, 1))
+    assert list(isos_over(GMap(both, fixed, (0, 0, 0, 1)), GMap(both, fixed, (0, 0, 1, 1)))) == []
 
 
 def test_orbit_reassembly_is_isomorphic():
@@ -378,7 +385,8 @@ def test_empty_gset_is_handled_by_every_operation():
     assert both.size == 1
     prod, _, _ = product(empty, pt)
     assert prod.size == 0
-    assert iso_over(GMap(empty, pt, ()), GMap(empty, pt, ())) is not None
+    assert iso_class_over(empty, ()) == {}
+    assert [h.images for h in isos_over(GMap(empty, pt, ()), GMap(empty, pt, ()))] == [()]
     pb = pullback(GMap(empty, pt, ()), GMap(pt, pt, (0,)))
     assert pb.gset.size == 0
 
@@ -436,6 +444,8 @@ def test_map_searches_match_the_brute_force_oracle(group):
         g = rng.choice([g for g in maps_into[f.target] if g.source.size == f.source.size])
         for other in (f, g):
             assert [h.images for h in isos_over(f, other)] == all_isos_over(f, other)
+            assert (iso_class_over(f.source, f.images)
+                    == iso_class_over(other.source, other.images)) == bool(all_isos_over(f, other))
             assert count_maps_over(f, other) == sum(
                 1 for images in all_equivariant_maps(f.source, other.source)
                 if all(other.images[images[u]] == f.images[u] for u in f.source.points())
