@@ -16,12 +16,14 @@ class Group:
     """A finite group on element indices 0..order-1.
 
     Element 0 is always the identity; `mul_table[a][b]` is the product a*b.
-    Construction validates identity, inverses and associativity, so every
-    Group in circulation is genuinely a group.  Associativity is checked by
-    Light's test over a greedy generating set S, in O(n^2 |S|) steps with
-    |S| <= log2 n: (x s) y == x (s y) for every s in S and all x, y.  The
-    elements a with (x a) y == x (a y) for all x, y contain the identity and
-    are closed under the product, so they then include every element.
+    Construction refuses an order above `DEFAULT_MAX_ORDER`, as every
+    constructor does, and validates identity, inverses and associativity, so
+    every Group in circulation is genuinely a group.  Associativity is
+    checked by Light's test over a greedy generating set S, in O(n^2 |S|)
+    steps with |S| <= log2 n: (x s) y == x (s y) for every s in S and all
+    x, y.  The elements a with (x a) y == x (a y) for all x, y contain the
+    identity and are closed under the product, so they then include every
+    element.
     """
 
     __slots__ = ("order", "mul_table", "inv_table", "labels", "name", "perm_rep", "_hash")
@@ -29,6 +31,7 @@ class Group:
     def __init__(self, mul_table, labels=None, name=None, perm_rep=None):
         table = tuple(tuple(row) for row in mul_table)
         n = len(table)
+        _check_order(n)
         if n == 0:
             raise GwittError("a group has at least the identity element")
         for row in table:
@@ -90,8 +93,8 @@ def _greedy_generators(table) -> list[int]:
     is reached, and so is r*s for every reached r and s in S.  The first
     element not yet reached joins S, until none is left.  Only a two-sided
     identity is assumed, so this runs before the table is known to be
-    associative (unlike `_extend`, which needs a group).  On a group, S
-    has at most log2 n elements and generates it."""
+    associative (unlike `subgroup_generated`, which needs a group).  On a
+    group, S has at most log2 n elements and generates it."""
     reached = bytearray(len(table))
     reached[0] = 1
     closure, gens = [0], []
@@ -282,7 +285,20 @@ class Subgroup:
 
 
 def subgroup_generated(group: Group, gens) -> Subgroup:
-    return Subgroup(group, tuple(_extend(group, [0], 1, list(gens))[0]))
+    """The subgroup generated by `gens`: the identity closed under right
+    multiplication by each generator.  That set holds every product of
+    generators, and in a finite group an inverse is a positive power."""
+    mul = group.mul_table
+    gens = list(gens)
+    elements, mask = [0], 1
+    for r in elements:
+        row = mul[r]
+        for s in gens:
+            t = row[s]
+            if not mask >> t & 1:
+                elements.append(t)
+                mask |= 1 << t
+    return Subgroup(group, tuple(elements))
 
 
 def _mask(elements) -> int:
@@ -293,71 +309,72 @@ def _mask(elements) -> int:
     return mask
 
 
-def _extend(group: Group, elements: list[int], mask: int, gens) -> tuple[list[int], int]:
-    """Elements and bitset of the subgroup generated by the subgroup H (given
-    by `elements` and `mask`) together with `gens`, which must include a
-    generating set of H.
-
-    Dimino's coset closure: right cosets H·t are added until every coset
-    representative times every generator lands in their union, which is then
-    closed under multiplication, hence a subgroup.
-    """
-    mul = group.mul_table
-    elements = list(elements)
-    base = tuple(elements)
-    reps = [0]
-    for r in reps:
-        row = mul[r]
-        for s in gens:
-            t = row[s]
-            if not mask >> t & 1:
-                reps.append(t)
-                for h in base:
-                    x = mul[h][t]
-                    elements.append(x)
-                    mask |= 1 << x
-    return elements, mask
-
-
 @cache
 def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
     """Every subgroup exactly once, sorted by (order, element tuple).
 
-    Cyclic-extension closure: all cyclic subgroups first, then joins with a
-    cyclic subgroup until a fixpoint.  Each subgroup carries the few
-    generators it was built from, so a join is a coset closure over those
-    generators plus one, and subgroups are compared as bitsets.
+    Cyclic extension along normalizers (Neubüser; Pfeiffer, *Experiment.
+    Math.* 6, 1997), from the trivial subgroup up.  For each new subgroup H
+    with generators S, walk the right cosets Hg of G.  Keep g when g^-1 s g
+    lies in H for every s in S (then g normalizes H) and the least k with
+    g^k in H is prime: K = H u Hg u ... u Hg^(k-1) is then a subgroup with
+    H normal of index k, built with no closure, and generated by S and g.
+    Both tests depend only on the coset (N_G(H) is a union of cosets of H,
+    and Hg is an element of N_G(H)/H when it passes the first), so a coset
+    that fails is skipped whole.  Every g in K \\ H generates K over H (k
+    is prime), so all of K is skipped once K is found; subgroups are
+    deduplicated by bitset.
 
-    A cyclic C is skipped when it lies in H or in a join J = H v C' already
-    found with |J : H| prime: then H < H v C <= J, so H v C = J by Lagrange.
+    Completeness.  A solvable K > 1 has a normal subgroup H of prime index
+    p, and H is solvable.  By induction H is found; for g in K \\ H, g
+    normalizes H and g has order p modulo H, so <H, g> = K is found from
+    the coset Hg, unless Hg lies in an extension K' of H found before it,
+    and then K <= K' with |K':H| = p prime, so K = K'.  Hence every
+    solvable subgroup is found.  Every group of order below 60 is solvable,
+    and a proper subgroup has at most half the order of G, so under an
+    order cap below 120 (`DEFAULT_MAX_ORDER`) only G itself can be missed
+    (A5 is the one such group under the cap); it is added when it was not
+    reached.  Raising the cap to 120 or more needs the perfect subgroups
+    (A5 in S5; A5 and A6 in A6 and S6) seeded as well.
     """
-    mul = group.mul_table
-    cyclics: dict[int, tuple[list[int], list[int]]] = {}
-    for a in group.elements():
-        powers, x = [0], a
-        while x:
-            powers.append(x)
-            x = mul[x][a]
-        cyclics.setdefault(_mask(powers), (powers, [a] if a else []))
-    known = dict(cyclics)
-    frontier = list(cyclics.items())
+    mul, inv = group.mul_table, group.inv_table
+    right = tuple(zip(*mul))  # right[g][x] = x*g
+    bit = [1 << a for a in group.elements()]
+    primes = [_is_prime(k) for k in range(group.order + 1)]
+    known = {1: [0]}
+    frontier = [(1, [0], [])]
     while frontier:
         new = []
-        for h_mask, (h_elems, h_gens) in frontier:
-            covered = h_mask  # H and its prime-index joins found so far
-            for c_mask, (_, c_gens) in cyclics.items():
-                if c_mask & ~covered == 0:
+        for h_mask, h_elems, h_gens in frontier:
+            seen = h_mask
+            for g in group.elements():
+                if seen >> g & 1:
                     continue
-                gens = h_gens + c_gens
-                elems, mask = _extend(group, h_elems, h_mask, gens)
-                if _is_prime(len(elems) // len(h_elems)):
-                    covered |= mask
+                times_g = right[g]
+                inv_g_times = mul[inv[g]]
+                k, t = 1, g
+                if all(h_mask >> times_g[inv_g_times[s]] & 1 for s in h_gens):
+                    while not h_mask >> t & 1:
+                        t = times_g[t]
+                        k += 1
+                if not primes[k]:
+                    # the bitset of Hg: its bits are distinct, so sum is union
+                    seen |= sum(map(bit.__getitem__, map(times_g.__getitem__, h_elems)))
+                    continue
+                elems = list(h_elems)
+                t = g
+                for _ in range(1, k):  # t = g^i, add Hg^i
+                    elems += map(right[t].__getitem__, h_elems)
+                    t = times_g[t]
+                mask = sum(map(bit.__getitem__, elems))
+                seen |= mask
                 if mask not in known:
-                    known[mask] = (elems, gens)
-                    new.append((mask, known[mask]))
+                    known[mask] = elems
+                    new.append((mask, elems, h_gens + [g]))
         frontier = new
+    known.setdefault((1 << group.order) - 1, list(group.elements()))
     return tuple(sorted(
-        (Subgroup(group, tuple(elems)) for elems, _ in known.values()),
+        (Subgroup(group, tuple(elems)) for elems in known.values()),
         key=lambda s: (s.order, s.elements),
     ))
 

@@ -8,6 +8,7 @@ import pytest
 
 from gwitt.errors import GroupOrderError, GwittError
 from gwitt.groups import (
+    DEFAULT_MAX_ORDER,
     Group,
     Subgroup,
     all_subgroups,
@@ -38,6 +39,9 @@ LADDER = [symmetric(4), elementary_abelian_2(4), s4_x_c2(), dihedral(32)]
 # perm[(0 1 2),(0 1 2 3 4)], is the only non-solvable group under the cap
 C2_5 = elementary_abelian_2(5)
 A5 = group_from_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], name="A5")
+A4 = group_from_generators([(1, 2, 0, 3), (0, 2, 3, 1)], name="A4")
+C3_S3 = direct_product(cyclic(3), symmetric(3))
+C4_C4 = direct_product(cyclic(4), cyclic(4))
 
 
 def test_group_from_generators_examples():
@@ -80,13 +84,24 @@ def test_rejects_non_permutations_and_large_groups():
 
 
 def test_cyclic_and_dihedral_respect_the_order_cap():
-    # the cap is checked before a Cayley table is allocated or sliced
+    # the cap is checked before a Cayley table is allocated or sliced, and a
+    # table given directly is refused before it is validated
+    c65 = [[(a + b) % 65 for b in range(65)] for a in range(65)]
     for build, arg in ((cyclic, 65), (cyclic, 10**5), (dihedral, 33), (dihedral, 10**5),
-                       (partial(direct_product, cyclic(16)), cyclic(16))):
+                       (partial(direct_product, cyclic(16)), cyclic(16)), (Group, c65)):
         with pytest.raises(GroupOrderError):
             build(arg)
     assert cyclic(64).order == 64
     assert dihedral(32).order == 64
+
+
+def test_order_cap_keeps_all_subgroups_complete():
+    # all_subgroups reaches every solvable subgroup and adds G itself; that
+    # is complete only while every proper subgroup has order below 60
+    assert DEFAULT_MAX_ORDER < 120, (
+        "all_subgroups is complete only below order 120 (see its docstring): "
+        "seed the perfect subgroups before raising the cap"
+    )
 
 
 def test_bad_cayley_tables_rejected():
@@ -166,10 +181,20 @@ def test_light_associativity_test_matches_cubic_oracle(group):
     "group,count",
     [(cyclic(2), 2), (cyclic(4), 3), (symmetric(3), 6), (klein_four(), 5),
      (cyclic(6), 4), (dihedral(4), 10), (symmetric(4), 30),
-     (elementary_abelian_2(4), 67), (dihedral(32), 69), (C2_5, 374), (A5, 59)],
+     (elementary_abelian_2(4), 67), (dihedral(32), 69), (C2_5, 374), (A5, 59),
+     # C4 x C4: 15; C(n): tau(n); D(n): tau(n) + sigma(n)
+     (C4_C4, 15), (cyclic(60), 12), (dihedral(15), 28), (dihedral(30), 80)],
 )
 def test_subgroup_counts(group, count):
     assert len(all_subgroups(group)) == count
+
+
+@pytest.mark.parametrize(
+    "group,count",
+    [(A5, 9), (symmetric(4), 11), (dihedral(30), 20), (A4, 5)],
+)
+def test_subgroup_class_counts(group, count):
+    assert len(subconjugacy_poset(group)) == count
 
 
 @pytest.mark.parametrize("group", [cyclic(2), cyclic(4), klein_four(), symmetric(3), dihedral(4)])
@@ -178,7 +203,11 @@ def test_subgroups_match_subset_closure_oracle(group):
     assert [s.elements for s in all_subgroups(group)] == oracle
 
 
-@pytest.mark.parametrize("group", LADDER + [C2_5, A5], ids=lambda g: g.name)
+@pytest.mark.parametrize(
+    "group",
+    LADDER + [C2_5, A5, A4, C3_S3, C4_C4, dihedral(15), dihedral(30), cyclic(60)],
+    ids=lambda g: g.name,
+)
 def test_subgroups_match_join_closure_oracle(group):
     assert [s.elements for s in all_subgroups(group)] == join_closure_subgroups(group)
     for a in group.elements():
