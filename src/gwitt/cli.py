@@ -290,13 +290,17 @@ _VERIFIERS = {
     "factorization": lambda group, args: verify_ghost_factorization(
         group, samples=args.samples, seed=args.seed),
     "iso": lambda group, args: verify_dress_siebeneicher_iso(group),
-    "ring-axioms": lambda group, args: verify_ring_axioms(group),
+    "ring-axioms": lambda group, args: verify_ring_axioms(group, seed=args.seed),
     "injectivity": lambda group, args: verify_injectivity(
         group, samples=args.samples, seed=args.seed),
 }
 
 
 def _cmd_verify(args):
+    if args.samples is None:
+        args.samples = 100
+    elif args.property in ("iso", "ring-axioms"):
+        raise GwittError(f"--samples does not apply to {args.property}")
     report = _VERIFIERS[args.property](_group_from_arg(args.group), args)
     lines = [
         f"{report.name} on {report.group_name}: "
@@ -413,7 +417,7 @@ def _cmd_check(args):
         raise GwittError("--base applies only to --instance invariant")
     group = _group_from_arg(args.group)
     if args.instance == "invariant":
-        if args.base:
+        if args.base is not None:
             base = dsl.build_gset(dsl.parse_gset(args.base))
             if base.group != group:
                 raise GwittError("--base must live over --group")
@@ -505,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw = wsub.add_parser("verify")
     pw.add_argument("property", choices=("factorization", "iso", "ring-axioms", "injectivity"))
     pw.add_argument("group")
-    pw.add_argument("--samples", type=count_up_to(MAX_SAMPLES), default=100)
+    pw.add_argument("--samples", type=count_up_to(MAX_SAMPLES))
     add_common(pw, _cmd_verify)
 
     p = sub.add_parser("compose", help="evaluate a bispan expression")

@@ -26,9 +26,9 @@ class Group:
     element.
     """
 
-    __slots__ = ("order", "mul_table", "inv_table", "labels", "name", "perm_rep", "_hash")
+    __slots__ = ("order", "mul_table", "inv_table", "name", "perm_rep", "_hash")
 
-    def __init__(self, mul_table, labels=None, name=None, perm_rep=None):
+    def __init__(self, mul_table, name=None, perm_rep=None):
         table = tuple(tuple(row) for row in mul_table)
         n = len(table)
         _check_order(n)
@@ -56,9 +56,6 @@ class Group:
         self.order = n
         self.mul_table = table
         self.inv_table = tuple(inv)
-        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
-        if len(self.labels) != n:
-            raise GwittError("label count does not match order")
         self.name = name or f"G{n}"
         self.perm_rep = tuple(tuple(p) for p in perm_rep) if perm_rep is not None else None
         self._hash = None
@@ -112,25 +109,6 @@ def _greedy_generators(table) -> list[int]:
     return gens
 
 
-def _perm_label(perm: tuple[int, ...]) -> str:
-    n = len(perm)
-    seen = [False] * n
-    cycles = []
-    for i in range(n):
-        if seen[i] or perm[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        cycles.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(cycles) if cycles else "e"
-
-
 def group_from_generators(generators, n_points: int | None = None, name=None) -> Group:
     """Close a list of permutations under composition and build the Cayley table.
 
@@ -163,8 +141,7 @@ def group_from_generators(generators, n_points: int | None = None, name=None) ->
         [index[tuple(a[b[i]] for i in range(n_points))] for b in perms]
         for a in perms
     ]
-    labels = [_perm_label(p) for p in perms]
-    return Group(table, labels=labels, name=name, perm_rep=perms)
+    return Group(table, name=name, perm_rep=perms)
 
 
 def _check_order(order: int):
@@ -178,8 +155,7 @@ def cyclic(n: int) -> Group:
         raise GwittError("cyclic group order must be positive")
     _check_order(n)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    labels = ["e"] + [f"r^{k}" if k > 1 else "r" for k in range(1, n)]
-    return Group(table, labels=labels, name=f"C{n}")
+    return Group(table, name=f"C{n}")
 
 
 def dihedral(n: int) -> Group:
@@ -196,15 +172,7 @@ def dihedral(n: int) -> Group:
         return ((a1 + (a2 if b1 == 0 else -a2)) % n, b1 ^ b2)
 
     table = [[index[mul(x, y)] for y in elems] for x in elems]
-
-    def label(e):
-        a, b = e
-        rot = "e" if a == 0 else ("r" if a == 1 else f"r^{a}")
-        if b == 0:
-            return rot
-        return "s" if a == 0 else f"{rot}*s"
-
-    return Group(table, labels=[label(e) for e in elems], name=f"D{n}")
+    return Group(table, name=f"D{n}")
 
 
 def symmetric(n: int) -> Group:
@@ -233,8 +201,7 @@ def direct_product(g1: Group, g2: Group, name: str | None = None) -> Group:
         [index[(g1.mul(a1, a2), g2.mul(b1, b2))] for (a2, b2) in elems]
         for (a1, b1) in elems
     ]
-    labels = [f"({g1.labels[a]},{g2.labels[b]})" for (a, b) in elems]
-    return Group(table, labels=labels, name=name or f"{g1.name}x{g2.name}")
+    return Group(table, name=name or f"{g1.name}x{g2.name}")
 
 
 def klein_four() -> Group:
@@ -276,8 +243,7 @@ class Subgroup:
         emb = self.elements
         index = {g: i for i, g in enumerate(emb)}
         table = [[index[self.group.mul_table[a][b]] for b in emb] for a in emb]
-        labels = [self.group.labels[g] for g in emb]
-        sub = Group(table, labels=labels, name=f"{self.group.name}|{','.join(map(str, emb))}")
+        sub = Group(table, name=f"{self.group.name}|{','.join(map(str, emb))}")
         return sub, emb
 
     def __repr__(self):

@@ -142,9 +142,6 @@ class GMap:
         self._hash = None
         self._fiber_cache = None
 
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
     def fibers(self) -> tuple[tuple[int, ...], ...]:
         """The ascending fiber over each target point, built once in one pass
         over the images."""
@@ -356,44 +353,6 @@ def equivariant_maps(a: GSet, x: GSet):
         candidate_lists.append(cands)
     for combo in itertools.product(*candidate_lists):
         yield _extend_images(a, x, combo)
-
-
-def isos_over(f: GMap, g: GMap):
-    """Yield equivariant bijections h: source(f) -> source(g) with g∘h = f,
-    in ascending order of images.  Deciding whether one exists needs no
-    search (`iso_class_over`); this enumerates them all."""
-    if f.target != g.target:
-        raise GwittError("maps must share a target")
-    a, b = f.source, g.source
-    if [len(xs) for xs in f.fibers()] != [len(xs) for xs in g.fibers()]:
-        return
-    a_stabs, b_stabs = a.stabilizers(), b.stabilizers()
-    orbit_of_b = {u: k for k, (points, _) in enumerate(b.orbits()) for u in points}
-    candidates = []
-    for points, _ in a.orbits():
-        rep = points[0]
-        cands = [p for p in g.fiber(f.images[rep]) if b_stabs[p] == a_stabs[rep]]
-        if not cands:
-            return
-        candidates.append(cands)
-    used = [False] * len(b.orbits())
-    assignment: list[int] = []
-
-    def backtrack(k: int):
-        if k == len(candidates):
-            yield _extend_images(a, b, assignment)
-            return
-        for p in candidates[k]:
-            ob = orbit_of_b[p]
-            if used[ob]:
-                continue
-            used[ob] = True
-            assignment.append(p)
-            yield from backtrack(k + 1)
-            assignment.pop()
-            used[ob] = False
-
-    yield from backtrack(0)
 
 
 def iso_class_over(x: GSet, labels) -> Counter:

@@ -212,10 +212,6 @@ class Poly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(frozenset(self.terms.items()))

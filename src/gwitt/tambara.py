@@ -26,10 +26,8 @@ from .gsets import (
     exponential_diagram,
     identity_map,
     iso_class_over,
-    isos_over,
     pullback,
     reassemble,
-    to_point,
 )
 
 
@@ -327,8 +325,8 @@ def small_gsets(group: Group, budget: int) -> list[GSet]:
 
 
 def _automorphisms(x: GSet) -> list[GMap]:
-    to_pt = to_point(x)
-    return list(isos_over(to_pt, to_pt))
+    """The bijective equivariant maps x -> x, in ascending order of images."""
+    return [f for f in equivariant_maps(x, x) if len(set(f.images)) == x.size]
 
 
 def _canonical_reps(x: GSet, y: GSet, auts_x: list[GMap],

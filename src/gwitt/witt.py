@@ -323,7 +323,7 @@ def verify_dress_siebeneicher_iso(group: Group) -> Report:
     return report
 
 
-def verify_ring_axioms(group: Group) -> Report:
+def verify_ring_axioms(group: Group, seed: int = 0) -> Report:
     """Ring laws of W_G, symbolically.
 
     The structure polynomials are defined as the unghost of the ghost sum,
@@ -335,8 +335,8 @@ def verify_ring_axioms(group: Group) -> Report:
     product polynomials are symmetric in the two variable blocks, and
     associativity and distributivity hold: up to DIRECT_CLASS_CAP classes by
     direct polynomial substitution, above it (where the substituted
-    polynomials grow too large) at RING_LAW_SAMPLES seeded integer triples,
-    seed 0, through the same structure polynomials.
+    polynomials grow too large) at RING_LAW_SAMPLES integer triples drawn
+    from `seed`, through the same structure polynomials.
     """
     ctx = witt_context(group)
     report = Report("ring-axioms", group.name)
@@ -396,8 +396,8 @@ def verify_ring_axioms(group: Group) -> Report:
         sym_c = tuple(Poly.var(f"c_{ctx.poset.label(i)}") for i in range(ctx.n))
         triples = [(sym_a, sym_b, sym_c)]
     else:
-        report.seed = 0
-        rng = random.Random(report.seed)
+        report.seed = seed
+        rng = random.Random(seed)
         triples = [tuple(random_witt_vector(group, rng).components for _ in range(3))
                    for _ in range(RING_LAW_SAMPLES)]
     add = lambda u, v: ctx.eval_polys(ctx.sum_polys(), u, v)

@@ -7,8 +7,9 @@ the Teichmueller map and its marks by building every subgroup as a group of
 its own, the norm N_e^G(x) by the orbits of all functions G -> {0..x-1},
 stabilizers and fibers by scanning, orbits by closing a frontier, products
 by nested loops, equivariant maps and isomorphisms by filtering all
-functions and permutations, map representatives up to automorphisms by
-minimizing over every relabeling of every map, equality of G-sets over a
+functions and permutations, isomorphisms over a base by backtracking over
+orbits, map representatives up to automorphisms by minimizing over every
+relabeling of every map, equality of G-sets over a
 base and equivalence of bispans by an isomorphism search, pullbacks and
 dependent products by looking their points up in dicts keyed by tuples,
 and associativity by trying every triple.  Also reference
@@ -43,10 +44,10 @@ from gwitt.gsets import (
     GMap,
     GSet,
     Pullback,
+    _extend_images,
     compose_maps,
     coset_space,
     equivariant_maps,
-    isos_over,
     orbit_decompose,
     product,
     to_point,
@@ -374,6 +375,45 @@ def all_isos_over(f: GMap, g: GMap) -> list[tuple[int, ...]]:
         if all(g.images[images[u]] == f.images[u] for u in a.points())
         and _is_equivariant(a, b, images)
     ]
+
+
+def isos_over(f: GMap, g: GMap):
+    """Yield equivariant bijections h: source(f) -> source(g) with g∘h = f,
+    in ascending order of images, by backtracking: each orbit of source(f)
+    in turn sends its representative to a point over the same base point
+    with the same stabilizer, in an orbit no earlier orbit took."""
+    if f.target != g.target:
+        raise GwittError("maps must share a target")
+    a, b = f.source, g.source
+    if [len(xs) for xs in f.fibers()] != [len(xs) for xs in g.fibers()]:
+        return
+    a_stabs, b_stabs = a.stabilizers(), b.stabilizers()
+    orbit_of_b = {u: k for k, (points, _) in enumerate(b.orbits()) for u in points}
+    candidates = []
+    for points, _ in a.orbits():
+        rep = points[0]
+        cands = [p for p in g.fiber(f.images[rep]) if b_stabs[p] == a_stabs[rep]]
+        if not cands:
+            return
+        candidates.append(cands)
+    used = [False] * len(b.orbits())
+    assignment: list[int] = []
+
+    def backtrack(k: int):
+        if k == len(candidates):
+            yield _extend_images(a, b, assignment)
+            return
+        for p in candidates[k]:
+            ob = orbit_of_b[p]
+            if used[ob]:
+                continue
+            used[ob] = True
+            assignment.append(p)
+            yield from backtrack(k + 1)
+            assignment.pop()
+            used[ob] = False
+
+    yield from backtrack(0)
 
 
 def min_relabeling_reps(x: GSet, y: GSet, auts_x: list[GMap],

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gwitt import dsl
+from gwitt import dsl, witt
 from gwitt.cli import run
 from gwitt.dsl import build_group, parse_group
 from gwitt.groups import subconjugacy_poset
@@ -369,6 +369,33 @@ def test_check_tambara_refuses_base_for_the_burnside_instance(base):
     )
     assert status == 2
     assert err == "error: --base applies only to --instance invariant\n"
+
+
+def test_check_tambara_parses_an_empty_base():
+    # an empty --base is parsed like any other, not read as "no base"
+    status, err = capture_error(
+        ["check", "tambara", "--group", "C(2)", "--base", "", "--budget", "1"])
+    assert status == 2
+    assert err.startswith("syntax error at line 1, column 1: ")
+
+
+@pytest.mark.parametrize("prop", ["iso", "ring-axioms"])
+def test_witt_verify_refuses_samples_where_nothing_is_sampled(prop):
+    status, err = capture_error(["witt", "verify", prop, "C(2)", "--samples", "5"])
+    assert status == 2
+    assert err == f"error: --samples does not apply to {prop}\n"
+
+
+def test_witt_verify_ring_axioms_draws_from_the_given_seed(monkeypatch):
+    # C4 has 3 classes: under a cap of 2 the laws are checked at triples
+    # drawn from --seed
+    monkeypatch.setattr(witt, "DIRECT_CLASS_CAP", 2)
+    for seed in (0, 5):
+        status, payload = capture(["witt", "verify", "ring-axioms", "C(4)",
+                                   "--seed", str(seed), "--format", "json"])
+        data = json.loads(payload)
+        assert status == 0 and data["ok"] is True
+        assert data["seed"] == seed
 
 
 GOLDEN_COMMANDS = [

@@ -30,7 +30,6 @@ from gwitt.gsets import (
     identity_map,
     induced_gset,
     iso_class_over,
-    isos_over,
     natural_gset,
     orbit_decompose,
     point_gset,
@@ -51,6 +50,7 @@ from oracles import (
     dict_pullback,
     fixed_points,
     gset_iso,
+    isos_over,
     loop_product,
     marks_vector,
     poset_leq,

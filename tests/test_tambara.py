@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from gwitt.errors import EquivarianceError, GwittError
-from gwitt.groups import cyclic, dihedral, subconjugacy_poset, symmetric
+from gwitt.groups import cyclic, dihedral, klein_four, subconjugacy_poset, symmetric
 from gwitt.gsets import (
     GMap,
     GSet,
@@ -21,6 +21,7 @@ from gwitt.gsets import (
     natural_gset,
     point_gset,
     regular_gset,
+    to_point,
 )
 from gwitt.tambara import (
     RELATION_NAMES,
@@ -32,7 +33,7 @@ from gwitt.tambara import (
     check_tambara_axioms,
     small_gsets,
 )
-from oracles import check_value, iso_over_eq, level_rank, min_relabeling_reps
+from oracles import all_isos_over, check_value, iso_over_eq, level_rank, min_relabeling_reps
 
 C2 = cyclic(2)
 S3 = symmetric(3)
@@ -116,6 +117,15 @@ def test_map_representatives_match_the_min_relabeling_oracle(group):
             got = _canonical_reps(x, y, auts[i], auts[j])
             want = min_relabeling_reps(x, y, auts[i], auts[j])
             assert [f.images for f in got] == [f.images for f in want], (i, j)
+
+
+@pytest.mark.parametrize("group", [C2, cyclic(4), klein_four(), S3, dihedral(4)],
+                         ids=lambda g: g.name)
+def test_automorphisms_match_the_brute_force_oracle(group):
+    # the same maps in the same order: the order fixes the canonical
+    # representatives of _canonical_reps
+    for x in small_gsets(group, 4):
+        assert [f.images for f in _automorphisms(x)] == all_isos_over(to_point(x), to_point(x))
 
 
 def test_burnside_instance_operations():
