@@ -6,12 +6,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import GwittError, IntegralityError
 from .groups import Group, subconjugacy_poset
-from .gsets import GSet, orbit_decompose
 from .intpoly import Poly
+
+if TYPE_CHECKING:
+    from .gsets import GSet
 
 
 class MarkColumns(NamedTuple):
@@ -116,6 +118,8 @@ def burnside_one(group: Group) -> BurnsideElement:
 
 
 def burnside_of_gset(x: GSet) -> BurnsideElement:
+    from .gsets import orbit_decompose  # here, so that burnside loads without gsets
+
     poset = subconjugacy_poset(x.group)
     coeffs = [0] * len(poset)
     for idx in orbit_decompose(x):

@@ -19,34 +19,18 @@ import json
 import shlex
 import sys
 
+# Only what parsing arguments and reporting errors needs is imported here
+# (dsl loads groups and intpoly); each handler imports the modules it
+# computes with, so that one command loads no module another one needs.
 from . import dsl
-from .bispans import bispan_equivalent, fiber_polynomials, recompose
-from .burnside import BurnsideElement, burnside_mul, column_solve, marks, table_of_marks
 from .errors import DslSyntaxError, GwittError, IntegralityError
 from .groups import Group, subconjugacy_poset
-from .gsets import orbit_decompose, regular_gset
 from .intpoly import Poly
-from .tambara import (
-    BurnsideOverInstance,
-    InvariantRingInstance,
-    check_tambara_axioms,
-)
-from .witt import (
-    GhostVector,
-    WittVector,
-    ghost,
-    teichmuller_tau,
-    unghost,
-    verify_dress_siebeneicher_iso,
-    verify_ghost_factorization,
-    verify_injectivity,
-    verify_ring_axioms,
-    witt_add,
-    witt_context,
-    witt_mul,
-    witt_neg,
-)
-from .words import SetAssignment, Word, coherence_iso, eval_size, eval_word, supp
+
+TYPE_CHECKING = False  # annotations only, as in dsl
+if TYPE_CHECKING:
+    from .witt import WittVector
+    from .words import SetAssignment, Word
 
 SCHEMA = 1
 
@@ -92,6 +76,8 @@ def _symbolic_components(vector: dsl.Node, group: Group) -> list[str]:
 
 
 def _witt_from_arg(vector: dsl.Node, group: Group, symbolic: bool) -> WittVector:
+    from .witt import WittVector
+
     bad = _symbolic_components(vector, group)
     if bad and not symbolic:
         raise GwittError(f"symbolic components {bad} need --symbolic")
@@ -166,6 +152,8 @@ def _cmd_lattice(args):
 
 
 def _cmd_tom(args):
+    from .burnside import table_of_marks
+
     group = _group_from_arg(args.group)
     labels = subconjugacy_poset(group).labels()
     tom = table_of_marks(group)
@@ -184,6 +172,8 @@ def _cmd_tom(args):
 
 
 def _cmd_marks(args):
+    from .burnside import BurnsideElement, marks
+
     group = _group_from_arg(args.group)
     coeffs = _coeffs_from_arg(args.coeffs, group)
     vec = marks(BurnsideElement(group, coeffs))
@@ -194,6 +184,8 @@ def _cmd_marks(args):
 
 
 def _cmd_orbits(args):
+    from .gsets import orbit_decompose
+
     x = dsl.build_gset(dsl.parse_gset(args.gset))
     poset = subconjugacy_poset(x.group)
     counts: dict[int, int] = {}
@@ -212,6 +204,8 @@ def _cmd_orbits(args):
 
 
 def _cmd_burnside_mul(args):
+    from .burnside import BurnsideElement, burnside_mul
+
     group = _group_from_arg(args.group)
     b1 = BurnsideElement(group, _coeffs_from_arg(args.left, group))
     b2 = BurnsideElement(group, _coeffs_from_arg(args.right, group))
@@ -222,24 +216,13 @@ def _cmd_burnside_mul(args):
     return 0, payload, [_class_header(group), line]
 
 
-def _unghost(w: WittVector) -> WittVector:
-    return unghost(GhostVector(w.group, w.components))
-
-
-# witt subcommand -> (operation on WittVector operands, JSON kind)
-_WITT_OPS = {
-    "ghost": (ghost, "ghost"),
-    "unghost": (_unghost, "witt"),
-    "neg": (witt_neg, "witt"),
-    "add": (witt_add, "witt"),
-    "mul": (witt_mul, "witt"),
-}
-
-
 def _check_ghost_terms(group: Group, op: str, vectors) -> None:
     """Refuse a symbolic Witt operation whose ghost components (for unghost,
     whose Witt components) may expand past dsl.MAX_TERMS terms, before any
     literal is expanded: the operation runs on the literals' dsl.TermBound."""
+    from .burnside import column_solve
+    from .witt import witt_context
+
     ctx = witt_context(group)
     if any(len(v.children) != ctx.n for v in vectors):
         return  # _witt_from_arg reports the count
@@ -259,8 +242,17 @@ def _check_ghost_terms(group: Group, op: str, vectors) -> None:
 
 
 def _cmd_witt(args):
+    from .witt import GhostVector, ghost, unghost, witt_add, witt_mul, witt_neg
+
+    # witt subcommand -> (operation on WittVector operands, JSON kind)
+    operation, kind = {
+        "ghost": (ghost, "ghost"),
+        "unghost": (lambda w: unghost(GhostVector(w.group, w.components)), "witt"),
+        "neg": (witt_neg, "witt"),
+        "add": (witt_add, "witt"),
+        "mul": (witt_mul, "witt"),
+    }[args.witt_op]
     group = _group_from_arg(args.group)
-    operation, kind = _WITT_OPS[args.witt_op]
     texts = [args.vector] + ([args.vector2] if "vector2" in args else [])
     vectors = [dsl.parse_vector(t) for t in texts]
     if args.symbolic:
@@ -274,6 +266,8 @@ def _cmd_witt(args):
 
 
 def _cmd_tau(args):
+    from .witt import teichmuller_tau
+
     group = _group_from_arg(args.group)
     vector = dsl.parse_vector(args.vector)
     if args.symbolic and _symbolic_components(vector, group):
@@ -286,22 +280,31 @@ def _cmd_tau(args):
     return 0, payload, [_class_header(group), "tau: " + ",".join(coeffs)]
 
 
-_VERIFIERS = {
-    "factorization": lambda group, args: verify_ghost_factorization(
-        group, samples=args.samples, seed=args.seed),
-    "iso": lambda group, args: verify_dress_siebeneicher_iso(group),
-    "ring-axioms": lambda group, args: verify_ring_axioms(group, seed=args.seed),
-    "injectivity": lambda group, args: verify_injectivity(
-        group, samples=args.samples, seed=args.seed),
-}
-
-
 def _cmd_verify(args):
+    from .witt import (
+        verify_dress_siebeneicher_iso,
+        verify_ghost_factorization,
+        verify_injectivity,
+        verify_ring_axioms,
+    )
+
     if args.samples is None:
         args.samples = 100
     elif args.property in ("iso", "ring-axioms"):
         raise GwittError(f"--samples does not apply to {args.property}")
-    report = _VERIFIERS[args.property](_group_from_arg(args.group), args)
+    if args.seed is None:
+        args.seed = 0
+    elif args.property == "iso":
+        raise GwittError("--seed does not apply to iso")
+    group = _group_from_arg(args.group)
+    if args.property == "factorization":
+        report = verify_ghost_factorization(group, samples=args.samples, seed=args.seed)
+    elif args.property == "iso":
+        report = verify_dress_siebeneicher_iso(group)
+    elif args.property == "ring-axioms":
+        report = verify_ring_axioms(group, seed=args.seed)
+    else:
+        report = verify_injectivity(group, samples=args.samples, seed=args.seed)
     lines = [
         f"{report.name} on {report.group_name}: "
         f"{'ok' if report.ok else 'FAILED'} ({report.checked} checks)"
@@ -313,6 +316,8 @@ def _cmd_verify(args):
 def _fiber_polys(phi) -> tuple[dict, list[str], bool]:
     """The fiber polynomials of a bispan as a JSON map and as table lines,
     and whether the bispan is simple (every fiber polynomial is)."""
+    from .bispans import fiber_polynomials
+
     fps = fiber_polynomials(phi)
     return (
         {f"y{fp.base_point}": str(fp.poly) for fp in fps},
@@ -342,6 +347,8 @@ def _cmd_simple(args):
 
 
 def _cmd_factor(args):
+    from .bispans import bispan_equivalent, recompose
+
     phi = dsl.build_bispan(dsl.parse_bispan(args.bispan))
     equivalent = bispan_equivalent(recompose(phi.p, phi.q, phi.r), phi)
     legs = {"p": list(phi.p.images), "q": list(phi.q.images), "r": list(phi.r.images)}
@@ -352,6 +359,8 @@ def _cmd_factor(args):
 
 
 def _parse_assignment(text: str) -> SetAssignment:
+    from .words import SetAssignment
+
     sizes: dict[str, int] = {}
     for part in text.split(",") if text.strip() else ():
         if "=" not in part:
@@ -372,6 +381,8 @@ def _parse_assignment(text: str) -> SetAssignment:
 
 
 def _word_within_cap(text: str, assignment: SetAssignment) -> Word:
+    from .words import eval_size
+
     w = dsl.build_word(dsl.parse_word(text))
     size = eval_size(w, assignment)
     if size > MAX_EVAL_ELEMENTS:
@@ -382,12 +393,16 @@ def _word_within_cap(text: str, assignment: SetAssignment) -> Word:
 
 
 def _cmd_words_supp(args):
+    from .words import supp
+
     poly = supp(dsl.build_word(dsl.parse_word(args.word)))
     _check_printable([poly])
     return 0, {"kind": "supp", "polynomial": str(poly)}, [str(poly)]
 
 
 def _cmd_words_eval(args):
+    from .words import eval_word
+
     assignment = _parse_assignment(args.assign)
     elems = eval_word(_word_within_cap(args.word, assignment), assignment)
     payload = {
@@ -399,6 +414,8 @@ def _cmd_words_eval(args):
 
 
 def _cmd_words_iso(args):
+    from .words import coherence_iso
+
     assignment = _parse_assignment(args.assign)
     w = _word_within_cap(args.word, assignment)
     w2 = _word_within_cap(args.word2, assignment)
@@ -413,6 +430,9 @@ def _cmd_words_iso(args):
 
 
 def _cmd_check(args):
+    from .gsets import regular_gset
+    from .tambara import BurnsideOverInstance, InvariantRingInstance, check_tambara_axioms
+
     if args.base is not None and args.instance != "invariant":
         raise GwittError("--base applies only to --instance invariant")
     group = _group_from_arg(args.group)
@@ -463,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, handler):
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=handler)
 
     p = sub.add_parser("lattice", help="conjugacy classes of subgroups and subconjugacy")
@@ -511,6 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("group")
     pw.add_argument("--samples", type=count_up_to(MAX_SAMPLES))
     add_common(pw, _cmd_verify)
+    pw.add_argument("--seed", type=int)  # default 0; refused for iso
 
     p = sub.add_parser("compose", help="evaluate a bispan expression")
     p.add_argument("bispan")
@@ -547,6 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--budget", type=count_up_to(MAX_BUDGET), default=4)
     pt.add_argument("--base", default=None, help="base G-set for the invariant instance")
     add_common(pt, _cmd_check)
+    pt.add_argument("--seed", type=int, default=0)
 
     return parser
 

@@ -24,12 +24,19 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import groups as _groups
-from .bispans import Bispan, compose, gen_N, gen_R, gen_T, pair
 from .errors import DslSyntaxError, GwittError
 from .groups import Group, Subgroup, subgroup_generated
-from .gsets import GMap, GSet, coset_space, disjoint_union, identity_map, product, to_point
 from .intpoly import Poly
-from .words import Word
+
+# Each builder imports the module it builds with, so that parsing and
+# build_group load none of them.  The names below are for annotations only:
+# type checkers take TYPE_CHECKING as true by its name, and defining it
+# here spares every command the import of typing.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .bispans import Bispan
+    from .gsets import GMap, GSet
+    from .words import Word
 
 # Fixed input bounds, checked while parsing so that no input builds an
 # unbounded structure: bracket nesting and parse-tree depth (which bound
@@ -514,6 +521,8 @@ def build_subgroup(node: Node, group: Group) -> Subgroup:
 
 
 def build_gset(node: Node) -> GSet:
+    from .gsets import coset_space, disjoint_union, product
+
     if node.kind == "gset_cosets":
         group = build_group(node.children[0])
         sub = build_subgroup(node.children[1], group)
@@ -534,6 +543,8 @@ def build_gset(node: Node) -> GSet:
 
 
 def build_map(node: Node) -> GMap:
+    from .gsets import GMap, disjoint_union, identity_map, to_point
+
     if node.kind == "map_id":
         return identity_map(build_gset(node.children[0]))
     if node.kind == "map_fold":
@@ -556,6 +567,8 @@ def build_map(node: Node) -> GMap:
 
 
 def build_bispan(node: Node) -> Bispan:
+    from .bispans import compose, gen_N, gen_R, gen_T, pair
+
     if node.kind == "bispan_R":
         return gen_R(build_map(node.children[0]))
     if node.kind == "bispan_T":
@@ -572,6 +585,8 @@ def build_bispan(node: Node) -> Bispan:
 
 
 def build_word(node: Node) -> Word:
+    from .words import Word
+
     if node.kind == "word_unit":
         return Word.zero() if node.value == "0" else Word.one()
     if node.kind == "word_var":

@@ -386,6 +386,25 @@ def test_witt_verify_refuses_samples_where_nothing_is_sampled(prop):
     assert err == f"error: --samples does not apply to {prop}\n"
 
 
+# Only `witt verify factorization|injectivity|ring-axioms` and `check
+# tambara` draw samples; the other commands have no --seed.
+SEEDLESS = [
+    (["tom", "C(2)"], "unrecognized arguments: --seed 5"),
+    (["lattice", "C(2)"], "unrecognized arguments: --seed 5"),
+    (["witt", "add", "C(2)", "(1,2)", "(3,4)"], "unrecognized arguments: --seed 5"),
+    (["words", "supp", "x"], "unrecognized arguments: --seed 5"),
+    (["compose", "R(id(C(2)/<>))"], "unrecognized arguments: --seed 5"),
+    (["witt", "verify", "iso", "C(2)"], "error: --seed does not apply to iso"),
+]
+
+
+@pytest.mark.parametrize("argv, error", SEEDLESS, ids=[" ".join(a) for a, _ in SEEDLESS])
+def test_seed_is_refused_where_nothing_reads_it(argv, error):
+    status, err = capture_error(argv + ["--seed", "5"])
+    assert status == 2
+    assert error in err
+
+
 def test_witt_verify_ring_axioms_draws_from_the_given_seed(monkeypatch):
     # C4 has 3 classes: under a cap of 2 the laws are checked at triples
     # drawn from --seed

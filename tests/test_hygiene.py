@@ -1,9 +1,10 @@
 """Static checks over the library's code, standing in for a linter: every
-module-level import of a library or test module is used and no function
-imports again what its file imports at the top, every function, class,
-method or module-level assigned name is used by the library or exported by
-it, every export is documented in the README, the README names every
-per-group memo, and every test oracle is called by a test."""
+import of a library or test module is used (one inside a function by that
+function) and no function imports again what its file imports at the top,
+every function, class, method or module-level assigned name is used by the
+library or exported by it, every export is documented in the README, the
+README names every per-group memo, and every test oracle is called by a
+test."""
 
 import ast
 import re
@@ -41,18 +42,34 @@ def _names_read(tree: ast.AST) -> set[str]:
 def test_no_unused_module_level_import():
     unused = []
     for path in SOURCES + sorted(TESTS.glob("*.py")):
-        if path == PACKAGE / "__init__.py":
-            continue  # its imports are the exports
         tree = _tree(path)
         used = _names_read(tree)
-        for node in tree.body:
+        # the top level and the body of a top-level `if`, such as `if TYPE_CHECKING:`
+        top = [n for node in tree.body for n in (node.body if isinstance(node, ast.If) else [node])]
+        for node in top:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if bound not in used:
-                        unused.append(f"{path.name}:{node.lineno} {bound}")
+                unused += _unread(path, node, used)
+    assert unused == []
+
+
+def _unread(path: Path, node: ast.Import | ast.ImportFrom, used: set[str]) -> list[str]:
+    """The names `node` binds that are not in `used`, as `file:line name`."""
+    return [f"{path.name}:{node.lineno} {bound}" for alias in node.names
+            if (bound := alias.asname or alias.name.split(".")[0]) not in used]
+
+
+def test_no_unused_function_level_import():
+    """A function reads every name that an import inside it binds."""
+    unused = []
+    for path in SOURCES + sorted(TESTS.glob("*.py")):
+        for function in ast.walk(_tree(path)):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                used = _names_read(function)
+                for node in ast.walk(function):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        unused += _unread(path, node, used)
     assert unused == []
 
 
@@ -107,9 +124,9 @@ def _assignments(tree: ast.Module):
 def _package_imports(tree: ast.Module) -> tuple[dict[str, str], set[tuple[str, str]]]:
     """The package modules a file binds (`from . import m as alias` gives
     alias -> m) and the names it imports from them (`from .m import name`
-    gives (m, name))."""
+    gives (m, name)), at the top or inside a function."""
     modules, names = {}, set()
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             for alias in node.names:
                 if node.module is None:
@@ -147,29 +164,32 @@ def _references(tree: ast.AST, skip: ast.AST | None = None, classes=frozenset(),
     return names, attributes
 
 
-def _exports() -> set[str]:
-    """The names that gwitt/__init__.py imports from the modules."""
-    return {
-        alias.asname or alias.name
-        for node in _tree(PACKAGE / "__init__.py").body if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+def _exports() -> dict[str, str]:
+    """The table of gwitt/__init__.py: exported name -> its module."""
+    (table,) = [
+        node.value for node in _tree(PACKAGE / "__init__.py").body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_EXPORTS"]
+    ]
+    return ast.literal_eval(table)
 
 
 def test_every_definition_is_referenced():
     """A function, class or module-level assigned name of module m is used
-    when m reads its name outside its body (the assignment, for a name), or another module (gwitt/__init__.py, which exports it, too)
-    imports it from m or reads it as an attribute of m.  A method is used
-    only when the library reads it as an attribute of its own class or of a
-    value of unknown class.  So a local name, an export or a method of the
-    same spelling elsewhere does not count.  Tests and the benchmark do not
-    count either: code that only they run belongs with them, not in src/."""
+    when m reads its name outside its body (the assignment, for a name),
+    another module imports it from m (at the top or in a function) or reads
+    it as an attribute of m, or the export table of gwitt/__init__.py names
+    it.  A method is used only when the library reads it as an attribute of
+    its own class or of a value of unknown class.  So a local name, an
+    export or a method of the same spelling elsewhere does not count.  Tests
+    and the benchmark do not count either: code that only they run belongs
+    with them, not in src/."""
     trees = {path.stem: _tree(path) for path in SOURCES}
     classes = frozenset(
         node.name for tree in trees.values() for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
     )
     imports = {m: _package_imports(tree) for m, tree in trees.items()}
+    imports["__init__"][1].update((m, name) for name, m in _exports().items())
     reads = {m: _references(tree, None, classes, imports[m][0]) for m, tree in trees.items()}
     unreferenced = []
     for module, tree in trees.items():
@@ -195,7 +215,7 @@ def test_every_export_is_documented():
     """Each exported name appears in a code span of README.md."""
     readme = (ROOT / "README.md").read_text()
     documented = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`\n]+)`", readme))))
-    assert sorted(_exports() - documented) == []
+    assert sorted(_exports().keys() - documented) == []
 
 
 def test_every_oracle_is_called():
