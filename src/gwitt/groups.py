@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 from math import isqrt
 from operator import itemgetter
 
@@ -34,17 +35,16 @@ class Group:
         _check_order(n)
         if n == 0:
             raise GwittError("a group has at least the identity element")
-        for row in table:
-            if len(row) != n or any(not (0 <= v < n) for v in row):
-                raise GwittError("Cayley table is not square over 0..order-1")
+        if (any(len(row) != n for row in table)
+                # ints only: 0.0 == 0 would pass the range test and index the table
+                or set(map(type, chain.from_iterable(table))) != {int}
+                or not set(range(n)).issuperset(chain.from_iterable(table))):
+            raise GwittError("Cayley table is not square over the integers 0..order-1")
         for a in range(n):
             if table[0][a] != a or table[a][0] != a:
                 raise GwittError("element 0 is not a two-sided identity")
-        inv = [None] * n
+        inv = [row.index(0) if 0 in row else None for row in table]
         for a in range(n):
-            for b in range(n):
-                if table[a][b] == 0:
-                    inv[a] = b
             if inv[a] is None or table[inv[a]][a] != 0:
                 raise GwittError(f"element {a} has no two-sided inverse")
         for s in _greedy_generators(table):
@@ -114,21 +114,28 @@ def group_from_generators(generators, n_points: int | None = None, name=None) ->
 
     Element order is the identity followed by the remaining permutations in
     lexicographic order, so the result depends only on the generated set.
+    The table is read off the generators' right-multiplication images
+    right_s[x] = index(x*s), |G| compositions per distinct non-identity
+    generator s: from the identity column, column c*s is column c mapped
+    through right_s, since a*(c*s) = (a*c)*s, filled in BFS order.
     """
     gens = [tuple(g) for g in generators]
     if n_points is None:
         n_points = len(gens[0]) if gens else 1
-    for g in gens:
-        if len(g) != n_points or sorted(g) != list(range(n_points)):
-            raise GwittError(f"{g} is not a permutation of 0..{n_points - 1}")
     identity = tuple(range(n_points))
+    for g in gens:
+        # ints only: (1, 0, 2.0) sorts equal to (0, 1, 2)
+        if len(g) != n_points or any(type(v) is not int for v in g) or sorted(g) != list(identity):
+            raise GwittError(f"{g} is not a permutation of 0..{n_points - 1}")
+    # x*s is x o s, the tuple x[s[i]]; each distinct non-identity s once
+    compose = [itemgetter(*g) for g in dict.fromkeys(gens) if g != identity]
     closure = {identity}
     frontier = [identity]
     while frontier:
         new = []
         for p in frontier:
-            for g in gens:
-                q = tuple(p[g[i]] for i in range(n_points))
+            for times_s in compose:
+                q = times_s(p)
                 if q not in closure:
                     if len(closure) >= DEFAULT_MAX_ORDER:
                         raise GroupOrderError(f"generated order exceeds cap {DEFAULT_MAX_ORDER}")
@@ -137,11 +144,17 @@ def group_from_generators(generators, n_points: int | None = None, name=None) ->
         frontier = new
     perms = [identity] + sorted(closure - {identity})
     index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(a[b[i]] for i in range(n_points))] for b in perms]
-        for a in perms
-    ]
-    return Group(table, name=name, perm_rep=perms)
+    rights = [[index[times_s(p)] for p in perms] for times_s in compose]
+    columns = [None] * len(perms)
+    columns[0] = range(len(perms))
+    reached = [0]
+    for c in reached:
+        for right in rights:
+            b = right[c]
+            if columns[b] is None:
+                columns[b] = list(map(right.__getitem__, columns[c]))
+                reached.append(b)
+    return Group(zip(*columns), name=name, perm_rep=perms)
 
 
 def _check_order(order: int):
@@ -159,19 +172,18 @@ def cyclic(n: int) -> Group:
 
 
 def dihedral(n: int) -> Group:
-    """Dihedral group of order 2n; elements are pairs r^a s^b in (a, b) order."""
+    """Dihedral group of order 2n; r^a s^b is element b*n + a, and
+    r^a s^b * r^c s^d = r^(a + (-1)^b c) s^(b + d)."""
     if n < 1:
         raise GwittError("dihedral parameter must be positive")
     _check_order(2 * n)
-    elems = [(a, b) for b in (0, 1) for a in range(n)]
-    index = {e: i for i, e in enumerate(elems)}
-
-    def mul(x, y):
-        a1, b1 = x
-        a2, b2 = y
-        return ((a1 + (a2 if b1 == 0 else -a2)) % n, b1 ^ b2)
-
-    table = [[index[mul(x, y)] for y in elems] for x in elems]
+    table = []
+    for b in (0, 1):
+        sign = -1 if b else 1
+        for a in range(n):
+            rotations = [(a + sign * c) % n for c in range(n)]
+            reflections = [n + r for r in rotations]
+            table.append(rotations + reflections if b == 0 else reflections + rotations)
     return Group(table, name=f"D{n}")
 
 
@@ -194,12 +206,12 @@ def symmetric(n: int) -> Group:
 
 
 def direct_product(g1: Group, g2: Group, name: str | None = None) -> Group:
+    """G1 x G2 with (a, b) at index a*|G2| + b."""
     _check_order(g1.order * g2.order)
-    elems = [(a, b) for a in range(g1.order) for b in range(g2.order)]
-    index = {e: i for i, e in enumerate(elems)}
+    m = g2.order
     table = [
-        [index[(g1.mul(a1, a2), g2.mul(b1, b2))] for (a2, b2) in elems]
-        for (a1, b1) in elems
+        [x * m + y for x in row1 for y in row2]
+        for row1 in g1.mul_table for row2 in g2.mul_table
     ]
     return Group(table, name=name or f"{g1.name}x{g2.name}")
 
@@ -211,13 +223,22 @@ def klein_four() -> Group:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its sorted element indices inside a parent group."""
+    """A subgroup given by its sorted element indices inside a parent group.
+
+    The constructor refuses elements that are not integers in 0..order-1
+    and sets that miss the identity or are not closed under the product and
+    inverse."""
 
     group: Group
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
+        n = self.group.order
+        elems = tuple(self.elements)
+        # ints only: -1 would wrap around in the table lookups
+        if any(type(a) is not int or not 0 <= a < n for a in elems):
+            raise GwittError(f"subgroup elements must be integers in 0..{n - 1}")
+        elems = tuple(sorted(set(elems)))
         object.__setattr__(self, "elements", elems)
         eset = set(elems)
         if 0 not in eset:
@@ -228,6 +249,18 @@ class Subgroup:
             for b in elems:
                 if self.group.mul_table[a][b] not in eset:
                     raise GwittError("subgroup not closed under multiplication")
+
+    @classmethod
+    def _enumerated(cls, group: Group, elements) -> Subgroup:
+        """The subgroup on `elements` without the checks of `__post_init__`,
+        for `all_subgroups` only.  Sound there: each set it builds is {e}, G
+        or K = H u Hg u ... u Hg^(k-1), a subgroup by the argument in
+        `all_subgroups`' docstring, and a union of disjoint cosets read off G's own table,
+        so its elements are distinct indices in range."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "group", group)
+        object.__setattr__(sub, "elements", tuple(sorted(elements)))
+        return sub
 
     @property
     def order(self) -> int:
@@ -340,7 +373,7 @@ def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
         frontier = new
     known.setdefault((1 << group.order) - 1, list(group.elements()))
     return tuple(sorted(
-        (Subgroup(group, tuple(elems)) for elems in known.values()),
+        (Subgroup._enumerated(group, elems) for elems in known.values()),
         key=lambda s: (s.order, s.elements),
     ))
 

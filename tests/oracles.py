@@ -12,7 +12,10 @@ orbits, map representatives up to automorphisms by minimizing over every
 relabeling of every map, equality of G-sets over a
 base and equivalence of bispans by an isomorphism search, pullbacks and
 dependent products by looking their points up in dicts keyed by tuples,
-and associativity by trying every triple.  Also reference
+Cayley tables by composing every pair of permutations or by looking pairs
+up in dicts (dihedral groups, direct products), inverses by scanning every
+cell, subgroups by checking every product, and associativity by trying
+every triple.  Also reference
 functions the tests compare against: the order of the subconjugacy poset
 read off its containment counts, isomorphism of G-sets over the point, the
 norm of an integer from the trivial level by unmarks, the depth of a word,
@@ -84,6 +87,80 @@ def associativity_failure(table) -> tuple[int, int, int] | None:
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     return a, b, c
     return None
+
+
+def composed_permutation_group(generators, n_points: int) -> tuple[list, list[list[int]]]:
+    """The permutations that `generators` generate, the identity first and
+    the rest sorted, and their Cayley table: a*b is the tuple a[b[i]], for
+    every pair, looked up in a dict.  The closure composes every element
+    with every generator, repeats included, until nothing new appears.  No
+    order cap."""
+    gens = [tuple(g) for g in generators]
+    identity = tuple(range(n_points))
+    closure = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(p[g[i]] for i in range(n_points))
+                if q not in closure:
+                    closure.add(q)
+                    new.append(q)
+        frontier = new
+    perms = [identity] + sorted(closure - {identity})
+    index = {p: i for i, p in enumerate(perms)}
+    table = [
+        [index[tuple(a[b[i]] for i in range(n_points))] for b in perms]
+        for a in perms
+    ]
+    return perms, table
+
+
+def paired_dihedral_table(n: int) -> list[list[int]]:
+    """The Cayley table of the dihedral group of order 2n on the pairs
+    r^a s^b, listed in (a, b) order with b outer, through a dict."""
+    elems = [(a, b) for b in (0, 1) for a in range(n)]
+    index = {e: i for i, e in enumerate(elems)}
+
+    def mul(x, y):
+        a1, b1 = x
+        a2, b2 = y
+        return ((a1 + (a2 if b1 == 0 else -a2)) % n, b1 ^ b2)
+
+    return [[index[mul(x, y)] for y in elems] for x in elems]
+
+
+def paired_direct_product_table(g1: Group, g2: Group) -> list[list[int]]:
+    """The Cayley table of G1 x G2 on the pairs (a, b), a outer, through a
+    dict."""
+    elems = [(a, b) for a in range(g1.order) for b in range(g2.order)]
+    index = {e: i for i, e in enumerate(elems)}
+    return [
+        [index[(g1.mul(a1, a2), g2.mul(b1, b2))] for (a2, b2) in elems]
+        for (a1, b1) in elems
+    ]
+
+
+def scanned_inverses(table) -> tuple[int, ...]:
+    """For each row a, the b with a*b = 0, by scanning every cell."""
+    n = len(table)
+    inv = [None] * n
+    for a in range(n):
+        for b in range(n):
+            if table[a][b] == 0:
+                inv[a] = b
+    return tuple(inv)
+
+
+def is_subgroup_by_products(group: Group, elements) -> bool:
+    """Whether `elements` is a subgroup of `group`: every entry is an int
+    index of the group, the identity is among them, and so is every product
+    of two of them (in a finite group that gives the inverses too)."""
+    if any(type(a) is not int or not 0 <= a < group.order for a in elements):
+        return False
+    eset = set(elements)
+    return 0 in eset and all(group.mul_table[a][b] in eset for a in eset for b in eset)
 
 
 def brute_force_subgroups(group: Group) -> list[tuple[int, ...]]:

@@ -1,6 +1,8 @@
-"""Generated inputs for the DSL and the CLI contract: printing a parse tree
-and parsing the text gives the same tree, and every command ends in one of
-the documented exit statuses with stdout empty unless it succeeds."""
+"""Generated inputs for the DSL, the CLI contract and the group
+constructors: printing a parse tree and parsing the text gives the same
+tree, every command ends in one of the documented exit statuses with stdout
+empty unless it succeeds, and every Cayley table, element tuple and
+generator list builds a validated object or raises a GwittError."""
 
 import contextlib
 import io
@@ -9,6 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from gwitt.cli import run
 from gwitt.dsl import parse_bispan, parse_gset, parse_vector, parse_word, to_text
+from gwitt.errors import GwittError
+from gwitt.groups import Group, Subgroup, cyclic, group_from_generators, klein_four, symmetric
+from oracles import (
+    associativity_failure,
+    composed_permutation_group,
+    is_subgroup_by_products,
+    scanned_inverses,
+)
 
 # groups of order at most 6, and subgroup generators among their elements
 _groups = st.sampled_from([
@@ -134,3 +144,85 @@ def test_every_command_ends_in_a_documented_status(argv):
     assert status in (0, 1, 2, 3)
     if status != 0:
         assert out == ""
+
+
+# entries of tables, element tuples and permutations: in range, negative,
+# out of range, float (0.0 == 0) and str
+_entries = st.one_of(
+    st.integers(-3, 7), st.floats(-2, 7, width=16), st.sampled_from(["0", "1", "a"]),
+)
+_small_groups = [cyclic(1), cyclic(2), cyclic(3), cyclic(4), klein_four(), symmetric(3)]
+
+
+def _with_cells(table, cells):
+    """A copy of `table` with each (row, column, value) of `cells` written
+    in, the indices taken modulo the table's size."""
+    table = [list(row) for row in table]
+    for i, j, v in cells:
+        table[i % len(table)][j % len(table)] = v
+    return table
+
+
+_cells = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), _entries), max_size=2)
+_tables = st.one_of(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.lists(st.lists(_entries, max_size=4), max_size=4),
+    st.tuples(st.sampled_from([g.mul_table for g in _small_groups]), _cells).map(
+        lambda t: _with_cells(*t)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_tables)
+def test_a_cayley_table_builds_a_group_or_is_refused(table):
+    try:
+        group = Group(table)
+    except GwittError:
+        return
+    assert all(type(v) is int for row in table for v in row)
+    assert associativity_failure(table) is None
+    assert group.mul_table == tuple(map(tuple, table))
+    assert group.inv_table == scanned_inverses(table)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(_small_groups), st.lists(_entries, max_size=7))
+def test_an_element_tuple_builds_a_subgroup_or_is_refused(group, elements):
+    try:
+        sub = Subgroup(group, tuple(elements))
+    except GwittError:
+        assert not is_subgroup_by_products(group, elements)
+        return
+    assert is_subgroup_by_products(group, elements)
+    assert sub.elements == tuple(sorted(set(elements)))
+
+
+def _permutations(n):
+    """Permutations of 0..n-1, some with one entry overwritten."""
+    perms = st.permutations(range(n)).map(tuple)
+    return perms | st.tuples(perms, st.integers(0, n - 1), _entries).map(
+        lambda t: t[0][:t[1]] + (t[2],) + t[0][t[1] + 1:])
+
+
+_generator_lists = st.integers(1, 4).flatmap(
+    lambda n: st.lists(_permutations(n) | st.lists(_entries, max_size=5).map(tuple), max_size=3))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_generator_lists)
+def test_a_generator_list_builds_a_group_or_is_refused(gens):
+    points = len(gens[0]) if gens else 1
+    valid = all(
+        len(g) == points and all(type(v) is int for v in g) and set(g) == set(range(points))
+        for g in gens
+    )
+    try:
+        group = group_from_generators(gens)
+    except GwittError:
+        assert not valid
+        return
+    assert valid
+    perms, table = composed_permutation_group(gens, points)
+    assert group.perm_rep == tuple(perms)
+    assert group.mul_table == tuple(map(tuple, table))

@@ -1,5 +1,6 @@
 """Groups, subgroup enumeration, and the subconjugacy poset."""
 
+import itertools
 import random
 import re
 from functools import partial
@@ -24,13 +25,18 @@ from gwitt.groups import (
 from oracles import (
     associativity_failure,
     brute_force_subgroups,
+    composed_permutation_group,
     conjugates,
     containment_leq,
     elementary_abelian_2,
     generated_closure,
+    is_subgroup_by_products,
     join_closure_subgroups,
+    paired_dihedral_table,
+    paired_direct_product_table,
     poset_leq,
     s4_x_c2,
+    scanned_inverses,
 )
 
 # the larger groups of the benchmark ladder, up to the order-64 cap
@@ -109,6 +115,91 @@ def test_bad_cayley_tables_rejected():
         Group([[0, 1], [1, 1]])  # not a latin square / no inverse
     with pytest.raises(GwittError):
         Group([[1, 0], [0, 1]])  # 0 is not the identity
+
+
+def test_non_integer_entries_rejected():
+    for table in ([[0.0]], [[0, 1], [1, 0.0]], [[0, 1], [1, "0"]], [[0, 1], [1, None]]):
+        with pytest.raises(GwittError):
+            Group(table)
+    for gens in ([(1, 0, 2.0)], [(1.0, 0)], [("1", "0")], [(1, 0), (0, 1, 2)]):
+        with pytest.raises(GwittError):
+            group_from_generators(gens)
+
+
+def _assert_table_matches(group: Group, table):
+    assert group.mul_table == tuple(map(tuple, table))
+    assert group.inv_table == scanned_inverses(table)
+
+
+def _transpositions(rank: int) -> list[tuple[int, ...]]:
+    """The disjoint transpositions (0 1), (2 3), ... that generate C2^rank."""
+    gens = []
+    for i in range(rank):
+        perm = list(range(2 * rank))
+        perm[2 * i], perm[2 * i + 1] = 2 * i + 1, 2 * i
+        gens.append(tuple(perm))
+    return gens
+
+
+# (group, generators, points): every permutation group of the benchmark
+# ladder, S(1..4), A4 and A5, with the generators they are built from
+PERMUTATION_GROUPS = [
+    (symmetric(1), [], 1),
+    (symmetric(2), [(1, 0)], 2),
+    (symmetric(3), [(1, 0, 2), (1, 2, 0)], 3),
+    (symmetric(4), [(1, 0, 2, 3), (1, 2, 3, 0)], 4),
+    (A4, [(1, 2, 0, 3), (0, 2, 3, 1)], 4),
+    (A5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], 5),
+    (elementary_abelian_2(4), _transpositions(4), 8),
+    (C2_5, _transpositions(5), 10),
+    (s4_x_c2(), [(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)], 6),
+]
+
+
+@pytest.mark.parametrize("group,gens,points", PERMUTATION_GROUPS,
+                         ids=[g.name for g, _, _ in PERMUTATION_GROUPS])
+def test_permutation_tables_match_the_all_pairs_oracle(group, gens, points):
+    perms, table = composed_permutation_group(gens, points)
+    assert group.perm_rep == tuple(perms)
+    _assert_table_matches(group, table)
+
+
+def test_dihedral_and_product_tables_match_the_dict_oracle():
+    for n in range(1, 33):
+        _assert_table_matches(dihedral(n), paired_dihedral_table(n))
+    s3 = symmetric(3)
+    for n in range(1, 11):
+        _assert_table_matches(direct_product(cyclic(n), s3), paired_direct_product_table(cyclic(n), s3))
+        _assert_table_matches(direct_product(s3, cyclic(n)), paired_direct_product_table(s3, cyclic(n)))
+    _assert_table_matches(klein_four(), paired_direct_product_table(cyclic(2), cyclic(2)))
+
+
+def test_random_generator_lists_match_the_all_pairs_oracle():
+    """Seeded generator lists with repeats and identities: the same table as
+    composing every pair, and GroupOrderError past the cap."""
+    rng = random.Random(22)
+    capped = 0
+    for _ in range(80):
+        points = rng.randint(1, 5)
+        gens = []
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.random()
+            if kind < 0.2:
+                gens.append(tuple(range(points)))
+            elif kind < 0.4 and gens:
+                gens.append(rng.choice(gens))
+            else:
+                gens.append(tuple(rng.sample(range(points), points)))
+        perms, table = composed_permutation_group(gens, points)
+        if len(perms) > DEFAULT_MAX_ORDER:
+            capped += 1
+            with pytest.raises(GroupOrderError):
+                group_from_generators(gens, n_points=points)
+            continue
+        group = group_from_generators(gens, n_points=points)
+        assert group.perm_rep == tuple(perms)
+        _assert_table_matches(group, table)
+    assert 0 < capped < 80
 
 
 def _swapped_tables(group: Group, count: int, seed: int) -> list[list[list[int]]]:
@@ -241,6 +332,36 @@ def test_poset_matches_conjugation_and_containment_oracle(group):
     assert tuple(
         tuple(poset_leq(poset, i, j) for j in range(n)) for i in range(n)
     ) == containment_leq(group)
+
+
+@pytest.mark.parametrize(
+    "group", [cyclic(2), symmetric(3), dihedral(4)] + LADDER + [C2_5],
+    ids=lambda g: g.name,
+)
+def test_enumerated_subgroups_pass_the_public_check(group):
+    # all_subgroups builds its subgroups without the closure check
+    for sub in all_subgroups(group):
+        assert Subgroup(group, sub.elements) == sub
+
+
+@pytest.mark.parametrize("group", [cyclic(2), cyclic(4), klein_four(), symmetric(3)],
+                         ids=lambda g: g.name)
+def test_subgroup_verdict_matches_the_products_oracle(group):
+    # a negative element would wrap around in the table lookups: (0, 1, -1)
+    # over C2 and (0, 2, -2) over C4 were accepted with order 3
+    n = group.order
+    outside = [(), (-1,), (-2,), (n,), (n + 3,), (1.0,), ("0",), (None,)]
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            for extra in outside:
+                elements = subset + extra
+                try:
+                    sub = Subgroup(group, elements)
+                except GwittError:
+                    assert not is_subgroup_by_products(group, elements), elements
+                else:
+                    assert is_subgroup_by_products(group, elements), elements
+                    assert sub.elements == subset
 
 
 def test_class_index_rejects_a_non_subgroup():
