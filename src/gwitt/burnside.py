@@ -74,8 +74,8 @@ def table_of_marks(group: Group) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class BurnsideElement:
-    """A virtual G-set: integer (or polynomial) multiplicities of the
-    transitive G-sets [G/H], one per subconjugacy class."""
+    """A virtual G-set: integer multiplicities of the transitive G-sets
+    [G/H], one per subconjugacy class."""
 
     group: Group
     coeffs: tuple
@@ -214,22 +214,24 @@ def transferred_norms(group: Group, values) -> BurnsideElement:
     stabilizer is exactly L, is x^|K:L| less e(M) for every L < M <= K, so
     it runs down K's down-set from the top.  The orbits of stabilizer L
     number e(L) / |K:L| and T_K^G sends [K/L] to [G/L], so [G/H] gets
-    (1/|K|) * sum of |L| * e(L) over the L <= K in [H].  That division is
-    exact on an integer x and runs over Q on a polynomial x, whose norm has
-    numerical-polynomial coefficients.  No table of marks is read.
+    (1/|K|) * sum of |L| * e(L) over the L <= K in [H], an exact division.
+    The values are integers; anything else raises GwittError.  No table of
+    marks is read.
     """
     poset = subconjugacy_poset(group)
     down, orders, class_of = poset.down, poset.orders, poset.class_of
     total = [0] * len(poset)
     below = [0] * len(down)  # for L <= K: e(M) summed over L < M <= K
     for x, top in zip(values, poset.reps):
+        if not isinstance(x, int):
+            raise GwittError(f"transferred norms need integer values, got {x!r}")
         if x == 0:  # N_e^K(0) = 0
             continue
         order = orders[top]
         members = down[top]
         for m in members:
             below[m] = 0
-        weighted: dict[int, object] = {}  # |L| * e(L) summed by G-class
+        weighted: dict[int, int] = {}  # |L| * e(L) summed by G-class
         for m in reversed(members):
             exact = x ** (order // orders[m]) - below[m]
             if exact != 0:
@@ -237,7 +239,6 @@ def transferred_norms(group: Group, values) -> BurnsideElement:
                     below[sub] += exact
                 h = class_of[m]
                 weighted[h] = weighted.get(h, 0) + orders[m] * exact
-        div = Poly.rational_div if isinstance(x, Poly) else _exact_div
         for h, s in weighted.items():
-            total[h] += div(s, order)
+            total[h] += _exact_div(s, order)
     return BurnsideElement(group, tuple(total))

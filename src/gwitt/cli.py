@@ -275,7 +275,7 @@ def _cmd_tau(args):
         raise GwittError("the Teichmuller homomorphism needs integer components")
     element = teichmuller_tau(_witt_from_arg(vector, group, args.symbolic))
     _check_printable(element.coeffs)
-    coeffs = [str(Poly.coerce(c)) for c in element.coeffs]
+    coeffs = [str(c) for c in element.coeffs]
     payload = _per_class(group, "burnside_element", "coefficients", coeffs)
     return 0, payload, [_class_header(group), "tau: " + ",".join(coeffs)]
 

@@ -25,7 +25,7 @@ from math import comb
 
 from . import groups as _groups
 from .errors import DslSyntaxError, GwittError
-from .groups import Group, Subgroup, subgroup_generated
+from .groups import MAX_PERM_POINTS, Group, Subgroup, subgroup_generated
 from .intpoly import Poly
 
 # Each builder imports the module it builds with, so that parsing and
@@ -41,10 +41,10 @@ if TYPE_CHECKING:
 # Fixed input bounds, checked while parsing so that no input builds an
 # unbounded structure: bracket nesting and parse-tree depth (which bound
 # every recursive walk over the tree), the digits of a number, the point
-# labels of perm[...] and the exponent after ^.
+# labels of perm[...] (below groups.MAX_PERM_POINTS, the library's cap)
+# and the exponent after ^.
 MAX_DEPTH = 100
 MAX_DIGITS = 1000
-MAX_PERM_POINTS = 64
 MAX_EXPONENT = 64
 
 # The most terms a product or power in a polynomial literal may expand to,

@@ -21,7 +21,8 @@ class EquivarianceError(GwittError):
 
 
 class GroupOrderError(GwittError):
-    """Generated group exceeds the configured order cap."""
+    """A group exceeds the configured order cap, or a permutation group
+    the cap on its points."""
 
 
 class SupportError(GwittError):

@@ -11,6 +11,7 @@ from operator import itemgetter
 from .errors import GroupOrderError, GwittError
 
 DEFAULT_MAX_ORDER = 64
+MAX_PERM_POINTS = 64  # for group_from_generators and the DSL's perm[...]
 
 
 class Group:
@@ -122,6 +123,11 @@ def group_from_generators(generators, n_points: int | None = None, name=None) ->
     gens = [tuple(g) for g in generators]
     if n_points is None:
         n_points = len(gens[0]) if gens else 1
+    # before the identity is built: 10**6 points would allocate 10**6 entries
+    if type(n_points) is not int or n_points < 1:
+        raise GwittError(f"n_points must be a positive integer, got {n_points!r}")
+    if n_points > MAX_PERM_POINTS:
+        raise GroupOrderError(f"{n_points} points exceed the cap of {MAX_PERM_POINTS}")
     identity = tuple(range(n_points))
     for g in gens:
         # ints only: (1, 0, 2.0) sorts equal to (0, 1, 2)

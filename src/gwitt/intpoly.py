@@ -4,26 +4,18 @@ Monomials are stored as sorted tuples of (variable name, exponent) with
 positive exponents; equality is exact and printing is canonical, so
 polynomial identity can serve as a test assertion.
 
-Coefficients are integers, except where `rational_div` divides inside
-Q[X]: the symbolic norms of `burnside.transferred_norms` are integer-valued
-polynomials whose coefficients may be exact fractions.  `is_integral` tells
-the two apart.  `exact_div`, the division of the triangular solves, keeps
+A `Poly` is an element of Z[X] by construction: the constructor refuses a
+coefficient that is not an `int`, `var` an exponent that is not a
+non-negative `int`, and arithmetic takes only `int` and `Poly` operands.
+The one division, `exact_div` (that of the triangular solves), keeps
 integers or raises.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import IntegralityError
+from .errors import GwittError, IntegralityError
 
 Monomial = tuple[tuple[str, int], ...]
-
-
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
@@ -42,21 +34,20 @@ class Poly:
         self.terms: dict[Monomial, int] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _norm_coeff(coeff)
+                if not isinstance(coeff, int):
+                    raise GwittError(f"coefficient {coeff!r} is not an integer")
                 if coeff:
                     self.terms[mono] = coeff
         self._hash: int | None = None
 
     @staticmethod
-    def const(n) -> Poly:
-        if isinstance(n, Fraction):
-            return Poly({(): n})
-        return Poly({(): int(n)})
+    def const(n: int) -> Poly:
+        return Poly({(): n})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> Poly:
-        if exp < 0:
-            raise ValueError("negative exponent")
+        if not isinstance(exp, int) or exp < 0:
+            raise GwittError(f"exponent {exp!r} is not a non-negative integer")
         if exp == 0:
             return Poly.const(1)
         return Poly({((name, exp),): 1})
@@ -65,9 +56,7 @@ class Poly:
     def coerce(value) -> Poly:
         if isinstance(value, Poly):
             return value
-        if isinstance(value, (int, Fraction)):
-            return Poly.const(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} to Poly")
+        return Poly.const(value)
 
     # -- structure ---------------------------------------------------------
 
@@ -92,9 +81,6 @@ class Poly:
             coeff == 1 and all(e == 1 for _, e in mono)
             for mono, coeff in self.terms.items()
         )
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.terms.values())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -137,7 +123,7 @@ class Poly:
 
     def __pow__(self, exp: int) -> Poly:
         if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a non-negative integer")
+            raise GwittError(f"exponent {exp!r} is not a non-negative integer")
         if exp == 0:
             return Poly.const(1)
         # square-and-multiply; the last bit needs no further squaring
@@ -163,12 +149,6 @@ class Poly:
                 raise IntegralityError(f"coefficient {coeff} not divisible by {n}")
             terms[mono] = q
         return Poly(terms)
-
-    def rational_div(self, n: int) -> Poly:
-        """Divide by n inside Q[X]; whole coefficients stay integers."""
-        if n == 0:
-            raise ZeroDivisionError("division of polynomial by zero")
-        return Poly({mono: Fraction(coeff, n) for mono, coeff in self.terms.items()})
 
     # -- substitution ------------------------------------------------------
 

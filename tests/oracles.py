@@ -358,17 +358,19 @@ def tau_via_subgroup_groups(w) -> BurnsideElement:
 
 def symbolic_tau_marks_via_subgroup_groups(group: Group, comps) -> tuple:
     """marks(tau(alpha)) for polynomial components: each representative K
-    built as a group, N_e^K(alpha_K) solved over Q in K's own Burnside ring
-    (its coefficients are numerical polynomials), transferred along K's
-    class map, and the marks of the pieces summed."""
+    built as a group, |K| * N_e^K(alpha_K) solved in K's own Burnside ring
+    (the orbit count puts the coefficients of N_e^K(x) in (1/|K|) * Z[x]),
+    transferred along K's class map, its marks divided by |K| exactly and
+    the pieces summed."""
     total = [Poly() for _ in subconjugacy_poset(group).classes]
     for cls, comp in zip(subconjugacy_poset(group).classes, comps):
         sub_group, _ = cls.rep.as_group()
         x = Poly.coerce(comp)
-        vector = [x ** (cls.order // c.order) for c in subconjugacy_poset(sub_group).classes]
-        norm = column_solve(vector, mark_columns(sub_group), div=Poly.rational_div)
-        piece = marks(burnside_transfer(cls.rep, BurnsideElement(sub_group, tuple(norm))))
-        total = [t + m for t, m in zip(total, piece)]
+        vector = [cls.order * x ** (cls.order // c.order)
+                  for c in subconjugacy_poset(sub_group).classes]
+        scaled = column_solve(vector, mark_columns(sub_group))
+        piece = marks(burnside_transfer(cls.rep, BurnsideElement(sub_group, tuple(scaled))))
+        total = [t + Poly.coerce(m).exact_div(cls.order) for t, m in zip(total, piece)]
     return tuple(total)
 
 

@@ -65,14 +65,14 @@ def _report(number, text):
 
 
 def test_criterion_1_ghost_factorization():
-    """marks(tau(alpha)) = ghost(alpha) symbolically in Z[a_[K]] per group."""
+    """marks(tau(alpha)) = ghost(alpha) exactly in Z[a_[K]] per group."""
     start = time.monotonic()
     for group in ACCEPTANCE_GROUPS:
         report = verify_ghost_factorization(group, samples=25, seed=0)
         assert report.ok, (group.name, report.failures[:2])
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"ghost factorization took {elapsed:.1f}s"
-    _report(1, f"ghost factorization, 8 groups, symbolic + sampled, {elapsed:.1f}s")
+    _report(1, f"ghost factorization, 8 groups, exact + sampled, {elapsed:.1f}s")
 
 
 def test_criterion_2_dress_siebeneicher_isomorphism():

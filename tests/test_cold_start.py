@@ -15,9 +15,10 @@ import gwitt
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def loaded_after(code: str) -> set[str]:
-    """The gwitt modules loaded once `code` has run in a fresh interpreter."""
-    report = "import sys; print(*sorted(m for m in sys.modules if m.startswith('gwitt.')))"
+def loaded_after(code: str, prefix: str = "gwitt.") -> set[str]:
+    """The modules whose names start with `prefix` loaded once `code` has
+    run in a fresh interpreter."""
+    report = f"import sys; print(*sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"],
         capture_output=True, text=True, check=True,
@@ -59,6 +60,21 @@ def test_tom_command_loads_only_what_it_reads():
     assert loaded & {"gwitt.witt", "gwitt.tambara", "gwitt.words", "gwitt.bispans",
                      "gwitt.gsets"} == set()
     assert "gwitt.burnside" in loaded
+
+
+@pytest.mark.parametrize("argv", [["tom", "C(2)"], ["witt", "mul", "C(2)", "(1,2)", "(3,4)"]],
+                         ids=["tom", "witt-mul"])
+def test_a_command_loads_no_rational_arithmetic(argv):
+    """Poly is integral by construction, so no command loads fractions or
+    the decimal and numbers modules it brings."""
+    loaded = loaded_after(
+        "import sys\n"
+        "from gwitt.cli import main\n"
+        f"sys.argv = ['gwitt', *{argv!r}]\n"
+        "assert main() == 0\n",
+        prefix="",
+    )
+    assert loaded & {"fractions", "decimal", "numbers"} == set()
 
 
 def test_every_export_resolves_to_its_module():

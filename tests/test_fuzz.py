@@ -1,8 +1,8 @@
-"""Generated inputs for the DSL, the CLI contract and the group
-constructors: printing a parse tree and parsing the text gives the same
+"""Generated inputs for the DSL, the CLI contract, the group constructors
+and polynomials: printing a parse tree and parsing the text gives the same
 tree, every command ends in one of the documented exit statuses with stdout
-empty unless it succeeds, and every Cayley table, element tuple and
-generator list builds a validated object or raises a GwittError."""
+empty unless it succeeds, and every Cayley table, element tuple, generator
+list and polynomial builds a validated object or raises a GwittError."""
 
 import contextlib
 import io
@@ -12,7 +12,16 @@ from hypothesis import example, given, settings, strategies as st
 from gwitt.cli import run
 from gwitt.dsl import parse_bispan, parse_gset, parse_vector, parse_word, to_text
 from gwitt.errors import GwittError
-from gwitt.groups import Group, Subgroup, cyclic, group_from_generators, klein_four, symmetric
+from gwitt.groups import (
+    MAX_PERM_POINTS,
+    Group,
+    Subgroup,
+    cyclic,
+    group_from_generators,
+    klein_four,
+    symmetric,
+)
+from gwitt.intpoly import Poly
 from oracles import (
     associativity_failure,
     composed_permutation_group,
@@ -213,7 +222,7 @@ _generator_lists = st.integers(1, 4).flatmap(
 @given(_generator_lists)
 def test_a_generator_list_builds_a_group_or_is_refused(gens):
     points = len(gens[0]) if gens else 1
-    valid = all(
+    valid = 1 <= points <= MAX_PERM_POINTS and all(
         len(g) == points and all(type(v) is int for v in g) and set(g) == set(range(points))
         for g in gens
     )
@@ -226,3 +235,27 @@ def test_a_generator_list_builds_a_group_or_is_refused(gens):
     perms, table = composed_permutation_group(gens, points)
     assert group.perm_rep == tuple(perms)
     assert group.mul_table == tuple(map(tuple, table))
+
+
+_mixed = st.one_of(st.integers(-3, 3), st.floats(-3, 3), st.fractions(-3, 3, max_denominator=3),
+                   st.text("0123-", max_size=2))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_mixed, _mixed), max_size=4))
+def test_a_poly_from_mixed_values_builds_or_is_refused(pairs):
+    """Coefficients and exponents drawn from ints, floats, Fractions and
+    strings: the Poly built from them lies in Z[X], or the build raises a
+    GwittError."""
+    valid = all(type(c) is int and type(e) is int and e >= 0 for c, e in pairs)
+    try:
+        p = Poly()
+        for coeff, exp in pairs:
+            p = p + Poly({(): coeff}) * Poly.var("x", exp) - Poly.var("y") * coeff
+    except GwittError:
+        assert not valid
+        return
+    assert valid
+    for mono, coeff in p.terms.items():
+        assert type(coeff) is int and coeff
+        assert all(type(e) is int and e > 0 for _, e in mono)

@@ -7,9 +7,11 @@ from functools import partial
 
 import pytest
 
+from gwitt import dsl
 from gwitt.errors import GroupOrderError, GwittError
 from gwitt.groups import (
     DEFAULT_MAX_ORDER,
+    MAX_PERM_POINTS,
     Group,
     Subgroup,
     all_subgroups,
@@ -57,6 +59,22 @@ def test_group_from_generators_examples():
     assert s3.order == 6
     trivial = group_from_generators([], n_points=1)
     assert trivial.order == 1
+
+
+def test_point_count_is_checked_before_the_identity_is_built():
+    for n_points in (-3, 0, 2.5, "3", True):
+        with pytest.raises(GwittError):
+            group_from_generators([], n_points=n_points)
+    for n_points in (MAX_PERM_POINTS + 1, 10**6):
+        with pytest.raises(GroupOrderError):
+            group_from_generators([], n_points=n_points)
+    assert group_from_generators([], n_points=MAX_PERM_POINTS).perm_rep == (
+        tuple(range(MAX_PERM_POINTS)),)
+    # the DSL bounds perm[...] points by the same constant
+    assert dsl.MAX_PERM_POINTS is MAX_PERM_POINTS
+    with pytest.raises(GwittError):
+        dsl.parse_group(f"perm[(0 {MAX_PERM_POINTS})]")
+    assert dsl.build_group(dsl.parse_group(f"perm[(0 {MAX_PERM_POINTS - 1})]")).order == 2
 
 
 def test_group_from_generators_brute_force_closure_oracle():

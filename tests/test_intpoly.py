@@ -1,11 +1,13 @@
-"""Exact polynomial arithmetic: canonical form, ring laws, substitution."""
+"""Exact polynomial arithmetic: canonical form, ring laws, substitution,
+and the refusal of every value outside Z[X]."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwitt.errors import IntegralityError
+from gwitt.errors import GwittError, IntegralityError
 from gwitt.intpoly import Poly
 
 x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
@@ -55,9 +57,42 @@ def test_exact_division():
     assert (2 * x + 4).exact_div(2) == x + 2
     with pytest.raises(IntegralityError):
         (2 * x + 3).exact_div(2)
-    half = (x + 1).rational_div(2)
-    assert not half.is_integral()
-    assert half + half == x + 1
+    quotient = (6 * x * y - 4).exact_div(-2)
+    assert quotient == 2 - 3 * x * y
+    assert all(type(c) is int for c in quotient.terms.values())
+
+
+NOT_INTEGERS = (2.5, 2.0, "7", Fraction(1, 2), Fraction(4, 2), None)
+
+
+def test_const_refuses_non_integers():
+    for value in NOT_INTEGERS:
+        with pytest.raises(GwittError):
+            Poly.const(value)
+
+
+def test_constructor_refuses_non_integer_coefficients():
+    for value in NOT_INTEGERS:
+        with pytest.raises(GwittError):
+            Poly({(): value})
+        with pytest.raises(GwittError):
+            Poly({(("x", 1),): 1, (): value})
+
+
+def test_var_and_pow_refuse_non_integer_exponents():
+    for exp in (2.5, 2.0, "2", Fraction(2, 1), -1):
+        with pytest.raises(GwittError):
+            Poly.var("x", exp)
+        with pytest.raises(GwittError):
+            x ** exp
+
+
+def test_arithmetic_refuses_non_integer_operands():
+    for value in NOT_INTEGERS:
+        for combine in (lambda: x * value, lambda: value * x, lambda: x + value,
+                        lambda: value + x, lambda: x - value, lambda: value - x):
+            with pytest.raises(GwittError):
+                combine()
 
 
 def test_simplicity_predicate():

@@ -3,11 +3,12 @@ Teichmueller homomorphism, theorem-level verifications, and the classical
 2-typical cross-check for cyclic 2-groups."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from gwitt import burnside, groups, gsets, witt
-from gwitt.burnside import BurnsideElement, marks, transferred_norms
+from gwitt.burnside import BurnsideElement, burnside_basis, marks, transferred_norms
 from gwitt.errors import GwittError, IntegralityError
 from gwitt.groups import (
     Group,
@@ -144,21 +145,27 @@ def test_dress_siebeneicher_iso(group):
     assert report.ok, report.failures
 
 
+def _perturbed(k: int, h: int):
+    """transferred_norms with a_K added at class [H], for K and H the
+    classes k and h: a wrong term in a_K alone."""
+    def wrong(of, values):
+        coeffs = list(transferred_norms(of, values).coeffs)
+        coeffs[h] += values[k]
+        return BurnsideElement(of, tuple(coeffs))
+
+    return wrong
+
+
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
 def test_double_coset_identity(monkeypatch, group):
-    """The symbolic factorization check certifies every per-class identity
-    marks_[H](T_K^G N_e^K(a_K)) = |(G/K)^H| * a_K^(K:H): a wrong term in
-    a_K alone, added at any class [H], makes it fail."""
+    """The factorization check certifies every per-class identity
+    marks_[H](T_K^G N_e^K(a_K)) = |(G/K)^H| * a_K^(K:H) over Z[a_K]: a
+    wrong term in a_K alone, added at any class [H], makes it fail."""
     assert verify_ghost_factorization(group, samples=0).ok
     n = len(subconjugacy_poset(group))
     for k in range(n):
         for h in range(n):
-            def wrong(of, values, k=k, h=h):
-                coeffs = list(transferred_norms(of, values).coeffs)
-                coeffs[h] += values[k]
-                return BurnsideElement(of, tuple(coeffs))
-
-            monkeypatch.setattr(witt, "transferred_norms", wrong)
+            monkeypatch.setattr(witt, "transferred_norms", _perturbed(k, h))
             assert not verify_ghost_factorization(group, samples=0).ok, (k, h)
 
 
@@ -200,13 +207,21 @@ def test_component_count_validation():
     for components in ((1,), (6, 2, 5)):
         with pytest.raises(GwittError):
             GhostVector(C2, components)
+    # a component outside Z[X] is refused by Poly, anything else by WittVector
     with pytest.raises(GwittError):
-        WittVector(C2, (1, Poly.var("x").rational_div(2)))
+        WittVector(C2, (1, Poly.var("x") * Fraction(1, 2)))
+    with pytest.raises(GwittError):
+        WittVector(C2, (1, Fraction(1, 2)))
 
 
 def test_tau_rejects_symbolic_components():
     with pytest.raises(GwittError):
         teichmuller_tau(WittVector(C2, (Poly.var("x"), 0)))
+    # the norms themselves take integers only, and say so
+    for value in (Poly.var("x"), Fraction(1, 2), 2.0):
+        with pytest.raises(GwittError) as exc:
+            transferred_norms(C2, (value, 0))
+        assert type(exc.value) is GwittError
     # constant polynomial components are accepted as integers
     assert teichmuller_tau(WittVector(C2, (Poly.const(1), 0))).coeffs == (1, 0)
 
@@ -278,14 +293,49 @@ TAU_GROUPS = [C2, klein_four(), cyclic(6), symmetric(3), dihedral(4), symmetric(
     ids=lambda g: g.name,
 )
 def test_symbolic_tau_marks_match_the_subgroup_group_oracle(group):
-    """The marks of tau over Z[a_K], as the symbolic verifiers compute them
-    from G's lattice, equal those of every K built as a group of its own,
-    and both equal the ghost components."""
+    """The marks of tau over Z[a_K], with every K built as a group of its
+    own, equal the ghost components; and at each vector t * e_K, t in
+    0..|K|, where the factorization check interpolates, the marks of tau
+    from G's lattice equal those of that construction."""
     ctx = witt_context(group)
     sym = tuple(Poly.var(v) for v in ctx.avars)
-    got = tuple(Poly.coerce(m) for m in marks(transferred_norms(group, sym)))
-    assert got == symbolic_tau_marks_via_subgroup_groups(group, sym)
-    assert got == tuple(Poly.coerce(g) for g in ctx.ghost_components(sym))
+    assert symbolic_tau_marks_via_subgroup_groups(group, sym) == tuple(
+        Poly.coerce(g) for g in ctx.ghost_components(sym))
+    for k, cls in enumerate(ctx.poset.classes):
+        for t in range(cls.order + 1):
+            comps = tuple(t if i == k else 0 for i in range(ctx.n))
+            want = marks(tau_via_subgroup_groups(WittVector(group, comps)))
+            assert marks(transferred_norms(group, comps)) == want, (cls.label, t)
+
+
+VERDICT_PAIRS = 1  # seeded (K, H) perturbations per group above 11 classes
+
+
+@pytest.mark.parametrize(
+    "group", [C2, cyclic(4), symmetric(3), dihedral(4), symmetric(4),
+              elementary_abelian_2(5), dihedral(32), s4_x_c2()],
+    ids=lambda g: g.name,
+)
+def test_the_factorization_verdict_matches_the_symbolic_oracle(monkeypatch, group):
+    """The check at integer points gives the verdict of the identity
+    marks(tau(a)) = ghost(a) over Z[a_K], as the symbolic oracle decides
+    it: true for tau, false for tau with a_K added at class [H].  Every
+    (K, H) is tried up to 11 classes; above, where each costs a whole
+    check, VERDICT_PAIRS seeded ones."""
+    ctx = witt_context(group)
+    sym = tuple(Poly.var(v) for v in ctx.avars)
+    oracle = symbolic_tau_marks_via_subgroup_groups(group, sym)
+    want = tuple(Poly.coerce(g) for g in ctx.ghost_components(sym))
+    assert oracle == want
+    assert verify_ghost_factorization(group, samples=0).ok
+    pairs = [(k, h) for k in range(ctx.n) for h in range(ctx.n)]
+    if ctx.n > 11:
+        pairs = random.Random(f"verdict:{group.name}").sample(pairs, VERDICT_PAIRS)
+    for k, h in pairs:
+        basis = marks(burnside_basis(group, h))
+        wrong = tuple(m + b * sym[k] for m, b in zip(oracle, basis))
+        monkeypatch.setattr(witt, "transferred_norms", _perturbed(k, h))
+        assert verify_ghost_factorization(group, samples=0).ok == (wrong == want), (k, h)
 
 
 @pytest.mark.parametrize("group", TAU_GROUPS, ids=lambda g: g.name)
