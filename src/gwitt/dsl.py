@@ -55,6 +55,12 @@ MAX_EXPONENT = 64
 # components to the same cap through TermBound.
 MAX_TERMS = 10_000
 
+# The least integer with more than MAX_DIGITS digits, the cap of
+# TermBound.norm: a vector literal whose coefficients may reach it is
+# refused before it is expanded, since each exponent is capped but nested
+# powers are not: (((((2^64)^64)^64)^64)^64)^64 has 2^36 bits.
+NORM_CAP = 10 ** MAX_DIGITS
+
 
 @dataclass(frozen=True)
 class Token:
@@ -631,38 +637,45 @@ def power_terms(t: int, e: int) -> int:
 
 class TermBound:
     """A bound on a polynomial that is never expanded: at most `terms`
-    terms, in `variables`, of degree at most `degree`.  The term counts
-    follow build_poly's rule (a sum or difference adds them, a product
-    multiplies them, p^e counts power_terms), capped by the C(v+d, d)
-    monomials of degree at most d in v variables.  An integer factor keeps
-    the bound, so the ghost map and its triangular solve run on bounds as on
-    polynomials."""
+    terms, in `variables`, of degree at most `degree`, whose coefficients'
+    absolute values sum to at most `norm`, so that none has more digits
+    than `norm`.  The term counts follow build_poly's rule (a sum or
+    difference adds them, a product multiplies them, p^e counts
+    power_terms), capped by the C(v+d, d) monomials of degree at most d in
+    v variables.  The norm is that sum for a constant or a variable, and a
+    sum, product or power bounds it as the norms' sum, product or power;
+    it stops at NORM_CAP, so a bound never grows past it.  An integer
+    factor keeps the term count and multiplies the norm, so the ghost map
+    and its triangular solve run on bounds as on polynomials."""
 
-    def __init__(self, terms: int, variables: frozenset = frozenset(), degree: int = 0):
+    def __init__(self, terms: int, variables: frozenset = frozenset(), degree: int = 0,
+                 norm: int = 1):
         self.terms = min(terms, power_terms(len(variables) + 1, degree))
         self.variables, self.degree = variables, degree
+        self.norm = min(norm, NORM_CAP)
 
     def __add__(self, other: "TermBound") -> "TermBound":
         return TermBound(self.terms + other.terms, self.variables | other.variables,
-                         max(self.degree, other.degree))
+                         max(self.degree, other.degree), self.norm + other.norm)
 
     def __mul__(self, other: "TermBound | int") -> "TermBound":
         if isinstance(other, int):
-            return self
+            return TermBound(self.terms, self.variables, self.degree, self.norm * abs(other))
         return TermBound(self.terms * other.terms, self.variables | other.variables,
-                         self.degree + other.degree)
+                         self.degree + other.degree, self.norm * other.norm)
 
     __rmul__ = __mul__
     __sub__ = __add__
 
     def __pow__(self, e: int) -> "TermBound":
-        return TermBound(power_terms(self.terms, e), self.variables, self.degree * e)
+        return TermBound(power_terms(self.terms, e), self.variables, self.degree * e,
+                         self.norm ** e)
 
 
 def term_bound(node: Node) -> TermBound:
     """The TermBound of build_poly(node), found without expanding it."""
     if node.kind == "poly_const":
-        return TermBound(1)
+        return TermBound(1, norm=abs(node.value))
     if node.kind == "poly_var":
         return TermBound(1, frozenset([node.value]), 1)
     if node.kind == "poly_pow":
@@ -681,4 +694,13 @@ def _check_terms(node: Node, bound: int) -> None:
 
 
 def build_vector(node: Node) -> list[Poly]:
+    """The components of a vector literal; refused before any is expanded
+    if a coefficient may have more than MAX_DIGITS digits."""
+    for c in node.children:
+        if term_bound(c).norm >= NORM_CAP:
+            line, col = c.span
+            raise GwittError(
+                f"the polynomial at line {line}, column {col} may have a "
+                f"coefficient of more than {MAX_DIGITS} digits"
+            )
     return [build_poly(c) for c in node.children]

@@ -169,9 +169,12 @@ class Poly:
                 terms[m] = terms.get(m, 0) + c
         return Poly(terms)
 
-    def evaluate(self, mapping: dict[str, object]):
-        """Evaluate with values from any commutative ring (ints stay ints)."""
-        result = 0
+    def evaluate(self, mapping: dict[str, "Poly | int"]) -> Poly | int:
+        """Evaluate with values in Z or Z[X]: an `int` when every term
+        evaluates to one, else a `Poly`.  As in `substitute`, the terms are
+        summed into one dict."""
+        total = 0
+        terms: dict[Monomial, int] = {}
         for mono, coeff in self.terms.items():
             term = coeff
             for name, e in mono:
@@ -180,8 +183,15 @@ class Poly:
                 value = mapping[name]
                 for _ in range(e):
                     term = term * value
-            result = result + term
-        return result
+            if isinstance(term, Poly):
+                for m, c in term.terms.items():
+                    terms[m] = terms.get(m, 0) + c
+            else:
+                total += term
+        if not terms:
+            return total
+        terms[()] = terms.get((), 0) + total
+        return Poly(terms)
 
     # -- comparison and printing -------------------------------------------
 
@@ -193,8 +203,10 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it hashes as that int
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = (hash(self.constant_value()) if self.is_constant()
+                          else hash(frozenset(self.terms.items())))
         return self._hash
 
     def _sorted_terms(self) -> list[tuple[Monomial, int]]:

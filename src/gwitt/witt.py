@@ -4,6 +4,7 @@ homomorphism into the Burnside ring, and the theorem-level verifications."""
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import cache
@@ -25,6 +26,9 @@ from .intpoly import Poly
 DIRECT_CLASS_CAP = 8  # see verify_ring_axioms
 RING_LAW_SAMPLES = 3  # seeded integer triples per ring law above the cap
 
+# each Witt operation in ghost coordinates, where it is componentwise
+_GHOST_OPS = {"add": operator.add, "mul": operator.mul, "neg": lambda x, _: -x}
+
 
 @dataclass(frozen=True)
 class _PosetVector:
@@ -35,19 +39,10 @@ class _PosetVector:
     components: tuple
 
     def __post_init__(self):
+        # the dataclass __eq__ and __hash__ compare components as a tuple
+        object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) != len(subconjugacy_poset(self.group)):
             raise GwittError("component count does not match the poset")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.group == other.group and all(
-            Poly.coerce(a) == Poly.coerce(b)
-            for a, b in zip(self.components, other.components)
-        )
-
-    def __hash__(self):
-        return hash((self.group, tuple(Poly.coerce(c) for c in self.components)))
 
 
 class WittVector(_PosetVector):
@@ -77,9 +72,7 @@ class WittContext:
         self.n = len(self.poset)
         self.avars = tuple(f"a_{self.poset.label(i)}" for i in range(self.n))
         self.bvars = tuple(f"b_{self.poset.label(i)}" for i in range(self.n))
-        self._sum_polys = None
-        self._prod_polys = None
-        self._neg_polys = None
+        self._structure: dict[str, tuple] = {}
 
     # -- ghost / unghost on raw component tuples ----------------------------
 
@@ -98,36 +91,16 @@ class WittContext:
 
     # -- universal structure polynomials ------------------------------------
 
-    def _symbolic(self, names) -> tuple:
-        return tuple(Poly.var(v) for v in names)
-
-    def sum_polys(self) -> tuple:
-        if self._sum_polys is None:
-            ga = self.ghost_components(self._symbolic(self.avars))
-            gb = self.ghost_components(self._symbolic(self.bvars))
-            combined = tuple(x + y for x, y in zip(ga, gb))
-            self._sum_polys = self.unghost_components(combined)
-        return self._sum_polys
-
-    def prod_polys(self) -> tuple:
-        if self._prod_polys is None:
-            ga = self.ghost_components(self._symbolic(self.avars))
-            gb = self.ghost_components(self._symbolic(self.bvars))
-            combined = tuple(x * y for x, y in zip(ga, gb))
-            self._prod_polys = self.unghost_components(combined)
-        return self._prod_polys
-
-    def neg_polys(self) -> tuple:
-        if self._neg_polys is None:
-            ga = self.ghost_components(self._symbolic(self.avars))
-            self._neg_polys = self.unghost_components(tuple(-x for x in ga))
-        return self._neg_polys
-
-    def eval_polys(self, polys: tuple, aval: tuple, bval: tuple | None = None) -> tuple:
-        mapping = dict(zip(self.avars, aval))
-        if bval is not None:
-            mapping.update(zip(self.bvars, bval))
-        return tuple(p.evaluate(mapping) if isinstance(p, Poly) else p for p in polys)
+    def structure_polys(self, op: str) -> tuple:
+        """The universal polynomials of `op` ("add", "mul" or "neg") in
+        `avars` and `bvars`: the unghost of the ghost sum, product or
+        negation of the symbolic vectors (a_K) and (b_K)."""
+        if op not in self._structure:
+            ga, gb = (self.ghost_components(tuple(map(Poly.var, names)))
+                      for names in (self.avars, self.bvars))
+            combined = tuple(map(_GHOST_OPS[op], ga, gb))
+            self._structure[op] = self.unghost_components(combined)
+        return self._structure[op]
 
 
 @cache
@@ -158,26 +131,27 @@ def witt_one(group: Group) -> WittVector:
     return WittVector(group, ctx.unghost_components((1,) * ctx.n))
 
 
-def _binary(w1: WittVector, w2: WittVector, polys_of) -> WittVector:
-    if w1.group != w2.group:
+def _structure_op(op: str, a: WittVector, b: WittVector) -> WittVector:
+    """The structure polynomials of `op` at the components of a for
+    `avars` and those of b for `bvars`."""
+    if a.group != b.group:
         raise GwittError("Witt vectors over different groups")
-    ctx = witt_context(w1.group)
-    return WittVector(
-        w1.group, ctx.eval_polys(polys_of(ctx), w1.components, w2.components)
-    )
+    ctx = witt_context(a.group)
+    values = dict(zip(ctx.avars, a.components))
+    values.update(zip(ctx.bvars, b.components))
+    return WittVector(a.group, tuple(p.evaluate(values) for p in ctx.structure_polys(op)))
 
 
 def witt_add(w1: WittVector, w2: WittVector) -> WittVector:
-    return _binary(w1, w2, WittContext.sum_polys)
+    return _structure_op("add", w1, w2)
 
 
 def witt_mul(w1: WittVector, w2: WittVector) -> WittVector:
-    return _binary(w1, w2, WittContext.prod_polys)
+    return _structure_op("mul", w1, w2)
 
 
 def witt_neg(w: WittVector) -> WittVector:
-    ctx = witt_context(w.group)
-    return WittVector(w.group, ctx.eval_polys(ctx.neg_polys(), w.components))
+    return _structure_op("neg", w, w)  # the negation polynomials read avars only
 
 
 def teichmuller_tau(w: WittVector) -> BurnsideElement:
@@ -326,96 +300,66 @@ def verify_dress_siebeneicher_iso(group: Group) -> Report:
 
 
 def verify_ring_axioms(group: Group, seed: int = 0) -> Report:
-    """Ring laws of W_G, symbolically.
+    """Ring laws of W_G, through ghost, unghost and the Witt operations.
 
     The structure polynomials are defined as the unghost of the ghost sum,
     product and negation, so the checks that they are ghost-homomorphic
-    restate that definition, and the exact unghost raises IntegralityError
-    before them unless the polynomials are integral: they test
-    integrality, not a ring law.  The ring laws rest on the other checks:
-    unghost∘ghost is the identity, zero and one are units, the sum and
-    product polynomials are symmetric in the two variable blocks, and
-    associativity and distributivity hold: up to DIRECT_CLASS_CAP classes by
-    direct polynomial substitution, above it (where the substituted
+    (the only checks that read them directly) restate that definition, and
+    the exact unghost raises IntegralityError before them unless the
+    polynomials are integral: they test integrality, not a ring law.  The
+    ring laws rest on the other checks, on the symbolic vectors a = (a_K)
+    and b = (b_K): unghost∘ghost is the identity, zero and one are units,
+    b + a and b * a give the structure polynomials of a + b and a * b, and
+    associativity and distributivity hold: up to DIRECT_CLASS_CAP classes
+    on a, b and a third symbolic vector, above it (where the composed
     polynomials grow too large) at RING_LAW_SAMPLES integer triples drawn
-    from `seed`, through the same structure polynomials.
+    from `seed`.
     """
     ctx = witt_context(group)
     report = Report("ring-axioms", group.name)
-    sym_a = tuple(Poly.var(v) for v in ctx.avars)
-    sym_b = tuple(Poly.var(v) for v in ctx.bvars)
 
-    # unghost ∘ ghost = id symbolically
-    back = ctx.unghost_components(ctx.ghost_components(sym_a))
+    def compare(got: tuple, want: tuple, failure: str):
+        for h in range(ctx.n):
+            report.checked += 1
+            if got[h] != want[h]:
+                report.fail(f"{failure} at {ctx.poset.label(h)}")
+
+    def symbolic(names) -> WittVector:
+        return WittVector(group, tuple(map(Poly.var, names)))
+
+    a, b = symbolic(ctx.avars), symbolic(ctx.bvars)
+    ga, gb = ghost(a), ghost(b)
     report.checked += 1
-    if tuple(Poly.coerce(x) for x in back) != sym_a:
+    if unghost(ga) != a:
         report.fail("unghost(ghost(a)) != a symbolically")
 
-    # ghost homomorphism on the universal polynomials
-    ga = ctx.ghost_components(sym_a)
-    gb = ctx.ghost_components(sym_b)
-    for name, polys, combine in (
-        ("sum", ctx.sum_polys(), lambda x, y: x + y),
-        ("product", ctx.prod_polys(), lambda x, y: x * y),
-    ):
-        gc = ctx.ghost_components(polys)
-        for h in range(ctx.n):
-            report.checked += 1
-            want = combine(Poly.coerce(ga[h]), Poly.coerce(gb[h]))
-            if Poly.coerce(gc[h]) != want:
-                report.fail(f"ghost of {name} polynomial differs at {ctx.poset.label(h)}")
-    gneg = ctx.ghost_components(ctx.neg_polys())
-    for h in range(ctx.n):
-        report.checked += 1
-        if Poly.coerce(gneg[h]) != -Poly.coerce(ga[h]):
-            report.fail(f"ghost of negation differs at {ctx.poset.label(h)}")
+    for name, op in (("sum", "add"), ("product", "mul"), ("negation", "neg")):
+        compare(ctx.ghost_components(ctx.structure_polys(op)),
+                tuple(map(_GHOST_OPS[op], ga.components, gb.components)),
+                f"ghost of the {name} polynomial differs")
 
-    # units, symbolically in a
-    one = witt_one(group).components
-    zero = witt_zero(group).components
-    for name, polys, other in (
-        ("w+0", ctx.sum_polys(), zero),
-        ("w*1", ctx.prod_polys(), one),
-    ):
-        got = ctx.eval_polys(polys, sym_a, other)
-        for h in range(ctx.n):
-            report.checked += 1
-            if Poly.coerce(got[h]) != sym_a[h]:
-                report.fail(f"{name} != w at {ctx.poset.label(h)}")
+    compare(witt_add(a, witt_zero(group)).components, a.components, "a + 0 != a")
+    compare(witt_mul(a, witt_one(group)).components, a.components, "a * 1 != a")
+    compare(witt_add(b, a).components, ctx.structure_polys("add"), "b + a != a + b")
+    compare(witt_mul(b, a).components, ctx.structure_polys("mul"), "b * a != a * b")
 
-    # commutativity: swap the two variable blocks
-    swap = dict(zip(ctx.avars + ctx.bvars, ctx.bvars + ctx.avars))
-    for name, polys in (("sum", ctx.sum_polys()), ("product", ctx.prod_polys())):
-        for h in range(ctx.n):
-            report.checked += 1
-            p = Poly.coerce(polys[h])
-            if p.substitute({k: Poly.var(v) for k, v in swap.items()}) != p:
-                report.fail(f"{name} polynomial not symmetric at {ctx.poset.label(h)}")
-
-    # associativity and distributivity: symbolically for small posets, at
-    # seeded integer vectors above the cap
     if ctx.n <= DIRECT_CLASS_CAP:
-        sym_c = tuple(Poly.var(f"c_{ctx.poset.label(i)}") for i in range(ctx.n))
-        triples = [(sym_a, sym_b, sym_c)]
+        triples = [(a, b, symbolic(f"c_{ctx.poset.label(i)}" for i in range(ctx.n)))]
     else:
         report.seed = seed
         rng = random.Random(seed)
-        triples = [tuple(random_witt_vector(group, rng).components for _ in range(3))
+        triples = [tuple(random_witt_vector(group, rng) for _ in range(3))
                    for _ in range(RING_LAW_SAMPLES)]
-    add = lambda u, v: ctx.eval_polys(ctx.sum_polys(), u, v)
-    mul = lambda u, v: ctx.eval_polys(ctx.prod_polys(), u, v)
-    for a, b, c in triples:
-        where = "" if report.seed is None else f" for a={a}, b={b}, c={c}"
-        checks = (
-            ("add-assoc", add(add(a, b), c), add(a, add(b, c))),
-            ("mul-assoc", mul(mul(a, b), c), mul(a, mul(b, c))),
-            ("distributivity", mul(a, add(b, c)), add(mul(a, b), mul(a, c))),
-        )
-        for name, lhs, rhs in checks:
-            for h in range(ctx.n):
-                report.checked += 1
-                if Poly.coerce(lhs[h]) != Poly.coerce(rhs[h]):
-                    report.fail(f"{name} fails at {ctx.poset.label(h)}{where}")
+    for x, y, z in triples:
+        where = ("" if report.seed is None else
+                 f" for a={x.components}, b={y.components}, c={z.components}")
+        for name, lhs, rhs in (
+            ("add-assoc", witt_add(witt_add(x, y), z), witt_add(x, witt_add(y, z))),
+            ("mul-assoc", witt_mul(witt_mul(x, y), z), witt_mul(x, witt_mul(y, z))),
+            ("distributivity", witt_mul(x, witt_add(y, z)),
+             witt_add(witt_mul(x, y), witt_mul(x, z))),
+        ):
+            compare(lhs.components, rhs.components, f"{name} fails{where}")
     return report
 
 

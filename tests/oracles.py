@@ -21,10 +21,13 @@ read off its containment counts, isomorphism of G-sets over the point, the
 norm of an integer from the trivial level by unmarks, the depth of a word,
 its support rebuilt on every call, the coherence bijection by matching
 normal-form keys in a dict, the map into a pullback that two maps induce,
-and the equivariance and free rank of an invariant-ring value.  Also the
-larger groups of the benchmark ladder."""
+and the equivariance and free rank of an invariant-ring value.  For cyclic
+groups, Witt addition, multiplication and negation as arithmetic of power
+series in the big Witt ring, and the Teichmueller map by necklace counts.
+Also the larger groups of the benchmark ladder."""
 
 import itertools
+import math
 from functools import cache
 
 from gwitt.burnside import (
@@ -57,6 +60,7 @@ from gwitt.gsets import (
 )
 from gwitt.intpoly import Poly
 from gwitt.tambara import InvariantRingInstance
+from gwitt.witt import WittVector
 from gwitt.words import SetAssignment, Word, eval_word
 
 
@@ -690,3 +694,122 @@ def dict_dependent_product(p: GMap, f: GMap) -> DependentProduct:
         table.append(row)
     pi = GSet(group, table)
     return DependentProduct(pi, GMap(pi, y, [yy for yy, _ in sections]), tuple(sections))
+
+
+# -- cyclic groups as big Witt vectors ------------------------------------------
+#
+# For G = C_n the class of the subgroup of order n/d is the big Witt index d,
+# and the ghost component there is w_d = sum over e | d of e * a_e^(d/e).  So
+# W_{C_n} is the big Witt ring truncated at the divisors of n: a vector is
+# the power series prod over d | n of (1 - a_d t^d)^(-1) in 1 + tA[[t]] mod
+# t^(n+1), the sum is the product of series, the negation its inverse, and
+# the product extends (1 - a t^m)^(-1) * (1 - b t^k)^(-1) =
+# (1 - a^(k/g) b^(m/g) t^(mk/g))^(-g), g = gcd(m, k), biadditively
+# (Metropolis-Rota, Adv. Math. 50, 1983).  No marks, ghost or division.
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _series_mul(p: list, q: list) -> list:
+    """The product of two power series of the same length, truncated."""
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        if x != 0:
+            for j in range(len(p) - i):
+                out[i + j] = out[i + j] + x * q[j]
+    return out
+
+
+def _geometric(c, d: int, g: int, n: int) -> list:
+    """(1 - c t^d)^(-g) mod t^(n+1), as the g-th power of sum_k c^k t^(dk)."""
+    one = [1] + [0] * n
+    step = list(one)
+    power = 1
+    for k in range(d, n + 1, d):
+        power = power * c
+        step[k] = power
+    out = one
+    for _ in range(g):
+        out = _series_mul(out, step)
+    return out
+
+
+def _index_of_order(group: Group) -> dict[int, int]:
+    """The position in the poset of the one subgroup of each order of C_n."""
+    return {cls.order: i for i, cls in enumerate(subconjugacy_poset(group).classes)}
+
+
+def _series(w) -> list:
+    n = w.group.order
+    out = [1] + [0] * n
+    for order, i in _index_of_order(w.group).items():
+        out = _series_mul(out, _geometric(w.components[i], n // order, 1, n))
+    return out
+
+
+def big_witt_ring(op: str, *ws):
+    """witt_add, witt_mul ("add", "mul") or witt_neg ("neg") on C_n,
+    computed in the big Witt ring of power series: the series of the result,
+    then its components peeled off one factor (1 - a_d t^d)^(-1) at a time
+    by multiplying with 1 - a_d t^d."""
+    group = ws[0].group
+    n = group.order
+    index = _index_of_order(group)
+    if op == "add":
+        series = _series_mul(_series(ws[0]), _series(ws[1]))
+    elif op == "neg":
+        series = [1] + [0] * n
+        for order, i in index.items():
+            d = n // order
+            factor = [1] + [0] * n
+            factor[d] = -ws[0].components[i]
+            series = _series_mul(series, factor)
+    else:
+        series = [1] + [0] * n
+        for m_order, i in index.items():
+            for k_order, j in index.items():
+                m, k = n // m_order, n // k_order
+                g = math.gcd(m, k)
+                c = ws[0].components[i] ** (k // g) * ws[1].components[j] ** (m // g)
+                series = _series_mul(series, _geometric(c, m * k // g, g, n))
+    comps = {}
+    for d in range(1, n + 1):
+        comps[d] = a = series[d]
+        series = [series[t] - (a * series[t - d] if t >= d else 0) for t in range(n + 1)]
+    out = [0] * len(index)
+    for order, i in index.items():
+        out[i] = comps[n // order]
+    return WittVector(group, tuple(out))
+
+
+def _moebius(n: int) -> int:
+    out = 1
+    for p in range(2, n + 1):
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+    return out
+
+
+def necklaces(x: int, k: int) -> int:
+    """M(x, k) = (1/k) sum over j | k of mu(k/j) x^j: the aperiodic
+    necklaces of length k in x colours, an integer for every integer x."""
+    total = sum(_moebius(k // j) * x ** j for j in _divisors(k))
+    assert total % k == 0
+    return total // k
+
+
+def necklace_tau(w) -> BurnsideElement:
+    """tau(alpha) on C_n: N_e^{C_m}(x) is the sum over k | m of M(x, k)
+    orbits C_m/C_{m/k} (the functions C_m -> x of least period k), and the
+    transfer to C_n sends each to C_n/C_{m/k}."""
+    index = _index_of_order(w.group)
+    out = [0] * len(index)
+    for m, i in index.items():
+        for k in _divisors(m):
+            out[index[m // k]] += necklaces(w.components[i], k)
+    return BurnsideElement(w.group, tuple(out))

@@ -122,8 +122,8 @@ def test_criterion_3_classical_witt_cross_check():
             rename[f"ca{i}"] = Poly.var(ctx.avars[n - i])
             rename[f"cb{i}"] = Poly.var(ctx.bvars[n - i])
         for combine, polys in (
-            (lambda x, y: x + y, ctx.sum_polys()),
-            (lambda x, y: x * y, ctx.prod_polys()),
+            (lambda x, y: x + y, ctx.structure_polys("add")),
+            (lambda x, y: x * y, ctx.structure_polys("mul")),
         ):
             ghosted = [combine(x, y) for x, y in zip(_classical_ghost(a), _classical_ghost(b))]
             classical = _classical_unghost(ghosted)

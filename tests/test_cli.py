@@ -309,7 +309,12 @@ def test_symbolic_witt_past_the_ghost_term_cap_is_refused(argv):
      "the Teichmuller homomorphism needs integer components"),
     # refused by its variables, although they cancel
     (["witt", "ghost", "C(2)", "(a - a, 1)"], "symbolic components ['a - a'] need --symbolic"),
-], ids=["ghost", "add", "tau-symbolic", "cancelling"])
+    # each exponent is at most 64, but the nesting asks for 2^(64^6)
+    (["witt", "ghost", "C(2)", "(((((((2)^64)^64)^64)^64)^64)^64, 1)"],
+     "the polynomial at line 1, column 2 may have a coefficient of more than 1000 digits"),
+    (["witt", "tau", "C(2)", "(((((((2)^64)^64)^64)^64)^64)^64, 1)"],
+     "the polynomial at line 1, column 2 may have a coefficient of more than 1000 digits"),
+], ids=["ghost", "add", "tau-symbolic", "cancelling", "nested-powers", "nested-powers-tau"])
 def test_symbolic_literals_are_refused_before_they_are_expanded(argv, message, monkeypatch):
     def expand(node):
         raise AssertionError(f"{dsl.to_text(node)} was expanded")

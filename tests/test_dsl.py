@@ -175,6 +175,15 @@ def test_term_bound_bounds_the_expansion_without_expanding(text, terms):
         assert len(build_poly(node).terms) <= terms
 
 
+def test_coefficients_past_the_digit_cap_are_refused_before_expansion():
+    # the norm bounds the sum of the coefficients' absolute values
+    assert term_bound(parse_vector("(-(3*x - y)^2 * 2)").children[0]).norm == 32
+    # 10^999 has 1000 digits, as many as a number literal may have
+    assert build_vector(parse_vector(f"((10^37)^27, {'9' * 1000})"))[0] == 10 ** 999
+    with pytest.raises(GwittError, match="column 5 may have a coefficient of more than 1000"):
+        build_vector(parse_vector("(1, x*(10^40)^25)"))
+
+
 def test_entry_point_node_kinds():
     assert parse_group("C(4)").kind == "group"
     assert parse_gset("C(4)/<>").kind == "gset_cosets"

@@ -26,6 +26,9 @@ def test_equality_and_hash():
     assert x + 0 == x
     assert Poly.const(3) == 3
     assert hash((x + y) * (x + y)) == hash(x ** 2 + 2 * x * y + y ** 2)
+    # a constant hashes as the int it equals
+    assert hash(Poly.const(3)) == hash(3) and hash(x - x) == hash(0)
+    assert len({3, Poly.const(3)}) == 1 and 3 in {Poly.const(3)}
 
 
 def test_substitute_and_evaluate():

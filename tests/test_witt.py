@@ -42,8 +42,10 @@ from gwitt.witt import (
     witt_zero,
 )
 from oracles import (
+    big_witt_ring,
     burnside_transfer,
     elementary_abelian_2,
+    necklace_tau,
     norm_from_trivial,
     s4_x_c2,
     symbolic_tau_marks_via_subgroup_groups,
@@ -66,6 +68,10 @@ def test_ghost_examples():
 
 def test_unghost_examples():
     assert unghost(GhostVector(C2, (6, 2))) == WittVector(C2, (1, 2))
+    # equal vectors hash alike, whatever the sequence and however the
+    # integers are held
+    same = WittVector(C2, [1, Poly.const(2)])
+    assert same == WittVector(C2, (1, 2)) and hash(same) == hash(WittVector(C2, (1, 2)))
     with pytest.raises(IntegralityError) as exc:
         unghost(GhostVector(C2, (1, 0)))
     assert exc.value.where == "1a"
@@ -83,15 +89,15 @@ def test_structure_polynomials_c2_frozen():
     ctx = witt_context(C2)
     ae, ac = ctx.avars  # ascending: trivial class, then [C2]
     be, bc = ctx.bvars
-    sum_polys = [Poly.coerce(p) for p in ctx.sum_polys()]
-    prod_polys = [Poly.coerce(p) for p in ctx.prod_polys()]
+    add_polys = [Poly.coerce(p) for p in ctx.structure_polys("add")]
+    mul_polys = [Poly.coerce(p) for p in ctx.structure_polys("mul")]
     A_e, A_c = Poly.var(ae), Poly.var(ac)
     B_e, B_c = Poly.var(be), Poly.var(bc)
-    assert sum_polys[1] == A_c + B_c
-    assert sum_polys[0] == A_e + B_e - A_c * B_c
-    assert prod_polys[1] == A_c * B_c
-    assert prod_polys[0] == A_c ** 2 * B_e + B_c ** 2 * A_e + 2 * A_e * B_e
-    neg = [Poly.coerce(p) for p in ctx.neg_polys()]
+    assert add_polys[1] == A_c + B_c
+    assert add_polys[0] == A_e + B_e - A_c * B_c
+    assert mul_polys[1] == A_c * B_c
+    assert mul_polys[0] == A_c ** 2 * B_e + B_c ** 2 * A_e + 2 * A_e * B_e
+    neg = [Poly.coerce(p) for p in ctx.structure_polys("neg")]
     assert neg[1] == -A_c
     assert neg[0] == -A_e - A_c ** 2
 
@@ -169,10 +175,31 @@ def test_double_coset_identity(monkeypatch, group):
             assert not verify_ghost_factorization(group, samples=0).ok, (k, h)
 
 
+# 1 + 10n checks on n classes up to DIRECT_CLASS_CAP, 1 + 16n above it
+RING_AXIOM_CHECKS = {"C1": 11, "C2": 21, "C3": 21, "C4": 31, "V4": 51, "C6": 41,
+                     "S3": 41, "D4": 81}
+
+
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
 def test_ring_axioms(group):
     report = verify_ring_axioms(group)
     assert report.ok, report.failures
+    assert report.checked == RING_AXIOM_CHECKS[group.name]
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+@pytest.mark.parametrize("group", [C2, symmetric(3)], ids=lambda g: g.name)
+def test_ring_axioms_fail_on_a_perturbed_structure_polynomial(monkeypatch, group, op):
+    """The sum or product polynomials plus 1 at any one class fail the
+    report, and not only in the ghost checks that read them directly."""
+    ctx = witt_context(group)
+    exact = ctx.structure_polys
+    for h in range(ctx.n):
+        wrong = tuple(p + 1 if i == h else p for i, p in enumerate(exact(op)))
+        monkeypatch.setattr(ctx, "structure_polys",
+                            lambda o, wrong=wrong: wrong if o == op else exact(o))
+        report = verify_ring_axioms(group)
+        assert any(not f.startswith("ghost of") for f in report.failures), h
 
 
 def test_ring_axioms_above_the_direct_cap_check_the_laws_at_seeded_vectors():
@@ -186,7 +213,7 @@ def test_ring_axioms_above_the_direct_cap_check_the_laws_at_seeded_vectors():
     assert report.seed == 0
     # unghost∘ghost, ghost of sum/product/negation, two units, two symmetries
     symbolic = 1 + 3 * n + 2 * n + 2 * n
-    assert report.checked == symbolic + RING_LAW_SAMPLES * 3 * n
+    assert report.checked == symbolic + RING_LAW_SAMPLES * 3 * n == 177
 
 
 def test_injectivity_sampled():
@@ -269,14 +296,39 @@ def test_cyclic_two_groups_match_classical_witt(group):
         rename[f"ca{i}"] = Poly.var(ctx.avars[n - i])
         rename[f"cb{i}"] = Poly.var(ctx.bvars[n - i])
     for combine, polys in (
-        (lambda x, y: x + y, ctx.sum_polys()),
-        (lambda x, y: x * y, ctx.prod_polys()),
+        (lambda x, y: x + y, ctx.structure_polys("add")),
+        (lambda x, y: x * y, ctx.structure_polys("mul")),
     ):
         classical = classical_structure_polys(ctx.n, combine)
         for i in range(ctx.n):
             want = classical[i].substitute(rename)
             got = Poly.coerce(polys[n - i])
             assert got == want
+
+
+@pytest.mark.parametrize("n, ring", [(n, "Z") for n in range(1, 21)]
+                         + [(n, "Z[x]") for n in (2, 3, 4, 6, 8, 12)])
+def test_cyclic_ring_operations_match_big_witt_vectors(n, ring):
+    """On C_n, add, mul and neg are those of the big Witt ring truncated at
+    the divisors of n, computed as power series with no marks or ghost map;
+    over Z for n <= 20 (the structure polynomials of C24 take 1.3 s to
+    build, those of C32 3.8 s), over Z[x] for a few n."""
+    group = cyclic(n)
+    poly_vars = ("x",) if ring == "Z[x]" else ()
+    rng = random.Random(f"big-witt:{n}:{ring}")
+    for _ in range(5):
+        a, b = (random_witt_vector(group, rng, poly_vars) for _ in range(2))
+        assert witt_add(a, b) == big_witt_ring("add", a, b), (a, b)
+        assert witt_mul(a, b) == big_witt_ring("mul", a, b), (a, b)
+        assert witt_neg(a) == big_witt_ring("neg", a), a
+
+
+def test_tau_on_cyclic_groups_counts_necklaces():
+    for n in range(1, 65):
+        rng = random.Random(f"necklace:{n}")
+        for _ in range(3):
+            w = random_witt_vector(cyclic(n), rng)
+            assert teichmuller_tau(w) == necklace_tau(w), w
 
 
 # A5 is not solvable; C3xS3 has a non-cyclic Sylow 3-subgroup
