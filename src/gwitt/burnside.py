@@ -72,6 +72,14 @@ def table_of_marks(group: Group) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def check_exact(entries, what: str):
+    """Refuse any entry that is not an integer or a polynomial over Z: the
+    one rule for Burnside coefficients, mark vectors and Witt components."""
+    for c in entries:
+        if not isinstance(c, (int, Poly)):
+            raise GwittError(f"{what} must be integers or polynomials, got {c!r}")
+
+
 @dataclass(frozen=True)
 class BurnsideElement:
     """A virtual G-set: integer multiplicities of the transitive G-sets
@@ -84,6 +92,7 @@ class BurnsideElement:
         poset = subconjugacy_poset(self.group)
         if len(self.coeffs) != len(poset):
             raise GwittError("coefficient vector has wrong length")
+        check_exact(self.coeffs, "coefficients")
 
     def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
         self._check(other)
@@ -187,6 +196,7 @@ def unmarks(group: Group, vector) -> BurnsideElement:
     poset = subconjugacy_poset(group)
     if len(vector) != len(poset):
         raise GwittError("mark vector has wrong length")
+    check_exact(vector, "mark vector entries")
     try:
         coeffs = column_solve(vector, mark_columns(group))
     except IntegralityError as exc:
@@ -209,36 +219,49 @@ def transferred_norms(group: Group, values) -> BurnsideElement:
     """The sum over the classes [K] of G of T_K^G N_e^K(x_K), for x_K in
     poset order.
 
-    N_e^K(x) is the K-set Map(K, X) with |X| = x, counted by stabilizers on
-    G's subgroup lattice: e(L), the number of functions K -> X whose
-    stabilizer is exactly L, is x^|K:L| less e(M) for every L < M <= K, so
-    it runs down K's down-set from the top.  The orbits of stabilizer L
-    number e(L) / |K:L| and T_K^G sends [K/L] to [G/L], so [G/H] gets
-    (1/|K|) * sum of |L| * e(L) over the L <= K in [H], an exact division.
-    The values are integers; anything else raises GwittError.  No table of
-    marks is read.
+    N_e^K(x) is the K-set Map(K, X) with |X| = x.  Let e_K(L) be the number
+    of its functions whose stabilizer is exactly L, for L <= K.  Its orbits
+    of stabilizer L number e_K(L) / |K:L|, and T_K^G sends [K/L] to [G/L],
+    so [G/H] gets (1/|K|) * sum of |L| * e_K(L) over the L <= K in [H].
+
+    All K are counted together by one Moebius inversion over G's subgroup
+    lattice (P. Hall 1936).  A function fixed by L has some stabilizer
+    M >= L, so the sum of e_K(M) over L <= M <= K is x_K^(K:L).  Hence
+
+        Y(L) = sum over representatives K >= L of |G:K| * x_K^(K:L)
+             = sum over M >= L of Z(M),  Z(M) = sum over K of |G:K| * e_K(M),
+
+    and Z(L) = Y(L) - sum of Z(M) over M > L, found from the top subgroup
+    down.  Then (1/|G|) * sum of |L| * Z(L) over the L in [H] is the sum
+    over K of (1/|K|) * sum of |L| * e_K(L), the coefficient of [G/H]: one
+    exact division per class.  Y reads each representative's down-set and
+    the inversion each subgroup's down-set once; zero x_K and zero Z(M) are
+    skipped.  The values are integers; anything else raises GwittError.  No
+    table of marks is read.
     """
     poset = subconjugacy_poset(group)
     down, orders, class_of = poset.down, poset.orders, poset.class_of
-    total = [0] * len(poset)
-    below = [0] * len(down)  # for L <= K: e(M) summed over L < M <= K
+    z = [0] * len(down)  # Y(L), then Z(L) once every M > L is subtracted
     for x, top in zip(values, poset.reps):
         if not isinstance(x, int):
             raise GwittError(f"transferred norms need integer values, got {x!r}")
         if x == 0:  # N_e^K(0) = 0
             continue
         order = orders[top]
-        members = down[top]
-        for m in members:
-            below[m] = 0
-        weighted: dict[int, int] = {}  # |L| * e(L) summed by G-class
-        for m in reversed(members):
-            exact = x ** (order // orders[m]) - below[m]
-            if exact != 0:
-                for sub in down[m]:  # m itself too, which is done
-                    below[sub] += exact
-                h = class_of[m]
-                weighted[h] = weighted.get(h, 0) + orders[m] * exact
-        for h, s in weighted.items():
-            total[h] += _exact_div(s, order)
+        index = group.order // order
+        for m in down[top]:
+            z[m] += index * x ** (order // orders[m])
+    weighted: dict[int, int] = {}  # |L| * Z(L) summed by G-class
+    for m in range(len(down) - 1, -1, -1):
+        exact = z[m]
+        if exact:
+            members = down[m]
+            for sub in members[:-1]:  # the L < M
+                z[sub] -= exact
+            h = class_of[m]
+            weighted[h] = weighted.get(h, 0) + orders[m] * exact
+    total = [0] * len(poset)
+    for h, s in weighted.items():
+        if s:
+            total[h] = _exact_div(s, group.order)
     return BurnsideElement(group, tuple(total))

@@ -388,18 +388,20 @@ def _is_prime(k: int) -> bool:
     return k > 1 and all(k % p for p in range(2, isqrt(k) + 1))
 
 
-def _down_sets(masks: list[int], orders) -> tuple[tuple[int, ...], ...]:
-    """The down-set of each subgroup bitset: the indices of its subgroups,
-    ascending and ending with its own.  Subgroups run by order, so a proper
-    subgroup of L comes before the first subgroup of L's order."""
-    first: dict[int, int] = {}
+def _down_sets(subgroups, masks: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The down-set of each subgroup, given with its bitset: the indices of
+    its subgroups, ascending and ending with its own.  L <= K puts the
+    largest element of L in K, so K's candidates are the subgroups before it
+    keyed by an element of K; subgroups run by order, so K comes last."""
+    keyed: list[list[int]] = [[] for _ in range(max(masks).bit_length())]
     down = []
-    for t, mask in enumerate(masks):
+    for t, (sub, mask) in enumerate(zip(subgroups, masks)):
         outside = ~mask
-        start = first.setdefault(orders[t], t)
-        below = [i for i in range(start) if not masks[i] & outside]
+        below = [i for g in sub.elements for i in keyed[g] if not masks[i] & outside]
+        below.sort()
         below.append(t)
         down.append(tuple(below))
+        keyed[sub.elements[-1]].append(t)
     return tuple(down)
 
 
@@ -470,7 +472,7 @@ class SubconjugacyPoset:
         masks = [_mask(s.elements) for s in subs]
         self._position = {m: i for i, m in enumerate(masks)}
         self.orders = tuple(s.order for s in subs)
-        self.down = down = _down_sets(masks, self.orders)
+        self.down = down = _down_sets(subs, masks)
         orbits = _classify(group, subs, self._position)
         self.reps = reps = tuple(orbit[0] for orbit in orbits)
         class_of = [0] * len(subs)

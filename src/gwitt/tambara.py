@@ -331,10 +331,14 @@ def _automorphisms(x: GSet) -> list[GMap]:
 
 def _canonical_reps(x: GSet, y: GSet, auts_x: list[GMap],
                     auts_y: list[GMap]) -> list[GMap]:
-    """One representative per isomorphism class of arrows x -> y.
+    """One representative per isomorphism class of arrows x -> y: per orbit
+    of the maps x -> y under Aut(x) x Aut(y).
 
-    Two maps related by automorphisms of x and y produce isomorphic relation
-    diagrams, so testing one of them tests them all.  Each class is swept by
+    Two maps related by automorphisms of x and y give isomorphic
+    single-map diagrams, so testing one of them tests them all.  A diagram
+    of two maps x -> y -> z is only a pair of such representatives, which
+    can miss a class of pairs: bringing both maps to their representatives
+    can take two different automorphisms of y.  Each class is swept by
     Aut(x) x Aut(y) once, from its first map, which is filed under the least
     images in the class.
     """
@@ -492,8 +496,15 @@ def check_tambara_axioms(instance: TambaraInstance, budget: int = 4,
                          seed: int = 0,
                          relations: tuple[str, ...] | None = None) -> TambaraReport:
     """Enumerate the relation diagrams over G-sets of at most `budget`
-    points, one representative per diagram isomorphism class, and test each
-    wanted relation of `RELATIONS` on `VALUE_SAMPLES` seeded sample values.
+    points and test each wanted relation of `RELATIONS` on `VALUE_SAMPLES`
+    seeded sample values.
+
+    Each diagram is built from maps of `_canonical_reps`, so the single-map
+    relations see one diagram per isomorphism class of maps X -> Y.  The
+    composable pairs, pullback squares and exponential diagrams are pairs
+    of such representatives, which need not cover every isomorphism class
+    of those diagrams: C1 at budget 3 covers 88 of the 100 classes of
+    X -> Y -> Z.
 
     Each relation name appears once; the report carries the first violation
     of each failing relation as its witness and counts every law tested.

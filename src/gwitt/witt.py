@@ -11,8 +11,10 @@ from functools import cache
 
 from .burnside import (
     BurnsideElement,
+    MarkColumns,
     burnside_basis,
     burnside_one,
+    check_exact,
     column_solve,
     column_sums,
     mark_columns,
@@ -52,9 +54,7 @@ class WittVector(_PosetVector):
 
     def __post_init__(self):
         super().__post_init__()
-        for c in self.components:
-            if not isinstance(c, (int, Poly)):
-                raise GwittError("components must be integers or polynomials")
+        check_exact(self.components, "components")
 
 
 class GhostVector(_PosetVector):
@@ -230,35 +230,67 @@ def _check_samples(samples: int):
         raise GwittError(f"samples must be non-negative, got {samples}")
 
 
+def _restricted(columns: MarkColumns, classes: list[int]) -> MarkColumns:
+    """The columns of a down-closed set of classes, ascending, with only the
+    entries of those classes, renumbered by their place in `classes`."""
+    place = {h: i for i, h in enumerate(classes)}
+    above = []
+    for h in classes:
+        column = columns.above[h]
+        kept = []
+        for j in range(0, len(column), 3):
+            if column[j] in place:
+                kept += (place[column[j]], column[j + 1], column[j + 2])
+        above.append(tuple(kept))
+    return MarkColumns(tuple(columns.diag[h] for h in classes), tuple(above))
+
+
 def verify_ghost_factorization(group: Group, samples: int = 100,
                                seed: int = 0) -> Report:
     """marks(tau(alpha)) = ghost(alpha): exactly over Z[a_[K]], then on
     seeded random integer vectors.
 
     Both sides are sums of per-class terms, the term of [K] in a_[K] alone
-    and zero at a_[K] = 0 (marks and ghost sum over the classes, and
-    `transferred_norms` runs one loop body per class, reading only a_[K]
-    and the state it resets), so the identity holds iff every per-class
-    double-coset identity marks_[H](T_K^G N_e^K(a)) = |(G/K)^H| * a^(K:H)
-    does.  Both sides of that are polynomials in a of degree at most |K|:
-    ghost by its exponent (K:H), and tau computes with ring operations, the
-    powers a^(K:L), one division by |K| that returns the exact quotient or
-    raises, and branches that only skip zero terms.  So it holds iff it
-    holds at the |K| + 1 integers a = 0..|K|, where each class is checked
-    once; the samples cover the cross terms between classes."""
+    and zero at a_[K] = 0: marks and ghost sum over the classes, and in
+    `transferred_norms` Y is a sum of terms each in one a_[K], Z is linear
+    in Y and the one division by |G| is exact or raises.  So the identity
+    holds iff every per-class double-coset identity
+    marks_[H](T_K^G N_e^K(a)) = |(G/K)^H| * a^(K:H) does.  Both sides of
+    that are polynomials in a of degree at most |K|: ghost by its exponent
+    (K:H), and tau computes with ring operations, the powers a^(K:L), one
+    division by |G| that returns the exact quotient or raises, and branches
+    that only skip zero terms.  So it holds iff it holds at the |K| + 1
+    integers a = 0..|K|, where each class is checked once; the samples
+    cover the cross terms between classes.
+
+    At a = t * e_K both sides are compared on the classes [H] <= [K] only,
+    after checking that tau has no coefficient outside them.  Elsewhere both
+    vectors are zero: the mark at [H] of an element supported below [K]
+    vanishes unless [H] <= [K], and the ghost column of [H] lists only the
+    classes above [H]."""
     _check_samples(samples)
     ctx = witt_context(group)
+    poset = ctx.poset
     report = Report("ghost-factorization", group.name, seed=seed)
-    for k, cls in enumerate(ctx.poset.classes):
+    for k, cls in enumerate(poset.classes):
         report.checked += 1
+        below = sorted({poset.class_of[i] for i in poset.down[poset.reps[k]]})
+        inside = set(below)
+        columns = _restricted(ctx.columns, below)
         comps = [0] * ctx.n
         for t in range(cls.order + 1):
             comps[k] = t
-            got = marks(transferred_norms(group, comps))
-            want = ctx.ghost_components(comps)
+            coeffs = transferred_norms(group, comps).coeffs
+            outside = [poset.label(h) for h, c in enumerate(coeffs) if c and h not in inside]
+            if outside:
+                report.fail(f"tau({ctx.avars[k]} = {t}) is nonzero at {', '.join(outside)}, "
+                            f"not below {cls.label}")
+                break
+            got = column_sums([coeffs[h] for h in below], columns)
+            want = column_sums([comps[h] for h in below], columns, powered=True)
             if got != want:
                 report.fail(f"marks(tau({ctx.avars[k]} = {t})) = {got} "
-                            f"!= ghost = {want}")
+                            f"!= ghost = {want} on the classes below {cls.label}")
                 break
     rng = random.Random(seed)
     for _ in range(samples):

@@ -4,8 +4,9 @@ subconjugacy by conjugating with every group element, the table of marks by
 counting fixed cosets (also the marks of any G-set), Burnside products by
 decomposing product G-sets, maps over a base by counting candidate images, and
 the Teichmueller map and its marks by building every subgroup as a group of
-its own, the norm N_e^G(x) by the orbits of all functions G -> {0..x-1},
-stabilizers and fibers by scanning, orbits by closing a frontier, products
+its own, the transferred norms of the Teichmueller map by a Moebius push
+down each representative's own down-set, the norm N_e^G(x) by the orbits of
+all functions G -> {0..x-1}, stabilizers and fibers by scanning, orbits by closing a frontier, products
 by nested loops, equivariant maps and isomorphisms by filtering all
 functions and permutations, isomorphisms over a base by backtracking over
 orbits, map representatives up to automorphisms by minimizing over every
@@ -32,6 +33,7 @@ from functools import cache
 
 from gwitt.burnside import (
     BurnsideElement,
+    _exact_div,
     column_solve,
     mark_columns,
     marks,
@@ -358,6 +360,38 @@ def tau_via_subgroup_groups(w) -> BurnsideElement:
         sub_group, _ = cls.rep.as_group()
         total = total + burnside_transfer(cls.rep, norm_from_trivial(sub_group, comp))
     return total
+
+
+def chainwise_transferred_norms(group: Group, values) -> BurnsideElement:
+    """The sum over the classes [K] of T_K^G N_e^K(x_K), each K counted on
+    its own: e(L), the number of functions K -> X (|X| = x_K) with
+    stabilizer exactly L, is x^|K:L| less e(M) for every L < M <= K, run
+    down K's down-set from the top, one step per chain L <= M <= K; [G/H]
+    gets (1/|K|) * sum of |L| * e(L) over the L <= K in [H]."""
+    poset = subconjugacy_poset(group)
+    down, orders, class_of = poset.down, poset.orders, poset.class_of
+    total = [0] * len(poset)
+    below = [0] * len(down)  # for L <= K: e(M) summed over L < M <= K
+    for x, top in zip(values, poset.reps):
+        if not isinstance(x, int):
+            raise GwittError(f"transferred norms need integer values, got {x!r}")
+        if x == 0:  # N_e^K(0) = 0
+            continue
+        order = orders[top]
+        members = down[top]
+        for m in members:
+            below[m] = 0
+        weighted: dict[int, int] = {}  # |L| * e(L) summed by G-class
+        for m in reversed(members):
+            exact = x ** (order // orders[m]) - below[m]
+            if exact != 0:
+                for sub in down[m]:  # m itself too, which is done
+                    below[sub] += exact
+                h = class_of[m]
+                weighted[h] = weighted.get(h, 0) + orders[m] * exact
+        for h, s in weighted.items():
+            total[h] += _exact_div(s, order)
+    return BurnsideElement(group, tuple(total))
 
 
 def symbolic_tau_marks_via_subgroup_groups(group: Group, comps) -> tuple:

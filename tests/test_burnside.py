@@ -17,16 +17,19 @@ from gwitt.burnside import (
     transferred_norms,
     unmarks,
 )
-from gwitt.errors import IntegralityError
+from gwitt.errors import GwittError, IntegralityError
 from gwitt.groups import (
     Subgroup,
     all_subgroups,
     cyclic,
     dihedral,
+    direct_product,
+    group_from_generators,
     klein_four,
     subconjugacy_poset,
     symmetric,
 )
+from gwitt.intpoly import Poly
 from gwitt.gsets import (
     GMap,
     dependent_product,
@@ -36,6 +39,7 @@ from gwitt.gsets import (
 )
 from oracles import (
     burnside_transfer,
+    chainwise_transferred_norms,
     coset_space_table_of_marks,
     elementary_abelian_2,
     fixed_points,
@@ -140,6 +144,18 @@ def test_unmarks_round_trip_and_integrality():
     assert exc.value.where == "1a"
 
 
+def test_entries_outside_z_and_z_x_are_refused():
+    # 1.5 and 6.0 gave the marks (5.0, 2) and the coefficients (2.0, 2)
+    for bad in (1.5, 6.0, "1", None):
+        with pytest.raises(GwittError):
+            BurnsideElement(C2, (bad, 2))
+        with pytest.raises(GwittError):
+            unmarks(C2, (bad, 2))
+    x = Poly.var("x")
+    assert marks(BurnsideElement(C2, (x, 2))) == (2 * x + 2, 2)
+    assert unmarks(C2, (2 * x + 2, 2)) == BurnsideElement(C2, (x, 2))
+
+
 def test_burnside_mul_examples():
     e = burnside_basis(C2, 0)
     assert burnside_mul(e, e) == BurnsideElement(C2, (2, 0))
@@ -197,6 +213,42 @@ def test_norm_counts_the_orbits_of_functions(group):
         orbits = function_orbits_by_stabilizer(group, x)
         assert _norm(group, x).coeffs == orbits, x
         assert norm_from_trivial(group, x).coeffs == orbits, x
+
+
+NORM_VALUES = (0, 1, -1, 2, -2, 7, 10**6, -10**6)
+
+
+def _norm_vectors(group, count: int):
+    """Seeded values over NORM_VALUES: dense, and with one class in ten
+    nonzero, as the factorization check and sparse inputs run them."""
+    n = len(subconjugacy_poset(group))
+    rng = random.Random(f"norms:{group.name}")
+    dense = [tuple(rng.choice(NORM_VALUES) for _ in range(n)) for _ in range(count)]
+    sparse = [tuple(rng.choice(NORM_VALUES) if rng.random() < 0.1 else 0 for _ in range(n))
+              for _ in range(count)]
+    return dense + sparse
+
+
+@pytest.mark.parametrize(
+    "group",
+    # the larger groups of the benchmark ladder, C2^5 (the most subgroups of
+    # the ladder), A5 (not solvable) and C4 x C4
+    [symmetric(4), elementary_abelian_2(4), s4_x_c2(), dihedral(32), elementary_abelian_2(5),
+     group_from_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], name="A5"),
+     direct_product(cyclic(4), cyclic(4))],
+    ids=lambda g: g.name,
+)
+def test_transferred_norms_match_the_chainwise_oracle(group):
+    """One Moebius inversion over the lattice gives the norms that a push
+    down each representative's own down-set gives."""
+    for values in _norm_vectors(group, 4):
+        assert transferred_norms(group, values) == chainwise_transferred_norms(group, values)
+
+
+def test_transferred_norms_match_the_chainwise_oracle_over_c2_6():
+    group = elementary_abelian_2(6)
+    values = _norm_vectors(group, 1)[0]
+    assert transferred_norms(group, values) == chainwise_transferred_norms(group, values)
 
 
 def test_norm_examples():

@@ -325,7 +325,8 @@ def test_subgroups_match_join_closure_oracle(group):
 
 
 @pytest.mark.parametrize(
-    "group", [cyclic(4), klein_four(), symmetric(3), dihedral(4), cyclic(6)] + LADDER,
+    "group", [cyclic(4), klein_four(), symmetric(3), dihedral(4), cyclic(6)] + LADDER
+    + [C2_5, A5, C4_C4],
     ids=lambda g: g.name,
 )
 def test_poset_matches_conjugation_and_containment_oracle(group):

@@ -30,10 +30,19 @@ from gwitt.tambara import (
     MutatedInstance,
     _automorphisms,
     _canonical_reps,
+    _single_maps,
     check_tambara_axioms,
     small_gsets,
 )
-from oracles import all_isos_over, check_value, iso_over_eq, level_rank, min_relabeling_reps
+from oracles import (
+    all_equivariant_maps,
+    all_isos_over,
+    check_value,
+    gset_iso,
+    iso_over_eq,
+    level_rank,
+    min_relabeling_reps,
+)
 
 C2 = cyclic(2)
 S3 = symmetric(3)
@@ -117,6 +126,38 @@ def test_map_representatives_match_the_min_relabeling_oracle(group):
             got = _canonical_reps(x, y, auts[i], auts[j])
             want = min_relabeling_reps(x, y, auts[i], auts[j])
             assert [f.images for f in got] == [f.images for f in want], (i, j)
+
+
+@pytest.mark.parametrize("group", [cyclic(1), C2], ids=lambda g: g.name)
+def test_each_class_of_single_maps_is_enumerated_once(group):
+    """The coverage the checker guarantees: up to isomorphism of source and
+    target, every map X -> Y of G-sets of at most 3 points is tested
+    exactly once.  Classes are the orbits of all maps under every pair of
+    automorphisms, both found by brute force.  Composable pairs X -> Y -> Z
+    are only pairs of such representatives and miss some classes."""
+    objects = small_gsets(group, 3)
+    for i, x in enumerate(objects):
+        for y in objects[i + 1:]:
+            assert gset_iso(x, y) is None
+    auts = [_automorphisms(x) for x in objects]
+    maps = {(i, j): _canonical_reps(x, y, auts[i], auts[j])
+            for i, x in enumerate(objects) for j, y in enumerate(objects)}
+    enumerated = Counter((objects.index(d.x), objects.index(d.y), d.f.images)
+                         for d in _single_maps(objects, maps))
+    classes = 0
+    for i, x in enumerate(objects):
+        relabel_x = all_isos_over(to_point(x), to_point(x))
+        for j, y in enumerate(objects):
+            relabel_y = all_isos_over(to_point(y), to_point(y))
+            unswept = set(all_equivariant_maps(x, y))
+            while unswept:
+                f = min(unswept)
+                orbit = {tuple(beta[f[alpha[u]]] for u in x.points())
+                         for alpha in relabel_x for beta in relabel_y}
+                unswept -= orbit
+                classes += 1
+                assert sum(enumerated[(i, j, g)] for g in orbit) == 1, (i, j, f)
+    assert sum(enumerated.values()) == classes
 
 
 @pytest.mark.parametrize("group", [C2, cyclic(4), klein_four(), S3, dihedral(4)],
