@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import chain
-from math import isqrt
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .errors import GroupOrderError, GwittError
 
@@ -320,15 +319,21 @@ def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
 
     Cyclic extension along normalizers (Neubüser; Pfeiffer, *Experiment.
     Math.* 6, 1997), from the trivial subgroup up.  For each new subgroup H
-    with generators S, walk the right cosets Hg of G.  Keep g when g^-1 s g
-    lies in H for every s in S (then g normalizes H) and the least k with
-    g^k in H is prime: K = H u Hg u ... u Hg^(k-1) is then a subgroup with
-    H normal of index k, built with no closure, and generated by S and g.
-    Both tests depend only on the coset (N_G(H) is a union of cosets of H,
-    and Hg is an element of N_G(H)/H when it passes the first), so a coset
-    that fails is skipped whole.  Every g in K \\ H generates K over H (k
-    is prime), so all of K is skipped once K is found; subgroups are
-    deduplicated by bitset.
+    with generators S, N_G(H) is computed as a bitset: the elements g with
+    g^-1 s g in H for every s in S, that is the AND over s of the OR over y
+    in H of conj_s[y], the bitset of the g with g^-1 s g = y (one row per
+    generator s, built on first use; a generator central in G has none, as
+    every g passes).  Only the right cosets Hg inside N_G(H) are walked.
+    Hg is an element of N_G(H)/H; K = H u Hg u ... u Hg^(k-1) is a subgroup
+    with H normal of index k, built with no closure, when k = |<g> : <g> n
+    H| is prime.  The exponents i with g^i in H are the multiples of k, and
+    k divides the order of g, so k is prime exactly when g^p lies in H for a
+    prime p dividing the order of g, and then k = p: the pairs (p, g^p) are
+    tabled once per group.  Both k and K depend only on the coset, so a
+    coset that fails is skipped whole, and so is all of K once it is
+    reached (every g in K \\ H generates K over H, as k is prime).  K's
+    bitset is built first, and its element list only when the bitset is
+    new.
 
     Completeness.  A solvable K > 1 has a normal subgroup H of prime index
     p, and H is solvable.  By induction H is found; for g in K \\ H, g
@@ -342,50 +347,86 @@ def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
     reached.  Raising the cap to 120 or more needs the perfect subgroups
     (A5 in S5; A5 and A6 in A6 and S6) seeded as well.
     """
-    mul, inv = group.mul_table, group.inv_table
-    right = tuple(zip(*mul))  # right[g][x] = x*g
+    right = tuple(zip(*group.mul_table))  # right[g][x] = x*g
     bit = [1 << a for a in group.elements()]
-    primes = [_is_prime(k) for k in range(group.order + 1)]
+    right_bits = [list(map(bit.__getitem__, col)) for col in right]  # bit of x*g
+    prime_powers = _prime_powers(group)
+    every = (1 << group.order) - 1
+    conj_rows: dict[int, list[int] | None] = {}
     known = {1: [0]}
     frontier = [(1, [0], [])]
     while frontier:
         new = []
         for h_mask, h_elems, h_gens in frontier:
-            seen = h_mask
-            for g in group.elements():
-                if seen >> g & 1:
+            normalizer = every
+            for s in h_gens:
+                if s not in conj_rows:
+                    conj_rows[s] = _conjugators(group, s, bit)
+                conj = conj_rows[s]
+                if conj is not None:
+                    normalizer &= reduce(or_, map(conj.__getitem__, h_elems))
+            covered = h_mask
+            while rest := normalizer & ~covered:
+                g = (rest & -rest).bit_length() - 1
+                for p, g_p in prime_powers[g]:
+                    if h_mask >> g_p & 1:
+                        break
+                else:
+                    # the bitset of Hg: its bits are distinct, so sum is union
+                    covered |= sum(map(right_bits[g].__getitem__, h_elems))
                     continue
                 times_g = right[g]
-                inv_g_times = mul[inv[g]]
-                k, t = 1, g
-                if all(h_mask >> times_g[inv_g_times[s]] & 1 for s in h_gens):
-                    while not h_mask >> t & 1:
-                        t = times_g[t]
-                        k += 1
-                if not primes[k]:
-                    # the bitset of Hg: its bits are distinct, so sum is union
-                    seen |= sum(map(bit.__getitem__, map(times_g.__getitem__, h_elems)))
+                mask, t = h_mask, g
+                for _ in range(1, p):  # t = g^i, add Hg^i
+                    mask += sum(map(right_bits[t].__getitem__, h_elems))
+                    t = times_g[t]
+                covered |= mask
+                if mask in known:
                     continue
-                elems = list(h_elems)
-                t = g
-                for _ in range(1, k):  # t = g^i, add Hg^i
+                elems, t = list(h_elems), g
+                for _ in range(1, p):
                     elems += map(right[t].__getitem__, h_elems)
                     t = times_g[t]
-                mask = sum(map(bit.__getitem__, elems))
-                seen |= mask
-                if mask not in known:
-                    known[mask] = elems
-                    new.append((mask, elems, h_gens + [g]))
+                known[mask] = elems
+                new.append((mask, elems, h_gens + [g]))
         frontier = new
-    known.setdefault((1 << group.order) - 1, list(group.elements()))
+    known.setdefault(every, list(group.elements()))
     return tuple(sorted(
         (Subgroup._enumerated(group, elems) for elems in known.values()),
         key=lambda s: (s.order, s.elements),
     ))
 
 
-def _is_prime(k: int) -> bool:
-    return k > 1 and all(k % p for p in range(2, isqrt(k) + 1))
+def _conjugators(group: Group, s: int, bit: list[int]) -> list[int] | None:
+    """conj_s: conj_s[y] is the bitset of the g with g^-1 s g = y, so the g
+    that conjugate s into H are the OR of conj_s over H.  None when s is
+    central in G: every g then fixes s."""
+    mul, inv = group.mul_table, group.inv_table
+    s_times = mul[s]
+    conj = [0] * group.order
+    for g, g_bit in enumerate(bit):
+        conj[mul[inv[g]][s_times[g]]] |= g_bit
+    return None if conj[s] == (1 << group.order) - 1 else conj
+
+
+def _prime_powers(group: Group) -> list[list[tuple[int, int]]]:
+    """For each element g, the pairs (p, g^p) over the primes p dividing
+    the order of g, read off the powers of g."""
+    mul = group.mul_table
+    table = []
+    for g in group.elements():
+        powers = [0, g]
+        while powers[-1]:
+            powers.append(mul[powers[-1]][g])
+        rest, p, pairs = len(powers) - 1, 2, []
+        while rest > 1:  # trial division: each p that divides rest is prime
+            if rest % p == 0:
+                pairs.append((p, powers[p]))
+                while rest % p == 0:
+                    rest //= p
+            p += 1
+        table.append(pairs)
+    return table
 
 
 def _down_sets(subgroups, masks: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -513,7 +554,9 @@ class SubconjugacyPoset:
         return len(self.classes)
 
     def class_index(self, sub: Subgroup) -> int:
-        i = self._position.get(_mask(sub.elements))
+        # a subgroup of another group may have an element set that is a
+        # subgroup here too
+        i = self._position.get(_mask(sub.elements)) if sub.group == self.group else None
         if i is None:
             raise GwittError(f"{sub} is not a subgroup of {self.group.name}")
         return self.class_of[i]

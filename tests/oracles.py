@@ -1,5 +1,6 @@
 """Slow, independent constructions that the fast library paths are checked
-against: subgroups by joining whole element sets, conjugacy classes and
+against: subgroups by joining whole element sets and by walking every
+coset of each subgroup found, conjugacy classes and
 subconjugacy by conjugating with every group element, the table of marks by
 counting fixed cosets (also the marks of any G-set), Burnside products by
 decomposing product G-sets, maps over a base by counting candidate images, and
@@ -221,6 +222,53 @@ def join_closure_subgroups(group: Group) -> list[tuple[int, ...]]:
                     new.add(join)
         frontier = new
     return sorted(known, key=lambda e: (len(e), e))
+
+
+def coset_walk_subgroups(group: Group) -> list[tuple[int, ...]]:
+    """Every subgroup as a sorted element tuple, sorted by (order, elements),
+    by cyclic extension that walks every right coset Hg of G for each new
+    subgroup H: g is kept when it conjugates each generator of H into H and
+    the least k with g^k in H, found by stepping through the powers of g, is
+    prime; K = H u Hg u ... u Hg^(k-1) is then new or known.  G itself is
+    added when it was not reached."""
+    mul, inv = group.mul_table, group.inv_table
+    right = tuple(zip(*mul))  # right[g][x] = x*g
+    bit = [1 << a for a in group.elements()]
+    primes = [k > 1 and all(k % p for p in range(2, math.isqrt(k) + 1))
+              for k in range(group.order + 1)]
+    known = {1: [0]}
+    frontier = [(1, [0], [])]
+    while frontier:
+        new = []
+        for h_mask, h_elems, h_gens in frontier:
+            seen = h_mask
+            for g in group.elements():
+                if seen >> g & 1:
+                    continue
+                times_g = right[g]
+                inv_g_times = mul[inv[g]]
+                k, t = 1, g
+                if all(h_mask >> times_g[inv_g_times[s]] & 1 for s in h_gens):
+                    while not h_mask >> t & 1:
+                        t = times_g[t]
+                        k += 1
+                if not primes[k]:
+                    # the bitset of Hg: its bits are distinct, so sum is union
+                    seen |= sum(map(bit.__getitem__, map(times_g.__getitem__, h_elems)))
+                    continue
+                elems = list(h_elems)
+                t = g
+                for _ in range(1, k):  # t = g^i, add Hg^i
+                    elems += map(right[t].__getitem__, h_elems)
+                    t = times_g[t]
+                mask = sum(map(bit.__getitem__, elems))
+                seen |= mask
+                if mask not in known:
+                    known[mask] = elems
+                    new.append((mask, elems, h_gens + [g]))
+        frontier = new
+    known.setdefault((1 << group.order) - 1, list(group.elements()))
+    return sorted((tuple(sorted(elems)) for elems in known.values()), key=lambda e: (len(e), e))
 
 
 def conjugates(group: Group, elements) -> set[frozenset[int]]:

@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from gwitt import dsl
+from gwitt import dsl, groups
 from gwitt.errors import GroupOrderError, GwittError
 from gwitt.groups import (
     DEFAULT_MAX_ORDER,
@@ -30,6 +30,7 @@ from oracles import (
     composed_permutation_group,
     conjugates,
     containment_leq,
+    coset_walk_subgroups,
     elementary_abelian_2,
     generated_closure,
     is_subgroup_by_products,
@@ -50,6 +51,9 @@ A5 = group_from_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], name="A5")
 A4 = group_from_generators([(1, 2, 0, 3), (0, 2, 3, 1)], name="A4")
 C3_S3 = direct_product(cyclic(3), symmetric(3))
 C4_C4 = direct_product(cyclic(4), cyclic(4))
+# S3 x S3 as perm[(0 1),(0 1 2),(3 4),(3 4 5)]: many subgroups with small normalizers
+S3_S3 = group_from_generators([(1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5),
+                               (0, 1, 2, 4, 3, 5), (0, 1, 2, 4, 5, 3)], name="S3xS3")
 
 
 def test_group_from_generators_examples():
@@ -286,24 +290,59 @@ def test_light_associativity_test_matches_cubic_oracle(group):
         _assert_validation_matches_oracle(table)
 
 
-@pytest.mark.parametrize(
-    "group,count",
-    [(cyclic(2), 2), (cyclic(4), 3), (symmetric(3), 6), (klein_four(), 5),
-     (cyclic(6), 4), (dihedral(4), 10), (symmetric(4), 30),
-     (elementary_abelian_2(4), 67), (dihedral(32), 69), (C2_5, 374), (A5, 59),
-     # C4 x C4: 15; C(n): tau(n); D(n): tau(n) + sigma(n)
-     (C4_C4, 15), (cyclic(60), 12), (dihedral(15), 28), (dihedral(30), 80)],
-)
+SUBGROUP_COUNTS = [
+    (cyclic(2), 2), (cyclic(4), 3), (symmetric(3), 6), (klein_four(), 5),
+    (cyclic(6), 4), (dihedral(4), 10), (symmetric(4), 30),
+    (elementary_abelian_2(4), 67), (dihedral(32), 69), (C2_5, 374), (A5, 59),
+    # C4 x C4: 15; C(n): tau(n); D(n): tau(n) + sigma(n)
+    (C4_C4, 15), (cyclic(60), 12), (dihedral(15), 28), (dihedral(30), 80),
+    (S3_S3, 60), (dihedral(16), 36), (dihedral(24), 68),
+]
+
+
+@pytest.mark.parametrize("group,count", SUBGROUP_COUNTS)
 def test_subgroup_counts(group, count):
     assert len(all_subgroups(group)) == count
 
 
 @pytest.mark.parametrize(
     "group,count",
-    [(A5, 9), (symmetric(4), 11), (dihedral(30), 20), (A4, 5)],
+    [(A5, 9), (symmetric(4), 11), (dihedral(30), 20), (A4, 5),
+     (S3_S3, 22), (dihedral(16), 14), (dihedral(24), 22)],
 )
 def test_subgroup_class_counts(group, count):
     assert len(subconjugacy_poset(group)) == count
+
+
+@pytest.mark.parametrize("group", [group for group, _ in SUBGROUP_COUNTS], ids=lambda g: g.name)
+def test_subgroups_match_the_coset_walk_oracle(group):
+    # the walk over every coset of G, not only those in the normalizer
+    assert [s.elements for s in all_subgroups(group)] == coset_walk_subgroups(group)
+
+
+@pytest.mark.parametrize("group", [cyclic(60), C3_S3, A5, dihedral(30)], ids=lambda g: g.name)
+def test_prime_power_table_matches_element_orders(group):
+    # all_subgroups reads |<g> : <g> n H| off these pairs; orders such as 6,
+    # 10, 15 and 30 have more than one prime
+    for g, pairs in enumerate(groups._prime_powers(group)):
+        order = len(subgroup_generated(group, [g]).elements)
+        primes = [p for p in range(2, order + 1)
+                  if order % p == 0 and all(p % q for q in range(2, p))]
+        powers = [0]
+        for _ in range(order):
+            powers.append(group.mul(powers[-1], g))
+        assert pairs == [(p, powers[p]) for p in primes]
+
+
+def test_subgroups_of_s5_above_the_cap_match_the_coset_walk_oracle(monkeypatch):
+    """S5 has small normalizers: 153 of the subgroups found have a
+    normalizer of order at most 24, a fifth of G.  Both routes miss the
+    perfect subgroup A5 (see `all_subgroups`), so both find 155 of 156."""
+    monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 120)
+    s5 = symmetric(5)
+    subs = [s.elements for s in all_subgroups(s5)]
+    assert len(subs) == 155
+    assert subs == coset_walk_subgroups(s5)
 
 
 @pytest.mark.parametrize("group", [cyclic(2), cyclic(4), klein_four(), symmetric(3), dihedral(4)])
@@ -314,7 +353,8 @@ def test_subgroups_match_subset_closure_oracle(group):
 
 @pytest.mark.parametrize(
     "group",
-    LADDER + [C2_5, A5, A4, C3_S3, C4_C4, dihedral(15), dihedral(30), cyclic(60)],
+    LADDER + [C2_5, A5, A4, C3_S3, C4_C4, dihedral(15), dihedral(30), cyclic(60),
+              S3_S3, dihedral(16), dihedral(24)],
     ids=lambda g: g.name,
 )
 def test_subgroups_match_join_closure_oracle(group):
@@ -387,6 +427,15 @@ def test_class_index_rejects_a_non_subgroup():
     poset = subconjugacy_poset(cyclic(4))
     with pytest.raises(GwittError, match="not a subgroup of C4"):
         poset.class_index(Subgroup(cyclic(3), (0, 1, 2)))
+
+
+def test_class_index_rejects_a_subgroup_of_another_group():
+    # {0, 1} is a subgroup of S3 too, but this one lives in C2
+    poset = subconjugacy_poset(symmetric(3))
+    with pytest.raises(GwittError, match="not a subgroup of S3"):
+        poset.class_index(Subgroup(cyclic(2), (0, 1)))
+    # a subgroup of an equal group, built again, is classified
+    assert poset.class_index(Subgroup(symmetric(3), (0, 1))) == 1
 
 
 def test_s3_subgroup_shapes():
