@@ -180,9 +180,7 @@ class Poly:
             for name, e in mono:
                 if name not in mapping:
                     raise KeyError(f"no value for variable {name!r}")
-                value = mapping[name]
-                for _ in range(e):
-                    term = term * value
+                term = term * mapping[name] ** e
             if isinstance(term, Poly):
                 for m, c in term.terms.items():
                     terms[m] = terms.get(m, 0) + c

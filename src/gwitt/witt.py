@@ -63,7 +63,7 @@ class GhostVector(_PosetVector):
 
 class WittContext:
     """Per-group cache: poset, the table of marks by sparse columns, and the
-    universal structure polynomials."""
+    universal structure polynomials that `_structure_op` builds."""
 
     def __init__(self, group: Group):
         self.group = group
@@ -88,19 +88,6 @@ class WittContext:
             raise IntegralityError(
                 f"ghost vector not integral at class {label}", where=label
             ) from None
-
-    # -- universal structure polynomials ------------------------------------
-
-    def structure_polys(self, op: str) -> tuple:
-        """The universal polynomials of `op` ("add", "mul" or "neg") in
-        `avars` and `bvars`: the unghost of the ghost sum, product or
-        negation of the symbolic vectors (a_K) and (b_K)."""
-        if op not in self._structure:
-            ga, gb = (self.ghost_components(tuple(map(Poly.var, names)))
-                      for names in (self.avars, self.bvars))
-            combined = tuple(map(_GHOST_OPS[op], ga, gb))
-            self._structure[op] = self.unghost_components(combined)
-        return self._structure[op]
 
 
 @cache
@@ -132,14 +119,21 @@ def witt_one(group: Group) -> WittVector:
 
 
 def _structure_op(op: str, a: WittVector, b: WittVector) -> WittVector:
-    """The structure polynomials of `op` at the components of a for
-    `avars` and those of b for `bvars`."""
+    """The universal polynomials of `op` ("add", "mul" or "neg") at the
+    components of a for `avars` and those of b for `bvars`.  They are the
+    unghost of the ghost sum, product or negation of the symbolic vectors
+    (a_K) and (b_K), built once per group and op."""
     if a.group != b.group:
         raise GwittError("Witt vectors over different groups")
     ctx = witt_context(a.group)
+    polys = ctx._structure.get(op)
+    if polys is None:
+        ga, gb = (ctx.ghost_components(tuple(map(Poly.var, names)))
+                  for names in (ctx.avars, ctx.bvars))
+        polys = ctx._structure[op] = ctx.unghost_components(tuple(map(_GHOST_OPS[op], ga, gb)))
     values = dict(zip(ctx.avars, a.components))
     values.update(zip(ctx.bvars, b.components))
-    return WittVector(a.group, tuple(p.evaluate(values) for p in ctx.structure_polys(op)))
+    return WittVector(a.group, tuple(p.evaluate(values) for p in polys))
 
 
 def witt_add(w1: WittVector, w2: WittVector) -> WittVector:
@@ -332,20 +326,27 @@ def verify_dress_siebeneicher_iso(group: Group) -> Report:
 
 
 def verify_ring_axioms(group: Group, seed: int = 0) -> Report:
-    """Ring laws of W_G, through ghost, unghost and the Witt operations.
+    """Ring laws of W_G through ghost, unghost and the Witt operations, on
+    the symbolic vectors a = (a_K) and b = (b_K).  Each check compares two
+    routes that a wrong ghost, unghost or structure polynomial sends apart:
 
-    The structure polynomials are defined as the unghost of the ghost sum,
-    product and negation, so the checks that they are ghost-homomorphic
-    (the only checks that read them directly) restate that definition, and
-    the exact unghost raises IntegralityError before them unless the
-    polynomials are integral: they test integrality, not a ring law.  The
-    ring laws rest on the other checks, on the symbolic vectors a = (a_K)
-    and b = (b_K): unghost∘ghost is the identity, zero and one are units,
-    b + a and b * a give the structure polynomials of a + b and a * b, and
-    associativity and distributivity hold: up to DIRECT_CLASS_CAP classes
-    on a, b and a third symbolic vector, above it (where the composed
-    polynomials grow too large) at RING_LAW_SAMPLES integer triples drawn
-    from `seed`.
+    - unghost(ghost(a)) = a: two separate passes over the table of marks,
+      a sum and a triangular solve, which a wrong entry or exponent in
+      either makes disagree;
+    - a + 0 = a and a * 1 = a: the sum polynomials at b = 0 and the product
+      polynomials at b = witt_one, solved on its own from the ghost
+      (1, ..., 1); a wrong term in either shows;
+    - b + a = a + b and b * a = a * b: swapping the operands swaps the
+      variables, so a polynomial not symmetric in a and b fails;
+    - associativity of + and *, and distributivity: the polynomials
+      composed with themselves, up to DIRECT_CLASS_CAP classes on a, b
+      and a third symbolic vector, above it (where the composed
+      polynomials grow too large) at RING_LAW_SAMPLES integer triples
+      drawn from `seed`.
+
+    The polynomials are not compared with the ghost operation they are
+    solved from: the exact solve returns a vector with exactly that ghost
+    or raises, so such a check could not fail.
     """
     ctx = witt_context(group)
     report = Report("ring-axioms", group.name)
@@ -360,20 +361,14 @@ def verify_ring_axioms(group: Group, seed: int = 0) -> Report:
         return WittVector(group, tuple(map(Poly.var, names)))
 
     a, b = symbolic(ctx.avars), symbolic(ctx.bvars)
-    ga, gb = ghost(a), ghost(b)
     report.checked += 1
-    if unghost(ga) != a:
+    if unghost(ghost(a)) != a:
         report.fail("unghost(ghost(a)) != a symbolically")
-
-    for name, op in (("sum", "add"), ("product", "mul"), ("negation", "neg")):
-        compare(ctx.ghost_components(ctx.structure_polys(op)),
-                tuple(map(_GHOST_OPS[op], ga.components, gb.components)),
-                f"ghost of the {name} polynomial differs")
 
     compare(witt_add(a, witt_zero(group)).components, a.components, "a + 0 != a")
     compare(witt_mul(a, witt_one(group)).components, a.components, "a * 1 != a")
-    compare(witt_add(b, a).components, ctx.structure_polys("add"), "b + a != a + b")
-    compare(witt_mul(b, a).components, ctx.structure_polys("mul"), "b * a != a * b")
+    compare(witt_add(b, a).components, witt_add(a, b).components, "b + a != a + b")
+    compare(witt_mul(b, a).components, witt_mul(a, b).components, "b * a != a * b")
 
     if ctx.n <= DIRECT_CLASS_CAP:
         triples = [(a, b, symbolic(f"c_{ctx.poset.label(i)}" for i in range(ctx.n)))]
@@ -395,29 +390,24 @@ def verify_ring_axioms(group: Group, seed: int = 0) -> Report:
     return report
 
 
-def verify_injectivity(group: Group, samples: int = 1000, seed: int = 0,
-                       poly_vars: tuple[str, ...] = ("x", "y")) -> Report:
-    """unghost∘ghost = id on seeded random vectors over Z[x, y]; distinct
-    samples never share a ghost; the triangular diagonal is nonzero."""
+def verify_injectivity(group: Group, samples: int = 1000, seed: int = 0) -> Report:
+    """The ghost map is injective: its triangular diagonal is positive, and
+    unghost∘ghost = id on seeded random vectors over Z[x, y].  A table of
+    marks with a zero or negative diagonal entry fails the first; a ghost
+    or unghost that loses or garbles a component fails the second.  Two
+    samples that both pass cannot share a ghost, since each is the unghost
+    of it, so no separate collision check is made."""
     _check_samples(samples)
     ctx = witt_context(group)
     report = Report("ghost-injectivity", group.name, seed=seed)
     rng = random.Random(seed)
-    seen: dict = {}
     for h in range(ctx.n):
         report.checked += 1
         if ctx.columns.diag[h] <= 0:
             report.fail(f"diagonal mark at {ctx.poset.label(h)} is not positive")
     for _ in range(samples):
-        w = random_witt_vector(group, rng, poly_vars)
-        g = ghost(w)
+        w = random_witt_vector(group, rng, ("x", "y"))
         report.checked += 1
-        if unghost(g) != w:
+        if unghost(ghost(w)) != w:
             report.fail(f"unghost(ghost({w.components})) != input")
-            continue
-        key = tuple(Poly.coerce(c) for c in g.components)
-        prev = seen.get(key)
-        if prev is not None and prev != w:
-            report.fail(f"ghost collision between {prev.components} and {w.components}")
-        seen[key] = w
     return report

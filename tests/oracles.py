@@ -26,7 +26,11 @@ normal-form keys in a dict, the map into a pullback that two maps induce,
 and the equivariance and free rank of an invariant-ring value.  For cyclic
 groups, Witt addition, multiplication and negation as arithmetic of power
 series in the big Witt ring, and the Teichmueller map by necklace counts.
-Also the larger groups of the benchmark ladder."""
+The inverse of the Teichmueller map, solved class by class from the top
+down, and Burnside products by the orbits of product G-sets, so that the
+Witt operations can be checked through A(G) with no ghost coordinates; the
+classical 2-typical ghost map, its inverse and the Witt polynomials for
+cyclic 2-groups.  Also the larger groups of the benchmark ladder."""
 
 import itertools
 import math
@@ -38,6 +42,7 @@ from gwitt.burnside import (
     column_solve,
     mark_columns,
     marks,
+    transferred_norms,
     unmarks,
 )
 from gwitt.errors import EquivarianceError, GwittError, SupportError
@@ -895,3 +900,82 @@ def necklace_tau(w) -> BurnsideElement:
         for k in _divisors(m):
             out[index[m // k]] += necklaces(w.components[i], k)
     return BurnsideElement(w.group, tuple(out))
+
+
+# -- Witt operations through the Burnside ring ---------------------------------
+# tau: W_G(Z) -> A(G) is a ring isomorphism, so witt_add, witt_mul and witt_neg
+# are untau of the sum, product and negation of the tau images.  Inverting tau
+# class by class and multiplying by orbit counts of product G-sets reads no
+# table of marks and no ghost coordinate.
+
+
+def untau(b: BurnsideElement) -> WittVector:
+    """The Witt vector whose Teichmueller image is b, solved from the top
+    class down.  T_L^G N_e^L(x) is a sum of [G/M] over M <= L, with [G/L]
+    once per constant function: its coefficient of [G/K] is x for [K] =
+    [L] and 0 unless [K] <= [L].  So once the terms of the classes above
+    [K] are subtracted, the coefficient of [G/K] is alpha_K.  One
+    `transferred_norms` call per class with a nonzero component."""
+    rest = list(b.coeffs)
+    comps = [0] * len(rest)
+    for k in reversed(range(len(rest))):
+        comps[k] = single = rest[k]
+        if single:
+            values = [0] * len(rest)
+            values[k] = single
+            rest = [r - t for r, t in zip(rest, transferred_norms(b.group, values).coeffs)]
+    return WittVector(b.group, tuple(comps))
+
+
+@cache
+def _basis_products(group: Group) -> dict[tuple[int, int], tuple[int, ...]]:
+    n = len(subconjugacy_poset(group))
+    return {(i, j): product_basis_decomposition(group, i, j)
+            for i in range(n) for j in range(i, n)}
+
+
+def orbit_burnside_mul(b1: BurnsideElement, b2: BurnsideElement) -> BurnsideElement:
+    """b1 * b2, bilinear in the basis products [G/H_i] * [G/H_j], each the
+    orbits of G/H_i x G/H_j counted by the class of their stabilizers."""
+    products = _basis_products(b1.group)
+    out = [0] * len(b1.coeffs)
+    for i, x in enumerate(b1.coeffs):
+        for j, y in enumerate(b2.coeffs):
+            if x and y:
+                for h, c in enumerate(products[min(i, j), max(i, j)]):
+                    out[h] += x * y * c
+    return BurnsideElement(b1.group, tuple(out))
+
+
+# -- classical 2-typical Witt vectors -------------------------------------------
+
+
+def classical_ghost(components) -> list[Poly]:
+    """w_k = sum_{i <= k} 2^i a_i^(2^(k-i)) for 2-typical Witt vectors."""
+    out = []
+    for k in range(len(components)):
+        total = Poly()
+        for i in range(k + 1):
+            total = total + (2 ** i) * Poly.coerce(components[i]) ** (2 ** (k - i))
+        out.append(total)
+    return out
+
+
+def classical_unghost(vector) -> list[Poly]:
+    comps = []
+    for k in range(len(vector)):
+        residue = Poly.coerce(vector[k])
+        for i in range(k):
+            residue = residue - (2 ** i) * comps[i] ** (2 ** (k - i))
+        comps.append(residue.exact_div(2 ** k))
+    return comps
+
+
+def classical_witt_polys(a, b, combine) -> list[Poly]:
+    """The 2-typical Witt polynomials of `combine` (a ghost-wise sum or
+    product) of the components a and b, given in the poset order of
+    C_{2^n}: the subgroups of index 2^n, ..., 2, 1.  Classical index i is
+    the class of index 2^i, so the components are read and the polynomials
+    returned in reverse."""
+    ga, gb = classical_ghost(a[::-1]), classical_ghost(b[::-1])
+    return classical_unghost([combine(x, y) for x, y in zip(ga, gb)])[::-1]

@@ -6,11 +6,12 @@ import hashlib
 import io
 import itertools
 import json
+import operator
 import random
 import time
 from collections import defaultdict
 
-from oracles import word_depth
+from oracles import classical_witt_polys, word_depth
 from randgen import random_bispan
 
 from gwitt.bispans import (
@@ -47,10 +48,13 @@ from gwitt.tambara import (
     small_gsets,
 )
 from gwitt.witt import (
+    WittVector,
     verify_dress_siebeneicher_iso,
     verify_ghost_factorization,
     verify_injectivity,
+    witt_add,
     witt_context,
+    witt_mul,
 )
 from gwitt.words import SetAssignment, Word, coherence_iso, normal_form_index, supp
 
@@ -83,53 +87,20 @@ def test_criterion_2_dress_siebeneicher_isomorphism():
     _report(2, "Dress-Siebeneicher isomorphism, all basis elements, 8 groups")
 
 
-def _classical_ghost(components):
-    from gwitt.intpoly import Poly
-
-    out = []
-    for k in range(len(components)):
-        total = Poly()
-        for i in range(k + 1):
-            total = total + (2 ** i) * Poly.coerce(components[i]) ** (2 ** (k - i))
-        out.append(total)
-    return out
-
-
-def _classical_unghost(vector):
-    from gwitt.intpoly import Poly
-
-    comps = []
-    for k in range(len(vector)):
-        residue = Poly.coerce(vector[k])
-        for i in range(k):
-            residue = residue - (2 ** i) * comps[i] ** (2 ** (k - i))
-        comps.append(residue.exact_div(2 ** k))
-    return comps
-
-
 def test_criterion_3_classical_witt_cross_check():
-    """C2 and C4 structure polynomials equal the 2-typical Witt polynomials
-    derived from w_k = sum 2^i a_i^(2^(k-i)), computed by a separate oracle."""
+    """C2 and C4 Witt sums and products of the symbolic vectors (a_K) and
+    (b_K) equal the 2-typical Witt polynomials derived from
+    w_k = sum 2^i a_i^(2^(k-i)), computed by a separate oracle."""
     from gwitt.intpoly import Poly
 
     for group in (cyclic(2), cyclic(4)):
         ctx = witt_context(group)
-        n = ctx.n - 1
-        a = [Poly.var(f"ca{i}") for i in range(ctx.n)]
-        b = [Poly.var(f"cb{i}") for i in range(ctx.n)]
-        rename = {}
-        for i in range(ctx.n):
-            rename[f"ca{i}"] = Poly.var(ctx.avars[n - i])
-            rename[f"cb{i}"] = Poly.var(ctx.bvars[n - i])
-        for combine, polys in (
-            (lambda x, y: x + y, ctx.structure_polys("add")),
-            (lambda x, y: x * y, ctx.structure_polys("mul")),
-        ):
-            ghosted = [combine(x, y) for x, y in zip(_classical_ghost(a), _classical_ghost(b))]
-            classical = _classical_unghost(ghosted)
-            for i in range(ctx.n):
-                assert Poly.coerce(polys[n - i]) == classical[i].substitute(rename), \
-                    (group.name, i)
+        a, b = (WittVector(group, tuple(map(Poly.var, names)))
+                for names in (ctx.avars, ctx.bvars))
+        for combine, op in ((operator.add, witt_add), (operator.mul, witt_mul)):
+            got = [Poly.coerce(c) for c in op(a, b).components]
+            assert got == classical_witt_polys(a.components, b.components, combine), \
+                group.name
     _report(3, "classical 2-typical Witt polynomials match for C2 and C4")
 
 
@@ -398,9 +369,10 @@ def test_criterion_8_coherence_cocycle():
 
 def test_criterion_9_ghost_injectivity():
     """unghost∘ghost = id on >= 1000 seeded random Witt vectors per group
-    over Z[x, y]; no ghost collisions; positive triangular diagonal."""
+    over Z[x, y], so no two of them share a ghost; positive triangular
+    diagonal."""
     for group in ACCEPTANCE_GROUPS:
-        report = verify_injectivity(group, samples=1000, seed=0, poly_vars=("x", "y"))
+        report = verify_injectivity(group, samples=1000, seed=0)
         assert report.ok, (group.name, report.failures[:2])
         assert report.checked >= 1000
     _report(9, "ghost injectivity, 1000 samples x 8 groups over Z[x,y]")

@@ -1,7 +1,9 @@
-"""Witt vectors: ghost/unghost, universal structure polynomials, the
-Teichmueller homomorphism, theorem-level verifications, and the classical
-2-typical cross-check for cyclic 2-groups."""
+"""Witt vectors: ghost/unghost, the structure polynomials through the ring
+operations, the Teichmueller homomorphism, theorem-level verifications, the
+classical 2-typical cross-check for cyclic 2-groups, and the ring operations
+through A(G) with no ghost coordinates."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -44,12 +46,15 @@ from gwitt.witt import (
 from oracles import (
     big_witt_ring,
     burnside_transfer,
+    classical_witt_polys,
     elementary_abelian_2,
     necklace_tau,
     norm_from_trivial,
+    orbit_burnside_mul,
     s4_x_c2,
     symbolic_tau_marks_via_subgroup_groups,
     tau_via_subgroup_groups,
+    untau,
 )
 
 C2 = cyclic(2)
@@ -85,19 +90,25 @@ def test_unghost_round_trip_over_polynomials():
             assert unghost(ghost(w)) == w
 
 
+def symbolic_pair(group: Group) -> tuple[WittVector, WittVector]:
+    """The vectors (a_K) and (b_K) in the variables of `witt_context`: the
+    Witt operations on them give the structure polynomials."""
+    ctx = witt_context(group)
+    return tuple(WittVector(group, tuple(map(Poly.var, names)))
+                 for names in (ctx.avars, ctx.bvars))
+
+
 def test_structure_polynomials_c2_frozen():
-    ctx = witt_context(C2)
-    ae, ac = ctx.avars  # ascending: trivial class, then [C2]
-    be, bc = ctx.bvars
-    add_polys = [Poly.coerce(p) for p in ctx.structure_polys("add")]
-    mul_polys = [Poly.coerce(p) for p in ctx.structure_polys("mul")]
-    A_e, A_c = Poly.var(ae), Poly.var(ac)
-    B_e, B_c = Poly.var(be), Poly.var(bc)
+    a, b = symbolic_pair(C2)
+    A_e, A_c = a.components  # ascending: trivial class, then [C2]
+    B_e, B_c = b.components
+    add_polys = [Poly.coerce(p) for p in witt_add(a, b).components]
+    mul_polys = [Poly.coerce(p) for p in witt_mul(a, b).components]
     assert add_polys[1] == A_c + B_c
     assert add_polys[0] == A_e + B_e - A_c * B_c
     assert mul_polys[1] == A_c * B_c
     assert mul_polys[0] == A_c ** 2 * B_e + B_c ** 2 * A_e + 2 * A_e * B_e
-    neg = [Poly.coerce(p) for p in ctx.structure_polys("neg")]
+    neg = [Poly.coerce(p) for p in witt_neg(a).components]
     assert neg[1] == -A_c
     assert neg[0] == -A_e - A_c ** 2
 
@@ -175,9 +186,9 @@ def test_double_coset_identity(monkeypatch, group):
             assert not verify_ghost_factorization(group, samples=0).ok, (k, h)
 
 
-# 1 + 10n checks on n classes up to DIRECT_CLASS_CAP, 1 + 16n above it
-RING_AXIOM_CHECKS = {"C1": 11, "C2": 21, "C3": 21, "C4": 31, "V4": 51, "C6": 41,
-                     "S3": 41, "D4": 81}
+# 1 + 7n checks on n classes up to DIRECT_CLASS_CAP, 1 + 13n above it
+RING_AXIOM_CHECKS = {"C1": 8, "C2": 15, "C3": 15, "C4": 22, "V4": 36, "C6": 29,
+                     "S3": 29, "D4": 57}
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
@@ -191,15 +202,21 @@ def test_ring_axioms(group):
 @pytest.mark.parametrize("group", [C2, symmetric(3)], ids=lambda g: g.name)
 def test_ring_axioms_fail_on_a_perturbed_structure_polynomial(monkeypatch, group, op):
     """The sum or product polynomials plus 1 at any one class fail the
-    report, and not only in the ghost checks that read them directly."""
-    ctx = witt_context(group)
-    exact = ctx.structure_polys
-    for h in range(ctx.n):
-        wrong = tuple(p + 1 if i == h else p for i, p in enumerate(exact(op)))
-        monkeypatch.setattr(ctx, "structure_polys",
-                            lambda o, wrong=wrong: wrong if o == op else exact(o))
+    report at that class."""
+    exact = witt._structure_op
+    poset = subconjugacy_poset(group)
+    unit_law = "a + 0 != a" if op == "add" else "a * 1 != a"
+    for h in range(len(poset)):
+        def wrong(o, a, b, h=h):
+            w = exact(o, a, b)
+            if o != op:
+                return w
+            return WittVector(w.group, tuple(c + 1 if i == h else c
+                                             for i, c in enumerate(w.components)))
+
+        monkeypatch.setattr(witt, "_structure_op", wrong)
         report = verify_ring_axioms(group)
-        assert any(not f.startswith("ghost of") for f in report.failures), h
+        assert f"{unit_law} at {poset.label(h)}" in report.failures, h
 
 
 def test_ring_axioms_above_the_direct_cap_check_the_laws_at_seeded_vectors():
@@ -211,9 +228,9 @@ def test_ring_axioms_above_the_direct_cap_check_the_laws_at_seeded_vectors():
     report = verify_ring_axioms(group)
     assert report.ok, report.failures
     assert report.seed == 0
-    # unghost∘ghost, ghost of sum/product/negation, two units, two symmetries
-    symbolic = 1 + 3 * n + 2 * n + 2 * n
-    assert report.checked == symbolic + RING_LAW_SAMPLES * 3 * n == 177
+    # unghost∘ghost, two units, two symmetries
+    symbolic = 1 + 2 * n + 2 * n
+    assert report.checked == symbolic + RING_LAW_SAMPLES * 3 * n == 144
 
 
 def test_injectivity_sampled():
@@ -256,54 +273,43 @@ def test_tau_rejects_symbolic_components():
 # -- classical 2-typical Witt vectors, independent oracle ----------------------
 
 
-def classical_ghost(components):
-    """w_k = sum_{i <= k} 2^i a_i^(2^(k-i)) for 2-typical Witt vectors."""
-    out = []
-    for k in range(len(components)):
-        total = Poly()
-        for i in range(k + 1):
-            total = total + (2 ** i) * Poly.coerce(components[i]) ** (2 ** (k - i))
-        out.append(total)
-    return out
-
-
-def classical_unghost(vector):
-    comps = []
-    for k in range(len(vector)):
-        residue = Poly.coerce(vector[k])
-        for i in range(k):
-            residue = residue - (2 ** i) * comps[i] ** (2 ** (k - i))
-        comps.append(residue.exact_div(2 ** k))
-    return comps
-
-
-def classical_structure_polys(length, combine):
-    a = [Poly.var(f"ca{i}") for i in range(length)]
-    b = [Poly.var(f"cb{i}") for i in range(length)]
-    ga, gb = classical_ghost(a), classical_ghost(b)
-    return classical_unghost([combine(x, y) for x, y in zip(ga, gb)])
-
-
-@pytest.mark.parametrize("group", [cyclic(2), cyclic(4)], ids=lambda g: g.name)
+@pytest.mark.parametrize("group", [cyclic(8), cyclic(16)], ids=lambda g: g.name)
 def test_cyclic_two_groups_match_classical_witt(group):
     """For C_{2^n} the components biject with 2-typical Witt vectors of
-    length n+1; classical index i corresponds to the class of the subgroup
-    of index 2^i, i.e. to poset position (n - i)."""
-    ctx = witt_context(group)
-    n = ctx.n - 1
-    rename = {}
-    for i in range(ctx.n):
-        rename[f"ca{i}"] = Poly.var(ctx.avars[n - i])
-        rename[f"cb{i}"] = Poly.var(ctx.bvars[n - i])
-    for combine, polys in (
-        (lambda x, y: x + y, ctx.structure_polys("add")),
-        (lambda x, y: x * y, ctx.structure_polys("mul")),
-    ):
-        classical = classical_structure_polys(ctx.n, combine)
-        for i in range(ctx.n):
-            want = classical[i].substitute(rename)
-            got = Poly.coerce(polys[n - i])
-            assert got == want
+    length n+1; criterion 3 checks C2 and C4, this C8 and C16."""
+    a, b = symbolic_pair(group)
+    for combine, op in ((operator.add, witt_add), (operator.mul, witt_mul)):
+        got = [Poly.coerce(c) for c in op(a, b).components]
+        assert got == classical_witt_polys(a.components, b.components, combine)
+
+
+# -- the ring operations through A(G), independent oracle ----------------------
+
+
+@pytest.mark.parametrize("group", [C2, cyclic(4), klein_four(), symmetric(3),
+                                   dihedral(4), symmetric(4)], ids=lambda g: g.name)
+def test_ring_operations_match_the_burnside_ring(group):
+    """tau is a ring isomorphism W_G(Z) -> A(G), so add, mul and neg are
+    untau of the sum, product and negation of the tau images; untau and
+    the product by orbits of product G-sets read no ghost coordinate."""
+    rng = random.Random(f"untau:{group.name}")
+    n = len(subconjugacy_poset(group))
+    for _ in range(5):
+        a, b = (WittVector(group, tuple(rng.choice((0, rng.randint(-9, 9)))
+                                        for _ in range(n))) for _ in range(2))
+        ta, tb = teichmuller_tau(a), teichmuller_tau(b)
+        assert witt_add(a, b) == untau(ta + tb), (a, b)
+        assert witt_mul(a, b) == untau(orbit_burnside_mul(ta, tb)), (a, b)
+        assert witt_neg(a) == untau(-ta), a
+
+
+@pytest.mark.parametrize("group", [dihedral(32), elementary_abelian_2(5)],
+                         ids=lambda g: g.name)
+def test_untau_inverts_tau_on_the_large_ladder_groups(group):
+    rng = random.Random(f"untau:{group.name}")
+    for _ in range(3):
+        w = random_witt_vector(group, rng)
+        assert untau(teichmuller_tau(w)) == w, w
 
 
 @pytest.mark.parametrize("n, ring", [(n, "Z") for n in range(1, 21)]
