@@ -358,6 +358,14 @@ def _cmd_factor(args):
     return (0 if equivalent else 1), payload, lines
 
 
+def _is_identifier(text: str) -> bool:
+    """Whether `text` is one DSL identifier, the only name a word can read."""
+    try:
+        return [t.kind for t in dsl.tokenize(text)] == ["ident", "eof"]
+    except DslSyntaxError:
+        return False
+
+
 def _parse_assignment(text: str) -> SetAssignment:
     from .words import SetAssignment
 
@@ -367,6 +375,8 @@ def _parse_assignment(text: str) -> SetAssignment:
             raise GwittError(f"assignment entry {part!r} is not name=size")
         name, size = part.split("=", 1)
         name = name.strip()
+        if not _is_identifier(name):
+            raise GwittError(f"assignment name {name!r} is not an identifier")
         if name in sizes:
             raise GwittError(f"variable {name!r} is assigned twice")
         try:

@@ -113,9 +113,9 @@ def tokenize(text: str) -> list[Token]:
             i += 2
             col += 2
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() reads; isdigit() takes "²"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_DIGITS:
                 raise DslSyntaxError(f"number has more than {MAX_DIGITS} digits", line, col)

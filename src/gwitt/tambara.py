@@ -31,53 +31,7 @@ from .gsets import (
 )
 
 
-class TambaraInstance:
-    """A ring per finite G-set with restriction, transfer and norm maps.
-
-    Subclasses provide exact levelwise ring operations and the three
-    structure maps; the checker only uses this surface.
-    """
-
-    name = "abstract"
-
-    def __init__(self, group: Group):
-        self.group = group
-
-    def zero(self, x: GSet):
-        raise NotImplementedError
-
-    def one(self, x: GSet):
-        raise NotImplementedError
-
-    def add(self, x: GSet, u, v):
-        raise NotImplementedError
-
-    def mul(self, x: GSet, u, v):
-        raise NotImplementedError
-
-    def eq(self, x: GSet, u, v) -> bool:
-        raise NotImplementedError
-
-    def restrict(self, f: GMap, v):
-        """Contravariant: value at target(f) to value at source(f)."""
-        raise NotImplementedError
-
-    def transfer(self, f: GMap, v):
-        raise NotImplementedError
-
-    def norm(self, f: GMap, v):
-        raise NotImplementedError
-
-    def sampler(self, x: GSet) -> Callable[[random.Random, int], list]:
-        """`draw(rng, count)`, which returns `count` seeded values at level
-        x; what the draws at one level share is built here, once."""
-        raise NotImplementedError
-
-    def describe(self, v) -> str:
-        return repr(v)
-
-
-class InvariantRingInstance(TambaraInstance):
+class InvariantRingInstance:
     """Levels are equivariant functions X -> Map(S, Z) for a fixed base
     G-set S, with h(g•x)(s) = h(x)(g^-1•s); the pointwise ring structure.
 
@@ -87,9 +41,9 @@ class InvariantRingInstance(TambaraInstance):
     name = "invariant"
 
     def __init__(self, group: Group, base: GSet):
-        super().__init__(group)
         if base.group != group:
             raise GwittError("base G-set lives over a different group")
+        self.group = group
         self.base = base
 
     def zero(self, x: GSet):
@@ -176,13 +130,16 @@ class InvariantRingInstance(TambaraInstance):
         return str([list(r) for r in v])
 
 
-class BurnsideOverInstance(TambaraInstance):
+class BurnsideOverInstance:
     """Effective Burnside levels: a value at X is a finite G-set over X,
     compared up to isomorphism over X.  Transfer composes, norm is the
     dependent product, restriction pulls back; no group completion, so the
     structure maps are the honest categorical constructions."""
 
     name = "burnside"
+
+    def __init__(self, group: Group):
+        self.group = group
 
     def zero(self, x: GSet):
         e = empty_gset(self.group)
@@ -251,7 +208,7 @@ class MutatedInstance:
     """A deliberately wrong wrapper: the norm map is replaced by the
     transfer.  Used to prove the checker detects violations."""
 
-    def __init__(self, inner: TambaraInstance):
+    def __init__(self, inner):
         self.inner = inner
         self.name = f"{inner.name}-mutated"
 
@@ -492,12 +449,19 @@ RELATION_NAMES = tuple(r.name for r in RELATIONS)
 VALUE_SAMPLES = 2  # values drawn per diagram and tag
 
 
-def check_tambara_axioms(instance: TambaraInstance, budget: int = 4,
+def check_tambara_axioms(instance, budget: int = 4,
                          seed: int = 0,
                          relations: tuple[str, ...] | None = None) -> TambaraReport:
     """Enumerate the relation diagrams over G-sets of at most `budget`
     points and test each wanted relation of `RELATIONS` on `VALUE_SAMPLES`
     seeded sample values.
+
+    `instance` has a ring per finite G-set X: `zero(x)`, `one(x)`,
+    `add(x, u, v)`, `mul(x, u, v)` and the exact comparison `eq(x, u, v)`.
+    For a map f, `restrict(f, v)` takes a value at target(f) to one at
+    source(f); `transfer(f, v)` and `norm(f, v)` go the other way.
+    `sampler(x)` builds what the draws at level x share and returns
+    `draw(rng, count)`, which returns `count` seeded values there.
 
     Each diagram is built from maps of `_canonical_reps`, so the single-map
     relations see one diagram per isomorphism class of maps X -> Y.  The

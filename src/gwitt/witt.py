@@ -336,6 +336,8 @@ def verify_ring_axioms(group: Group, seed: int = 0) -> Report:
     - a + 0 = a and a * 1 = a: the sum polynomials at b = 0 and the product
       polynomials at b = witt_one, solved on its own from the ghost
       (1, ..., 1); a wrong term in either shows;
+    - a + (-a) = 0: the negation polynomials, which no other check reads,
+      composed with the sum polynomials;
     - b + a = a + b and b * a = a * b: swapping the operands swaps the
       variables, so a polynomial not symmetric in a and b fails;
     - associativity of + and *, and distributivity: the polynomials
@@ -367,6 +369,7 @@ def verify_ring_axioms(group: Group, seed: int = 0) -> Report:
 
     compare(witt_add(a, witt_zero(group)).components, a.components, "a + 0 != a")
     compare(witt_mul(a, witt_one(group)).components, a.components, "a * 1 != a")
+    compare(witt_add(a, witt_neg(a)).components, witt_zero(group).components, "a + (-a) != 0")
     compare(witt_add(b, a).components, witt_add(a, b).components, "b + a != a + b")
     compare(witt_mul(b, a).components, witt_mul(a, b).components, "b * a != a * b")
 

@@ -114,6 +114,16 @@ def test_parse_error_exit_code_and_position():
     assert "line 1, column 4" in text
 
 
+@pytest.mark.parametrize("argv, column", [
+    (["lattice", "C(²)"], 3),
+    (["witt", "ghost", "C(2)", "(1,²)"], 4),
+])
+def test_a_digit_int_cannot_read_is_a_syntax_error(argv, column):
+    status, text = capture_error(argv)
+    assert status == 2
+    assert text == f"syntax error at line 1, column {column}: unexpected character '²'\n"
+
+
 def test_usage_error_exit_code():
     status, _ = capture_error(["unknown-subcommand"])
     assert status == 2
@@ -243,6 +253,8 @@ def test_words_unassigned_variable_is_an_error():
 @pytest.mark.parametrize("assign,word", [
     ("x=-3", "x"),                # negative size
     ("x=3,x=4", "x"),             # repeated name
+    ("x=2, =3", "x"),             # empty name
+    ("x=2,x.0=1", "x"),           # a name that is not one identifier
     ("x=100000000", "x"),         # one set above the cap
     ("x=1000", "x * x * x"),      # an evaluation of 10^9 elements
     ("x=1000", "(x * x) * 0"),    # empty result, 10^6-element subword

@@ -78,8 +78,9 @@ _polys = st.recursive(
 )
 _vectors = st.lists(_polys, min_size=1, max_size=4).map(lambda ps: "(" + ", ".join(ps) + ")")
 
-# short texts over the DSL's own characters, which mostly fail to parse
-_noise = st.text(alphabet="CSDVpermRTNidfoldt()<>[],;+*/^-0123456789 abxy", max_size=24)
+# short texts over the DSL's own characters, which mostly fail to parse, and
+# three non-ASCII ones: a digit int() cannot read, one it can, and a letter
+_noise = st.text(alphabet="CSDVpermRTNidfoldt()<>[],;+*/^-0123456789 abxy²٣é", max_size=24)
 
 
 def _shape(node):
@@ -148,6 +149,7 @@ def _commands(text):
               st.sampled_from([[], ["--symbolic"]])).map(lambda t: [*t[:4], *t[4]]),
     _noise.flatmap(_commands),
 ))
+@example(["lattice", "C(²)"])
 def test_every_command_ends_in_a_documented_status(argv):
     status, out = _run(argv)
     assert status in (0, 1, 2, 3)

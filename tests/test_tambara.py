@@ -266,6 +266,28 @@ def test_mutated_witness_is_pinned():
     }
 
 
+def test_ring_map_witness_names_the_pair_of_values():
+    # a restriction that squares its values keeps 1 but not sums, so the
+    # witness is a pair law, whose value text names both values
+    inst = InvariantRingInstance(C2, regular_gset(C2))
+    exact = inst.restrict
+
+    def squared(f, v):
+        w = exact(f, v)
+        return inst.mul(f.source, w, w)
+
+    inst.restrict = squared
+    report = check_tambara_axioms(inst, budget=2, seed=0,
+                                  relations=("restriction-ring-homomorphism",))
+    assert report.ok is False
+    assert report.checks[0].witness == {
+        "diagram": "R along 1->1:(0,)",
+        "value": "[[-2, -2]], [[-2, -2]]",
+        "lhs": "[[16, 16]]",
+        "rhs": "[[8, 8]]",
+    }
+
+
 def test_negative_budget_is_rejected():
     inst = InvariantRingInstance(C2, regular_gset(C2))
     with pytest.raises(GwittError):

@@ -162,6 +162,47 @@ def test_dress_siebeneicher_iso(group):
     assert report.ok, report.failures
 
 
+def _bumped(w):
+    """w with 1 added at the trivial class, its first component."""
+    return type(w)(w.group, (w.components[0] + 1, *w.components[1:]))
+
+
+def _bumped_marks(element):
+    """marks(element) with 1 added at the trivial class."""
+    first, *rest = marks(element)
+    return (first + 1, *rest)
+
+
+def test_dress_siebeneicher_iso_fails_on_a_non_integral_pullback(monkeypatch):
+    monkeypatch.setattr(witt, "marks", _bumped_marks)
+    report = verify_dress_siebeneicher_iso(C2)
+    assert report.ok is False
+    assert report.failures == [
+        f"unghost(marks([G/{label}])) not integral: ghost vector not integral at class 1a"
+        for label in ("1a", "2a")
+    ]
+
+
+def test_dress_siebeneicher_iso_fails_on_a_wrong_tau(monkeypatch):
+    def wrong(w):
+        coeffs = teichmuller_tau(w).coeffs
+        return BurnsideElement(w.group, (coeffs[0] + 1, *coeffs[1:]))
+
+    monkeypatch.setattr(witt, "teichmuller_tau", wrong)
+    report = verify_dress_siebeneicher_iso(C2)
+    assert report.ok is False
+    assert report.failures == ["tau round trip failed at [G/1a]: got (2, 0)",
+                               "tau round trip failed at [G/2a]: got (1, 1)",
+                               "tau(one) = (1, 1) is not [G/G]"]
+
+
+def test_dress_siebeneicher_iso_fails_on_a_wrong_unit(monkeypatch):
+    monkeypatch.setattr(witt, "burnside_one", lambda group: BurnsideElement(group, (1, 1)))
+    report = verify_dress_siebeneicher_iso(C2)
+    assert report.ok is False
+    assert report.failures == ["tau(one) = (0, 1) is not [G/G]"]
+
+
 def _perturbed(k: int, h: int):
     """transferred_norms with a_K added at class [H], for K and H the
     classes k and h: a wrong term in a_K alone."""
@@ -186,9 +227,9 @@ def test_double_coset_identity(monkeypatch, group):
             assert not verify_ghost_factorization(group, samples=0).ok, (k, h)
 
 
-# 1 + 7n checks on n classes up to DIRECT_CLASS_CAP, 1 + 13n above it
-RING_AXIOM_CHECKS = {"C1": 8, "C2": 15, "C3": 15, "C4": 22, "V4": 36, "C6": 29,
-                     "S3": 29, "D4": 57}
+# 1 + 8n checks on n classes up to DIRECT_CLASS_CAP, 1 + 14n above it
+RING_AXIOM_CHECKS = {"C1": 9, "C2": 17, "C3": 17, "C4": 25, "V4": 41, "C6": 33,
+                     "S3": 33, "D4": 65}
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
@@ -219,6 +260,23 @@ def test_ring_axioms_fail_on_a_perturbed_structure_polynomial(monkeypatch, group
         assert f"{unit_law} at {poset.label(h)}" in report.failures, h
 
 
+@pytest.mark.parametrize("group", [C2, symmetric(3)], ids=lambda g: g.name)
+def test_ring_axioms_fail_on_a_wrong_negation(monkeypatch, group):
+    exact = witt.witt_neg
+    monkeypatch.setattr(witt, "witt_neg", lambda w: _bumped(exact(w)))
+    report = verify_ring_axioms(group)
+    assert report.ok is False
+    assert report.failures == ["a + (-a) != 0 at 1a"]
+
+
+def test_ring_axioms_fail_on_a_wrong_unghost(monkeypatch):
+    exact = witt.unghost
+    monkeypatch.setattr(witt, "unghost", lambda v: _bumped(exact(v)))
+    report = verify_ring_axioms(C2)
+    assert report.ok is False
+    assert report.failures == ["unghost(ghost(a)) != a symbolically"]
+
+
 def test_ring_axioms_above_the_direct_cap_check_the_laws_at_seeded_vectors():
     # S4 has 11 classes: associativity and distributivity are checked at
     # RING_LAW_SAMPLES seeded integer triples instead of symbolically
@@ -228,15 +286,42 @@ def test_ring_axioms_above_the_direct_cap_check_the_laws_at_seeded_vectors():
     report = verify_ring_axioms(group)
     assert report.ok, report.failures
     assert report.seed == 0
-    # unghost∘ghost, two units, two symmetries
-    symbolic = 1 + 2 * n + 2 * n
-    assert report.checked == symbolic + RING_LAW_SAMPLES * 3 * n == 144
+    # unghost∘ghost, two units, the additive inverse, two symmetries
+    symbolic = 1 + 2 * n + n + 2 * n
+    assert report.checked == symbolic + RING_LAW_SAMPLES * 3 * n == 155
 
 
 def test_injectivity_sampled():
     for group in (C2, symmetric(3)):
         report = verify_injectivity(group, samples=120, seed=0)
         assert report.ok, report.failures[:3]
+
+
+def test_injectivity_fails_on_a_wrong_unghost(monkeypatch):
+    exact = witt.unghost
+    monkeypatch.setattr(witt, "unghost", lambda v: _bumped(exact(v)))
+    report = verify_injectivity(C2, samples=2, seed=0)
+    assert report.ok is False
+    assert report.failures == ["unghost(ghost((Poly(3), Poly(1)))) != input",
+                               "unghost(ghost((Poly(-x), Poly(-x - 1)))) != input"]
+
+
+def test_injectivity_fails_on_a_zero_diagonal_mark(monkeypatch):
+    ctx = witt.WittContext(C2)
+    ctx.columns = ctx.columns._replace(diag=(0, *ctx.columns.diag[1:]))
+    monkeypatch.setattr(witt, "witt_context", lambda group: ctx)
+    report = verify_injectivity(C2, samples=0)
+    assert report.ok is False
+    assert report.failures == ["diagonal mark at 1a is not positive"]
+
+
+def test_ghost_factorization_fails_at_the_seeded_samples(monkeypatch):
+    # the per-class half sums the mark columns itself; only the samples read marks
+    monkeypatch.setattr(witt, "marks", _bumped_marks)
+    report = verify_ghost_factorization(C2, samples=2, seed=0)
+    assert report.ok is False
+    assert report.failures == ["marks(tau((3, 4))) = (23, 4) != ghost = (22, 4)",
+                               "marks(tau((-8, -1))) = (-14, -1) != ghost = (-15, -1)"]
 
 
 def test_negative_samples_are_rejected():
