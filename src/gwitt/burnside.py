@@ -20,31 +20,41 @@ class MarkColumns(NamedTuple):
     """A table of marks by columns, holding only its nonzero entries.
 
     `diag[h]` is the mark |N(H_h):H_h| of [H_h] on itself, and `above[h]`
-    the flat list k1, m1, i1, k2, m2, i2, ... of the classes k > h with
-    mark m = |(G/H_k)^{H_h}| != 0, where i = |H_k|/|H_h| is the exponent
-    (K:H) of the ghost map.
+    the triples (k, m, e), ascending in k, over the classes k > h with mark
+    m = |(G/H_k)^{H_h}| != 0, where e = |H_k|/|H_h| is the exponent (K:H)
+    of the ghost map.  [H_h] <= [H_k] iff k == h or k has a triple in
+    `above[h]`: the nonzero pattern is the order relation of the poset.
     """
 
     diag: tuple[int, ...]
-    above: tuple[tuple[int, ...], ...]
+    above: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 @cache
 def mark_columns(group: Group) -> MarkColumns:
-    """The table of marks of G by sparse columns, Pfeiffer's marks
-    |(G/H_k)^{H_h}| = |N_G(H_k):H_k| * #{H' ~ H_k : H_h <= H'} read off the
-    containment counts of G's poset; cached per group."""
+    """The table of marks of G by sparse columns: |(G/H_k)^{H_h}| =
+    |N_G(H_k):H_k| * #{H' ~ H_k : H_h <= H'} (Pfeiffer), with |N_G(K):K| =
+    |G| / (|K| * #conjugates of K); one pass over the down-sets of each
+    class's members counts the representatives H_h in them; cached per group."""
     poset = subconjugacy_poset(group)
-    orders = [c.order for c in poset.classes]
-    # |N_G(H):H| = |G| / (|H| * #conjugates of H)
-    weyl = [group.order // (c.order * len(c.members)) for c in poset.classes]
-    above = []
-    for order, counts in zip(orders, poset.above):
-        column = []
-        for k, n in zip(counts[::2], counts[1::2]):
-            column += (k, weyl[k] * n, orders[k] // order)
-        above.append(tuple(column))
-    return MarkColumns(tuple(weyl), tuple(above))
+    down, orders, class_of, reps = poset.down, poset.orders, poset.class_of, poset.reps
+    members: list[list[int]] = [[] for _ in reps]
+    for i, c in enumerate(class_of):
+        members[c].append(i)
+    diag, above = [], [[] for _ in members]
+    for k, orbit in enumerate(members):
+        order = orders[orbit[0]]
+        diag.append(group.order // (order * len(orbit)))
+        counts: dict[int, int] = {}
+        for m in orbit:
+            for i in down[m]:
+                h = class_of[i]
+                if reps[h] == i:
+                    counts[h] = counts.get(h, 0) + 1
+        del counts[k]  # of its own class, H_k lies in itself only
+        for h, n in counts.items():
+            above[h].append((k, diag[k] * n, order // orders[reps[h]]))
+    return MarkColumns(tuple(diag), tuple(map(tuple, above)))
 
 
 def table_of_marks(group: Group) -> tuple[tuple[int, ...], ...]:
@@ -56,15 +66,15 @@ def table_of_marks(group: Group) -> tuple[tuple[int, ...], ...]:
     H <= gKg^-1, and each of the (G:N_G(K)) conjugates of K arises from
     |N_G(K):K| cosets, so |(G/K)^H| = |N_G(K):K| * #{K' ~ K : H <= K'}.
 
-    The dense rows are rendered from `mark_columns` on each call and not
-    kept: every computation reads the columns.
+    The dense rows are rendered from the triples of `mark_columns` on each
+    call and not kept: every computation reads the columns.
     """
     diag, above = mark_columns(group)
     rows = [[0] * len(diag) for _ in diag]
     for h, column in enumerate(above):
         rows[h][h] = diag[h]
-        for j in range(0, len(column), 3):
-            rows[column[j]][h] = column[j + 1]
+        for k, m, _ in column:
+            rows[k][h] = m
     # one row at a time, so that the list and tuple forms of the whole
     # table are never held together
     for k, row in enumerate(rows):
@@ -159,11 +169,11 @@ def column_sums(coeffs, columns: MarkColumns, powered: bool = False) -> list:
     out = []
     for h, column in enumerate(above):
         total = diag[h] * coeffs[h]
-        for j in range(0, len(column), 3):
-            c = coeffs[column[j]]
+        for k, m, e in column:
+            c = coeffs[k]
             if not c:  # adding m * 0 to a Poly total would copy it
                 continue
-            total = total + column[j + 1] * (c ** column[j + 2] if powered else c)
+            total = total + m * (c ** e if powered else c)
         out.append(total)
     return out
 
@@ -178,10 +188,9 @@ def column_solve(vector, columns: MarkColumns, powered: bool = False,
     coeffs = [0] * len(diag)
     for h in range(len(diag) - 1, -1, -1):
         residue = vector[h]
-        column = above[h]
-        for j in range(0, len(column), 3):
-            c = coeffs[column[j]]
-            residue = residue - column[j + 1] * (c ** column[j + 2] if powered else c)
+        for k, m, e in above[h]:
+            c = coeffs[k]
+            residue = residue - m * (c ** e if powered else c)
         try:
             coeffs[h] = div(residue, diag[h])
         except IntegralityError:

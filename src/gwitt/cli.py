@@ -48,11 +48,19 @@ def _group_from_arg(text: str) -> Group:
     return dsl.build_group(dsl.parse_group(text))
 
 
+def integer(text: str) -> int:
+    """An integer by the DSL's rule, else a ValueError (so no '+5', no '1_0'):
+    an optional '-' and at most dsl.MAX_DIGITS decimal digits, spaces around."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isdecimal() and len(digits) <= dsl.MAX_DIGITS):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _coeffs_from_arg(text: str, group: Group) -> tuple[int, ...]:
     poset = subconjugacy_poset(group)
-    parts = [p.strip() for p in text.split(",")] if text.strip() else []
     try:
-        coeffs = tuple(int(p) for p in parts)
+        coeffs = tuple(map(integer, text.split(","))) if text.strip() else ()
     except ValueError:
         raise GwittError(f"coefficients must be integers: {text!r}") from None
     if len(coeffs) != len(poset):
@@ -132,11 +140,13 @@ def _check_printable(values) -> None:
 
 
 def _cmd_lattice(args):
+    from .burnside import mark_columns
+
     group = _group_from_arg(args.group)
     poset = subconjugacy_poset(group)
     classes, lines = [], [_class_header(group)]
-    for i, cls in enumerate(poset.classes):
-        above = [cls.label] + [poset.label(k) for k in poset.above[i][::2]]
+    for cls, column in zip(poset.classes, mark_columns(group).above):
+        above = [cls.label] + [poset.label(k) for k, _, _ in column]
         classes.append({
             "label": cls.label,
             "order": cls.order,
@@ -380,7 +390,7 @@ def _parse_assignment(text: str) -> SetAssignment:
         if name in sizes:
             raise GwittError(f"variable {name!r} is assigned twice")
         try:
-            sizes[name] = int(size)
+            sizes[name] = integer(size)
         except ValueError:
             raise GwittError(f"assignment size {size!r} is not an integer") from None
         if not 0 <= sizes[name] <= MAX_EVAL_ELEMENTS:
@@ -475,7 +485,7 @@ def count_up_to(limit: int):
     """The argparse type of a count from 0 to `limit`."""
     # argparse names the type in its "invalid non_negative_int value" error
     def non_negative_int(text: str) -> int:
-        value = int(text)
+        value = integer(text)
         if value < 0:
             raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
         if value > limit:
@@ -540,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("group")
     pw.add_argument("--samples", type=count_up_to(MAX_SAMPLES))
     add_common(pw, _cmd_verify)
-    pw.add_argument("--seed", type=int)  # default 0; refused for iso
+    pw.add_argument("--seed", type=integer)  # default 0; refused for iso
 
     p = sub.add_parser("compose", help="evaluate a bispan expression")
     p.add_argument("bispan")
@@ -577,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--budget", type=count_up_to(MAX_BUDGET), default=4)
     pt.add_argument("--base", default=None, help="base G-set for the invariant instance")
     add_common(pt, _cmd_check)
-    pt.add_argument("--seed", type=int, default=0)
+    pt.add_argument("--seed", type=integer, default=0)
 
     return parser
 

@@ -501,10 +501,9 @@ class SubconjugacyPoset:
     Subgroup i is `all_subgroups(G)[i]`: `down[i]` lists the indices of its
     subgroups, ascending and ending with i, `orders[i]` is its order and
     `class_of[i]` its class; `reps[c]` is the index of the representative of
-    class c.  `above[h]` is the flat list k1, n1, k2, n2, ... of the classes
-    k > h with n = #{L' ~ L_k : L_h <= L'} > 0.  These containment counts are
-    the one source of the order relation ([H_i] <= [H_j] iff i == j or j is
-    listed in `above[i]`) and of the table of marks.
+    class c.  The order relation on the classes is not kept here: it is the
+    nonzero pattern of the table of marks, `burnside.mark_columns`, which
+    counts the containments of this lattice once.
     """
 
     def __init__(self, group: Group):
@@ -513,40 +512,26 @@ class SubconjugacyPoset:
         masks = [_mask(s.elements) for s in subs]
         self._position = {m: i for i, m in enumerate(masks)}
         self.orders = tuple(s.order for s in subs)
-        self.down = down = _down_sets(subs, masks)
+        self.down = _down_sets(subs, masks)
         orbits = _classify(group, subs, self._position)
-        self.reps = reps = tuple(orbit[0] for orbit in orbits)
+        self.reps = tuple(orbit[0] for orbit in orbits)
         class_of = [0] * len(subs)
         for c, orbit in enumerate(orbits):
             for m in orbit:
                 class_of[m] = c
         self.class_of = tuple(class_of)
-        above: list[list[int]] = [[] for _ in orbits]
-        for k, orbit in enumerate(orbits):
-            counts: dict[int, int] = {}
-            for m in orbit:
-                for i in down[m]:
-                    h = class_of[i]
-                    if reps[h] == i:
-                        counts[h] = counts.get(h, 0) + 1
-            del counts[k]  # of its own class, L_k lies in itself only
-            for h, n in counts.items():
-                above[h] += (k, n)
-        self.above = tuple(map(tuple, above))
         counters: dict[int, int] = {}
         built = []
         for orbit in orbits:
             rep = subs[orbit[0]]
-            members = tuple(sorted((subs[m] for m in orbit), key=lambda s: s.elements))
+            # conjugates share an order and subgroups run by (order, elements)
+            members = tuple(subs[m] for m in sorted(orbit))
             idx = counters.get(rep.order, 0)
             counters[rep.order] = idx + 1
-            letter = ""
-            k = idx
-            while True:
+            letter, k = "", idx
+            while k >= 0:
                 letter = chr(ord("a") + k % 26) + letter
                 k = k // 26 - 1
-                if k < 0:
-                    break
             built.append(SubgroupClass(rep, members, f"{rep.order}{letter}"))
         self.classes: tuple[SubgroupClass, ...] = tuple(built)
 

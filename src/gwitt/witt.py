@@ -228,15 +228,11 @@ def _restricted(columns: MarkColumns, classes: list[int]) -> MarkColumns:
     """The columns of a down-closed set of classes, ascending, with only the
     entries of those classes, renumbered by their place in `classes`."""
     place = {h: i for i, h in enumerate(classes)}
-    above = []
-    for h in classes:
-        column = columns.above[h]
-        kept = []
-        for j in range(0, len(column), 3):
-            if column[j] in place:
-                kept += (place[column[j]], column[j + 1], column[j + 2])
-        above.append(tuple(kept))
-    return MarkColumns(tuple(columns.diag[h] for h in classes), tuple(above))
+    above = tuple(
+        tuple((place[k], m, e) for k, m, e in columns.above[h] if k in place)
+        for h in classes
+    )
+    return MarkColumns(tuple(columns.diag[h] for h in classes), above)
 
 
 def verify_ghost_factorization(group: Group, samples: int = 100,

@@ -283,9 +283,9 @@ def conjugates(group: Group, elements) -> set[frozenset[int]]:
 
 
 def poset_leq(poset: SubconjugacyPoset, i: int, j: int) -> bool:
-    """[H_i] <= [H_j], read off the containment counts of G's poset: H_i
-    lies in some conjugate of H_j."""
-    return i == j or j in poset.above[i][::2]
+    """[H_i] <= [H_j], read off the nonzero pattern of the table of marks:
+    H_i lies in some conjugate of H_j."""
+    return i == j or any(k == j for k, _, _ in mark_columns(poset.group).above[i])
 
 
 def containment_leq(group: Group) -> tuple[tuple[bool, ...], ...]:

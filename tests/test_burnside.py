@@ -12,6 +12,9 @@ from gwitt.burnside import (
     burnside_mul,
     burnside_of_gset,
     burnside_one,
+    column_solve,
+    column_sums,
+    mark_columns,
     marks,
     table_of_marks,
     transferred_norms,
@@ -40,12 +43,12 @@ from gwitt.gsets import (
 from oracles import (
     burnside_transfer,
     chainwise_transferred_norms,
+    containment_leq,
     coset_space_table_of_marks,
     elementary_abelian_2,
     fixed_points,
     function_orbits_by_stabilizer,
     norm_from_trivial,
-    poset_leq,
     product_basis_decomposition,
     s4_x_c2,
 )
@@ -88,15 +91,75 @@ def test_burnside_mul_matches_product_gset_oracle(group):
             assert got.coeffs == product_basis_decomposition(group, i, j)
 
 
+def _dense_column_sums(tom, orders, coeffs, powered=False) -> list:
+    """For each class h, the sum over the rows k of the dense table of
+    tom[k][h] * c_k, or tom[k][h] * c_k^(|H_k|/|H_h|) when powered."""
+    n = len(tom)
+    return [
+        sum((tom[k][h] * (coeffs[k] ** (orders[k] // orders[h]) if powered else coeffs[k])
+             for k in range(n) if tom[k][h]), 0)
+        for h in range(n)
+    ]
+
+
+def _check_column_kernels(group, tom, vectors):
+    """column_sums, plain and powered, against the dense product with `tom`,
+    and column_solve as their inverse."""
+    columns = mark_columns(group)
+    orders = [c.order for c in subconjugacy_poset(group).classes]
+    for coeffs in vectors:
+        for powered in (False, True):
+            want = _dense_column_sums(tom, orders, coeffs, powered)
+            assert column_sums(coeffs, columns, powered) == want, powered
+            assert column_solve(want, columns, powered) == list(coeffs), powered
+
+
+def _vectors_with_zeros(group, count: int) -> list[tuple[int, ...]]:
+    rng = random.Random(f"columns:{group.name}")
+    n = len(subconjugacy_poset(group))
+    return [tuple(rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(n))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [C2, S3, dihedral(4), symmetric(4), elementary_abelian_2(4), s4_x_c2(), dihedral(32)],
+    ids=lambda g: g.name,
+)
+def test_column_kernels_match_the_coset_space_table_of_marks(group):
+    _check_column_kernels(group, coset_space_table_of_marks(group),
+                          _vectors_with_zeros(group, 3))
+
+
+def test_column_kernels_match_the_closed_form_over_c2_5():
+    # G elementary abelian: every subgroup is its own class and normal, so
+    # |(G/K)^H| = |G:K| when H <= K and 0 otherwise
+    group = elementary_abelian_2(5)
+    subs = [all_subgroups(group)[r] for r in subconjugacy_poset(group).reps]
+    masks = [sum(1 << e for e in sub.elements) for sub in subs]
+    tom = [[group.order // k.order if not mh & ~mk else 0 for mh in masks]
+           for k, mk in zip(subs, masks)]
+    _check_column_kernels(group, tom, _vectors_with_zeros(group, 2))
+
+
+def test_column_kernels_over_z_x_skip_zero_coefficients():
+    group = dihedral(4)
+    x = Poly.var("x")
+    coeffs = (x, 0, 2 * x - 1, 0, 0, x * x + 3, 0, 1)
+    assert len(coeffs) == len(subconjugacy_poset(group))
+    _check_column_kernels(group, coset_space_table_of_marks(group), [coeffs])
+
+
 def test_table_of_marks_triangular_with_weyl_diagonal():
     for group in (C2, cyclic(4), klein_four(), S3, dihedral(4)):
         poset = subconjugacy_poset(group)
         tom = table_of_marks(group)
+        leq = containment_leq(group)
         n = len(poset)
         for k in range(n):
             for h in range(n):
                 if tom[k][h] != 0:
-                    assert poset_leq(poset, h, k)
+                    assert leq[h][k]
                 if h > k:
                     assert tom[k][h] == 0 or poset.classes[h].order == poset.classes[k].order
             assert tom[k][k] > 0

@@ -150,7 +150,8 @@ def test_lattice_marks_orbits():
 
 @pytest.mark.parametrize("text", [
     "perm[(0 1),(2 3),(4 5),(6 7)]", "perm[(0 1),(0 1 2 3),(4 5)]", "D(32)",
-], ids=["C2^4", "S4xC2", "D32"])
+    "perm[(0 1),(2 3),(4 5),(6 7),(8 9)]",
+], ids=["C2^4", "S4xC2", "D32", "C2^5"])
 def test_lattice_below_lists_match_the_containment_oracle(text):
     group = build_group(parse_group(text))
     labels = subconjugacy_poset(group).labels()
@@ -238,6 +239,46 @@ def test_counts_past_their_cap_are_usage_errors():
         status, text = capture_error(argv)
         assert status == 2, argv
         assert text.endswith(f": must be at most {cap}, got {argv[-1]}\n"), argv
+
+
+# Integers outside the DSL follow its rule: an optional '-' and at most
+# dsl.MAX_DIGITS decimal digits, so no '_' separator and no '+' sign.
+@pytest.mark.parametrize("argv, error", [
+    (["marks", "C(2)", "1_0,3"], "error: coefficients must be integers: '1_0,3'\n"),
+    (["marks", "C(2)", "+1,3"], "error: coefficients must be integers: '+1,3'\n"),
+    (["burnside", "mul", "C(2)", "1,0", "0,1_0"],
+     "error: coefficients must be integers: '0,1_0'\n"),
+    (["words", "eval", "x", "--assign", "x=0_2"],
+     "error: assignment size '0_2' is not an integer\n"),
+    (["check", "tambara", "--group", "C(2)", "--budget", "1_0"],
+     "argument --budget: invalid non_negative_int value: '1_0'\n"),
+    (["witt", "verify", "factorization", "C(2)", "--samples", "1_0"],
+     "argument --samples: invalid non_negative_int value: '1_0'\n"),
+    (["check", "tambara", "--group", "C(2)", "--budget", "1", "--seed", "1_0"],
+     "argument --seed: invalid integer value: '1_0'\n"),
+    (["witt", "verify", "factorization", "C(2)", "--seed", "1_0"],
+     "argument --seed: invalid integer value: '1_0'\n"),
+], ids=["marks", "marks-plus", "burnside-mul", "assign", "budget", "samples",
+        "tambara-seed", "verify-seed"])
+def test_integers_the_dsl_refuses_are_usage_errors(argv, error):
+    status, text = capture_error(argv)
+    assert status == 2
+    assert text.endswith(error)
+
+
+def test_integers_past_the_digit_cap_are_usage_errors():
+    digits = "1" * (dsl.MAX_DIGITS + 1)
+    status, text = capture_error(["marks", "C(2)", f"1,{digits}"])
+    assert status == 2
+    assert text == f"error: coefficients must be integers: '1,{digits}'\n"
+
+
+def test_integers_take_every_decimal_digit_the_dsl_takes():
+    # as in `lattice 'C(٣)'`, which builds C3
+    assert capture(["marks", "C(2)", " ١ , -٣ "]) == (
+        0, "group C2; classes (poset order): 1a 2a\nmarks: 1a=-1 2a=-3\n")
+    status, text = capture(["words", "eval", "x", "--assign", "x=٢"])
+    assert status == 0 and text.startswith("2 element(s)\n")
 
 
 def test_words_unassigned_variable_is_an_error():

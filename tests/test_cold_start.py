@@ -62,6 +62,18 @@ def test_tom_command_loads_only_what_it_reads():
     assert "gwitt.burnside" in loaded
 
 
+def test_lattice_command_reads_the_order_off_the_mark_columns():
+    loaded = loaded_after(
+        "import sys\n"
+        "from gwitt.cli import main\n"
+        "sys.argv = ['gwitt', 'lattice', 'S(3)']\n"
+        "assert main() == 0\n"
+    )
+    assert loaded & {"gwitt.witt", "gwitt.tambara", "gwitt.words", "gwitt.bispans",
+                     "gwitt.gsets"} == set()
+    assert "gwitt.burnside" in loaded
+
+
 @pytest.mark.parametrize("argv", [["tom", "C(2)"], ["witt", "mul", "C(2)", "(1,2)", "(3,4)"]],
                          ids=["tom", "witt-mul"])
 def test_a_command_loads_no_rational_arithmetic(argv):
