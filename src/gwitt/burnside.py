@@ -152,7 +152,7 @@ def marks(b: BurnsideElement) -> tuple:
 
 
 def _exact_div(value, n: int):
-    if isinstance(value, Poly):
+    if not isinstance(value, int):
         return value.exact_div(n)
     q, r = divmod(value, n)
     if r:
@@ -178,12 +178,10 @@ def column_sums(coeffs, columns: MarkColumns, powered: bool = False) -> list:
     return out
 
 
-def column_solve(vector, columns: MarkColumns, powered: bool = False,
-                 div=_exact_div) -> list:
+def column_solve(vector, columns: MarkColumns, powered: bool = False) -> list:
     """The c with column_sums(c, columns, powered) == vector, by triangular
-    solve from the top class down, dividing by the diagonal with `div`
-    (exact by default); an IntegralityError carries the failing class index
-    in `where`."""
+    solve from the top class down with exact division by the diagonal; an
+    IntegralityError carries the failing class index in `where`."""
     diag, above = columns
     coeffs = [0] * len(diag)
     for h in range(len(diag) - 1, -1, -1):
@@ -192,7 +190,7 @@ def column_solve(vector, columns: MarkColumns, powered: bool = False,
             c = coeffs[k]
             residue = residue - m * (c ** e if powered else c)
         try:
-            coeffs[h] = div(residue, diag[h])
+            coeffs[h] = _exact_div(residue, diag[h])
         except IntegralityError:
             raise IntegralityError(f"not integral at class {h}", where=h) from None
     return coeffs

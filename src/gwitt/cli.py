@@ -48,12 +48,18 @@ def _group_from_arg(text: str) -> Group:
     return dsl.build_group(dsl.parse_group(text))
 
 
+class PastDigitCap(ValueError):
+    """An integer with more than dsl.MAX_DIGITS digits."""
+
+
 def integer(text: str) -> int:
     """An integer by the DSL's rule, else a ValueError (so no '+5', no '1_0'):
     an optional '-' and at most dsl.MAX_DIGITS decimal digits, spaces around."""
     digits = text.strip().removeprefix("-")
-    if not (digits.isdecimal() and len(digits) <= dsl.MAX_DIGITS):
+    if not digits.isdecimal():
         raise ValueError(f"not an integer: {text!r}")
+    if len(digits) > dsl.MAX_DIGITS:
+        raise PastDigitCap(f"more than {dsl.MAX_DIGITS} digits")
     return int(text)
 
 
@@ -61,6 +67,8 @@ def _coeffs_from_arg(text: str, group: Group) -> tuple[int, ...]:
     poset = subconjugacy_poset(group)
     try:
         coeffs = tuple(map(integer, text.split(","))) if text.strip() else ()
+    except PastDigitCap as exc:
+        raise GwittError(f"a coefficient has {exc}") from None
     except ValueError:
         raise GwittError(f"coefficients must be integers: {text!r}") from None
     if len(coeffs) != len(poset):
@@ -69,30 +77,6 @@ def _coeffs_from_arg(text: str, group: Group) -> tuple[int, ...]:
             f"{','.join(poset.labels())}, got {len(coeffs)}"
         )
     return coeffs
-
-
-def _symbolic_components(vector: dsl.Node, group: Group) -> list[str]:
-    """The components of a Witt-vector literal that have variables, as
-    canonical text, found without expanding any of them; the literal must
-    have one component per class."""
-    n = len(subconjugacy_poset(group))
-    if len(vector.children) != n:
-        raise GwittError(
-            f"expected {n} components (top class first), got {len(vector.children)}"
-        )
-    return [dsl.to_text(c) for c in vector.children if dsl.term_bound(c).variables]
-
-
-def _witt_from_arg(vector: dsl.Node, group: Group, symbolic: bool) -> WittVector:
-    from .witt import WittVector
-
-    bad = _symbolic_components(vector, group)
-    if bad and not symbolic:
-        raise GwittError(f"symbolic components {bad} need --symbolic")
-    entries = dsl.build_vector(vector)  # top class first
-    return WittVector(group, tuple(
-        e.constant_value() if e.is_constant() else e for e in reversed(entries)
-    ))
 
 
 def _class_header(group: Group) -> str:
@@ -226,29 +210,44 @@ def _cmd_burnside_mul(args):
     return 0, payload, [_class_header(group), line]
 
 
-def _check_ghost_terms(group: Group, op: str, vectors) -> None:
-    """Refuse a symbolic Witt operation whose ghost components (for unghost,
-    whose Witt components) may expand past dsl.MAX_TERMS terms, before any
-    literal is expanded: the operation runs on the literals' dsl.TermBound."""
-    from .burnside import column_solve
-    from .witt import witt_context
+def _witt_operands(args, group: Group) -> list[WittVector]:
+    """The Witt vectors of the command's literals, each written top class
+    first, refused before any is expanded.  Literal by literal: a count
+    other than one per class, then variables without --symbolic (for tau,
+    any variables).  Then, with --symbolic, a result component that may
+    have more than dsl.MAX_TERMS terms, found by running the Witt layer's
+    own maps on the literals' dsl.TermBound; last, build_vector's digit cap."""
+    from .witt import _GHOST_OPS, WittVector, witt_context
 
-    ctx = witt_context(group)
-    if any(len(v.children) != ctx.n for v in vectors):
-        return  # _witt_from_arg reports the count
-    bounds = [[dsl.term_bound(c) for c in reversed(v.children)] for v in vectors]
-    if op == "unghost":
-        kind = "Witt"
-        result = column_solve(bounds[0], ctx.columns, powered=True, div=lambda b, n: b)
-    else:
-        kind = "ghost"
-        result, *other = map(ctx.ghost_components, bounds)
-        if other:
-            result = [a * b if op == "mul" else a + b for a, b in zip(result, other[0])]
-    for h, bound in enumerate(result):
-        if bound.terms > dsl.MAX_TERMS:
-            raise GwittError(f"the {kind} component at class {ctx.poset.label(h)} "
-                             f"may expand to more than {dsl.MAX_TERMS} terms")
+    op, n = args.witt_op, len(subconjugacy_poset(group))
+    texts = [args.vector] + ([args.vector2] if "vector2" in args else [])
+    vectors = [dsl.parse_vector(t) for t in texts]
+    bounds = []  # per literal, in poset order
+    for vector in vectors:
+        if len(vector.children) != n:
+            raise GwittError(f"expected {n} components (top class first), "
+                             f"got {len(vector.children)}")
+        bound = [dsl.term_bound(c) for c in vector.children]
+        bad = [dsl.to_text(c) for c, b in zip(vector.children, bound) if b.variables]
+        if bad and not args.symbolic:
+            raise GwittError(f"symbolic components {bad} need --symbolic")
+        if bad and op == "tau":  # teichmuller_tau's refusal
+            raise GwittError("the Teichmuller homomorphism needs integer components")
+        bounds.append(bound[::-1])
+    if args.symbolic and op != "tau":
+        ctx = witt_context(group)
+        if op == "unghost":
+            kind, result = "Witt", ctx.unghost_components(bounds[0])
+        else:  # neg reads its one operand twice
+            kind, ghosts = "ghost", [ctx.ghost_components(b) for b in bounds]
+            result = ghosts[0] if op == "ghost" else map(_GHOST_OPS[op], ghosts[0], ghosts[-1])
+        for h, b in enumerate(result):
+            if b.terms > dsl.MAX_TERMS:
+                raise GwittError(f"the {kind} component at class {ctx.poset.label(h)} "
+                                 f"may expand to more than {dsl.MAX_TERMS} terms")
+    return [WittVector(group, tuple(e.constant_value() if e.is_constant() else e
+                                    for e in reversed(dsl.build_vector(v))))
+            for v in vectors]
 
 
 def _cmd_witt(args):
@@ -263,11 +262,7 @@ def _cmd_witt(args):
         "mul": (witt_mul, "witt"),
     }[args.witt_op]
     group = _group_from_arg(args.group)
-    texts = [args.vector] + ([args.vector2] if "vector2" in args else [])
-    vectors = [dsl.parse_vector(t) for t in texts]
-    if args.symbolic:
-        _check_ghost_terms(group, args.witt_op, vectors)
-    result = operation(*(_witt_from_arg(v, group, args.symbolic) for v in vectors))
+    result = operation(*_witt_operands(args, group))
     _check_printable(result.components)
     comps = [str(Poly.coerce(c)) for c in result.components]
     # table output lists the top class first
@@ -279,11 +274,7 @@ def _cmd_tau(args):
     from .witt import teichmuller_tau
 
     group = _group_from_arg(args.group)
-    vector = dsl.parse_vector(args.vector)
-    if args.symbolic and _symbolic_components(vector, group):
-        # teichmuller_tau's refusal, made before any literal is expanded
-        raise GwittError("the Teichmuller homomorphism needs integer components")
-    element = teichmuller_tau(_witt_from_arg(vector, group, args.symbolic))
+    element = teichmuller_tau(*_witt_operands(args, group))
     _check_printable(element.coeffs)
     coeffs = [str(c) for c in element.coeffs]
     payload = _per_class(group, "burnside_element", "coefficients", coeffs)
@@ -391,6 +382,8 @@ def _parse_assignment(text: str) -> SetAssignment:
             raise GwittError(f"variable {name!r} is assigned twice")
         try:
             sizes[name] = integer(size)
+        except PastDigitCap as exc:
+            raise GwittError(f"an assignment size has {exc}") from None
         except ValueError:
             raise GwittError(f"assignment size {size!r} is not an integer") from None
         if not 0 <= sizes[name] <= MAX_EVAL_ELEMENTS:
@@ -457,12 +450,8 @@ def _cmd_check(args):
         raise GwittError("--base applies only to --instance invariant")
     group = _group_from_arg(args.group)
     if args.instance == "invariant":
-        if args.base is not None:
-            base = dsl.build_gset(dsl.parse_gset(args.base))
-            if base.group != group:
-                raise GwittError("--base must live over --group")
-        else:
-            base = regular_gset(group)
+        base = (regular_gset(group) if args.base is None
+                else dsl.build_gset(dsl.parse_gset(args.base)))
         instance = InvariantRingInstance(group, base)
     else:
         instance = BurnsideOverInstance(group)
@@ -636,7 +625,13 @@ def main() -> int:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            status = max(status, run(shlex.split(line)))
+            try:
+                argv = shlex.split(line)
+            except ValueError as exc:  # e.g. an unclosed quotation
+                sys.stderr.write(f"error: {exc}\n")
+                status = max(status, 2)
+                continue
+            status = max(status, run(argv))
         return status
     return run(argv)
 

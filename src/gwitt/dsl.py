@@ -188,6 +188,13 @@ class Parser:
         self.nesting -= 1
         return node
 
+    def bracketed(self, parse) -> Node:
+        """`parse` between "(" and ")", one bracket level deeper."""
+        self.expect("(", "(")
+        node = self.nested(parse)
+        self.expect(")", ")")
+        return node
+
     def infix(self, operand, kinds: dict[str, str], span=None) -> Node:
         """A left-associative chain of `operand`s joined by the operator
         tokens that `kinds` maps to node kinds.  Each node carries `span`
@@ -263,12 +270,8 @@ class Parser:
         return self.infix(self._parse_gset_atom, {"*": "gset_prod"})
 
     def _parse_gset_atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
-            node = self.nested(self.parse_gset)
-            self.expect(")", ")")
-            return node
+        if self.peek().kind == "(":
+            return self.bracketed(self.parse_gset)
         group = self.parse_group()
         self.expect("/", "/")
         sub = self.parse_subgroup()
@@ -313,10 +316,7 @@ class Parser:
             self.expect(">", ">")
             return Node("bispan_pair", None, (first, second), span)
         if tok.kind == "(":
-            self.advance()
-            node = self.nested(self.parse_bispan)
-            self.expect(")", ")")
-            return node
+            return self.bracketed(self.parse_bispan)
         self.error("expected a bispan", expected={"R(", "T(", "N(", "<", "("})
 
     # -- words -------------------------------------------------------------------------
@@ -337,10 +337,7 @@ class Parser:
             self.advance()
             return Node("word_var", tok.text, (), span)
         if tok.kind == "(":
-            self.advance()
-            node = self.nested(self.parse_word)
-            self.expect(")", ")")
-            return node
+            return self.bracketed(self.parse_word)
         self.error("expected a word", expected={"0", "1", "identifier", "("})
 
     # -- integer polynomial expressions ---------------------------------------------------
@@ -369,9 +366,7 @@ class Parser:
             self.advance()
             node = Node("poly_var", tok.text, (), span)
         elif tok.kind == "(":
-            self.advance()
-            node = self.nested(self.parse_poly)
-            self.expect(")", ")")
+            node = self.bracketed(self.parse_poly)
         else:
             self.error("expected a polynomial factor",
                        expected={"number", "identifier", "("})
@@ -534,17 +529,9 @@ def build_gset(node: Node) -> GSet:
         sub = build_subgroup(node.children[1], group)
         return coset_space(group, sub)
     if node.kind == "gset_sum":
-        left = build_gset(node.children[0])
-        right = build_gset(node.children[1])
-        if left.group != right.group:
-            raise GwittError("disjoint union needs one common group")
-        return disjoint_union([left, right])[0]
+        return disjoint_union([build_gset(c) for c in node.children])[0]
     if node.kind == "gset_prod":
-        left = build_gset(node.children[0])
-        right = build_gset(node.children[1])
-        if left.group != right.group:
-            raise GwittError("product needs one common group")
-        return product(left, right)[0]
+        return product(*map(build_gset, node.children))[0]
     raise GwittError(f"not a G-set node: {node.kind}")
 
 
@@ -560,15 +547,7 @@ def build_map(node: Node) -> GMap:
     if node.kind == "map_pt":
         return to_point(build_gset(node.children[0]))
     if node.kind == "map_table":
-        source = build_gset(node.children[0])
-        target = build_gset(node.children[1])
-        if source.group != target.group:
-            raise GwittError("map endpoints need one common group")
-        if len(node.value) != source.size:
-            raise GwittError(
-                f"map table has {len(node.value)} entries for {source.size} points"
-            )
-        return GMap(source, target, node.value)
+        return GMap(*map(build_gset, node.children), node.value)
     raise GwittError(f"not a map node: {node.kind}")
 
 
@@ -645,8 +624,10 @@ class TermBound:
     v variables.  The norm is that sum for a constant or a variable, and a
     sum, product or power bounds it as the norms' sum, product or power;
     it stops at NORM_CAP, so a bound never grows past it.  An integer
-    factor keeps the term count and multiplies the norm, so the ghost map
-    and its triangular solve run on bounds as on polynomials."""
+    factor keeps the term count and multiplies the norm, and a negation or
+    an exact quotient is bounded by the bound itself, so the Witt layer's
+    ghost and unghost maps and its ghost operations run on bounds as on
+    polynomials."""
 
     def __init__(self, terms: int, variables: frozenset = frozenset(), degree: int = 0,
                  norm: int = 1):
@@ -666,6 +647,12 @@ class TermBound:
 
     __rmul__ = __mul__
     __sub__ = __add__
+
+    def __neg__(self) -> "TermBound":
+        return self
+
+    def exact_div(self, n: int) -> "TermBound":
+        return self
 
     def __pow__(self, e: int) -> "TermBound":
         return TermBound(power_terms(self.terms, e), self.variables, self.degree * e,

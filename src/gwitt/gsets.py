@@ -120,7 +120,7 @@ class GSet:
 class GMap:
     """An equivariant map between two G-sets over the same group."""
 
-    __slots__ = ("source", "target", "images", "_hash", "_fiber_cache")
+    __slots__ = ("source", "target", "images", "_fiber_cache")
 
     def __init__(self, source: GSet, target: GSet, images, validate: bool = True):
         self.source = source
@@ -139,7 +139,6 @@ class GMap:
                 for x in source.points():
                     if self.images[source.act_table[g][x]] != target.act_table[g][self.images[x]]:
                         raise EquivarianceError(f"map not equivariant at (g={g}, x={x})")
-        self._hash = None
         self._fiber_cache = None
 
     def fibers(self) -> tuple[tuple[int, ...], ...]:
@@ -162,9 +161,7 @@ class GMap:
                 and self.images == other.images)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.source, self.target, self.images))
-        return self._hash
+        return hash((self.source, self.target, self.images))
 
     def __repr__(self):
         return f"GMap({self.source.size}->{self.target.size}, {self.images})"

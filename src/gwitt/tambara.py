@@ -296,19 +296,21 @@ def _canonical_reps(x: GSet, y: GSet, auts_x: list[GMap],
     of two maps x -> y -> z is only a pair of such representatives, which
     can miss a class of pairs: bringing both maps to their representatives
     can take two different automorphisms of y.  Each class is swept by
-    Aut(x) x Aut(y) once, from its first map, which is filed under the least
-    images in the class.
+    Aut(x) x Aut(y) once, from its first map f, and the representatives
+    keep the order of `equivariant_maps`, ascending in images: the orbit of
+    f is its whole class, all of them equivariant maps x -> y, so a member
+    with smaller images would have been enumerated, and the class swept,
+    before f.  Hence f has the least images in its class.
     """
     seen: set[tuple] = set()
-    reps: dict[tuple, GMap] = {}
+    reps: list[GMap] = []
     for f in equivariant_maps(x, y):
         if f.images in seen:
             continue
-        orbit = {tuple(beta.images[f.images[a]] for a in alpha.images)
-                 for alpha in auts_x for beta in auts_y}
-        seen |= orbit
-        reps[min(orbit)] = f
-    return [reps[k] for k in sorted(reps)]
+        seen.update(tuple(beta.images[f.images[a]] for a in alpha.images)
+                    for alpha in auts_x for beta in auts_y)
+        reps.append(f)
+    return reps
 
 
 # -- diagram shapes ------------------------------------------------------------

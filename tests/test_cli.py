@@ -267,10 +267,16 @@ def test_integers_the_dsl_refuses_are_usage_errors(argv, error):
 
 
 def test_integers_past_the_digit_cap_are_usage_errors():
+    # the cap is named and the long input is not repeated
     digits = "1" * (dsl.MAX_DIGITS + 1)
-    status, text = capture_error(["marks", "C(2)", f"1,{digits}"])
-    assert status == 2
-    assert text == f"error: coefficients must be integers: '1,{digits}'\n"
+    for argv, error in (
+        (["marks", "C(2)", f"1,{digits}"], "a coefficient has more than 1000 digits"),
+        (["words", "eval", "x", "--assign", f"x={digits}"],
+         "an assignment size has more than 1000 digits"),
+    ):
+        status, text = capture_error(argv)
+        assert status == 2
+        assert text == f"error: {error}\n"
 
 
 def test_integers_take_every_decimal_digit_the_dsl_takes():
@@ -367,7 +373,18 @@ def test_symbolic_witt_past_the_ghost_term_cap_is_refused(argv):
      "the polynomial at line 1, column 2 may have a coefficient of more than 1000 digits"),
     (["witt", "tau", "C(2)", "(((((((2)^64)^64)^64)^64)^64)^64, 1)"],
      "the polynomial at line 1, column 2 may have a coefficient of more than 1000 digits"),
-], ids=["ghost", "add", "tau-symbolic", "cancelling", "nested-powers", "nested-powers-tau"])
+    # literal by literal, the count and then the variables; the term gate
+    # only once every literal has passed both
+    (["witt", "add", "C(2)", "(a,1)", "(1,2,3)"], "symbolic components ['a'] need --symbolic"),
+    (["witt", "add", "C(2)", "(1,2,3)", "(a,1)"],
+     "expected 2 components (top class first), got 3"),
+    (["witt", "mul", "C(2)", "((a+b+c+d)^37, 1)", "(1,2,3)", "--symbolic"],
+     "expected 2 components (top class first), got 3"),
+    (["witt", "tau", "C(2)", "(a,1,2)", "--symbolic"],
+     "expected 2 components (top class first), got 3"),
+    (["witt", "tau", "C(2)", "(a,1)"], "symbolic components ['a'] need --symbolic"),
+], ids=["ghost", "add", "tau-symbolic", "cancelling", "nested-powers", "nested-powers-tau",
+        "variables-first", "count-first", "count-before-gate", "tau-count", "tau-flag"])
 def test_symbolic_literals_are_refused_before_they_are_expanded(argv, message, monkeypatch):
     def expand(node):
         raise AssertionError(f"{dsl.to_text(node)} was expanded")
@@ -376,6 +393,21 @@ def test_symbolic_literals_are_refused_before_they_are_expanded(argv, message, m
     status, text = capture_error(argv)
     assert status == 2
     assert text == f"error: {message}\n" and len(text.encode()) < 200
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["orbits", "C(2)/<> + C(3)/<>"], "disjoint union across different groups"),
+    (["orbits", "C(2)/<> * C(3)/<>"], "product across different groups"),
+    (["compose", "R(C(2)/<> -> C(3)/<> [0, 0])"],
+     "source and target live over different groups"),
+    (["compose", "R(C(2)/<> -> C(2)/<0,1> [0])"], "one image per source point required"),
+    (["check", "tambara", "--group", "C(2)", "--base", "C(3)/<>"],
+     "base G-set lives over a different group"),
+], ids=["sum", "product", "map", "map-table", "tambara-base"])
+def test_mismatched_input_is_refused_by_the_library(argv, message):
+    status, text = capture_error(argv)
+    assert status == 2
+    assert text == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, construction", [
@@ -545,6 +577,15 @@ def test_batch_mode_reads_stdin():
         input="witt unghost C(2) (0,1)\n", capture_output=True, text=True,
     )
     assert proc2.returncode == 3
+    # a line shlex cannot split is one usage error, and the batch goes on
+    proc3 = subprocess.run(
+        [sys.executable, "-m", "gwitt.cli"],
+        input='tom C(2)\nlattice "C(2)\nwitt ghost C(2) (2,1)\n',
+        capture_output=True, text=True,
+    )
+    assert proc3.returncode == 2
+    assert "1a" in proc3.stdout and "(2, 6)" in proc3.stdout
+    assert proc3.stderr == "error: No closing quotation\n"
 
 
 # Exact stdout and exit status of every subcommand in both formats, plus the

@@ -57,6 +57,19 @@ def test_parse_error_positions():
     assert exc3.value.column == 6
 
 
+@pytest.mark.parametrize("parse, text, position, expected", [
+    (parse_group, "C(2) x", (1, 6), {"end of input"}),
+    (parse_group, "perm[()]", (1, 8), {"number"}),
+    (parse_gset, "C(2)/<>\n + C(2)/<x>", (2, 10), {">"}),
+    (parse_vector, "(1, *)", (1, 5), {"number", "identifier", "("}),
+], ids=["after-group", "empty-cycle", "newline", "vector-entry"])
+def test_syntax_errors_are_located(parse, text, position, expected):
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == position
+    assert exc.value.expected == tuple(sorted(expected))
+
+
 def test_every_node_carries_a_span():
     node = parse_bispan("T(id(C(2)/<>)) ; N(fold(C(2)/<>))")
 

@@ -81,6 +81,34 @@ def test_map_validation():
             GMap(free, free, images)
 
 
+C3 = cyclic(3)
+FREE_C2 = regular_gset(C2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GSet(C2, [[0, 1]]), "action table needs one row per group element"),
+    (lambda: GSet(C2, [[0, 1], [1]]), "ragged action table"),
+    (lambda: GMap(FREE_C2, regular_gset(C3), (0, 1)),
+     "source and target live over different groups"),
+    (lambda: GMap(FREE_C2, FREE_C2, (0,)), "one image per source point required"),
+    (lambda: compose_maps(identity_map(FREE_C2), to_point(FREE_C2)), "maps not composable"),
+    (lambda: coset_space(C2, Subgroup(C3, (0,))), "subgroup belongs to a different group"),
+    (lambda: natural_gset(C3), "group carries no permutation representation"),
+    (lambda: disjoint_union([]), "disjoint union of no parts needs an ambient group"),
+    (lambda: induced_gset(S3, subgroup_generated(S3, [1]), regular_gset(S3)),
+     "fiber must be a set over the subgroup"),
+    (lambda: pullback(identity_map(FREE_C2), to_point(FREE_C2)),
+     "pullback needs a common target"),
+    (lambda: dependent_product(to_point(FREE_C2), to_point(FREE_C2)),
+     "dependent product needs p: A -> X and f: X -> Y"),
+], ids=["rows", "ragged", "map-groups", "map-images", "compose", "coset-space",
+        "natural", "empty-union", "induced-fiber", "pullback", "dependent-product"])
+def test_constructions_refuse_mismatched_input(build, message):
+    with pytest.raises(GwittError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_orbit_decompose_examples():
     assert orbit_decompose(regular_gset(C2)) == (0,)
     assert orbit_decompose(trivial_gset(C2, 3)) == (1, 1, 1)
