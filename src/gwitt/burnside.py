@@ -82,12 +82,25 @@ def table_of_marks(group: Group) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def check_exact(entries, what: str):
-    """Refuse any entry that is not an integer or a polynomial over Z: the
-    one rule for Burnside coefficients, mark vectors and Witt components."""
+def class_entries(group: Group, entries, what: str) -> tuple:
+    """The one rule for a vector with one entry per subconjugacy class, in
+    poset order: Burnside coefficients, mark vectors, Witt and ghost
+    components.  Each entry is an integer or a polynomial over Z; a
+    constant polynomial is stored as its integer."""
+    entries = tuple(entries)
+    poset = subconjugacy_poset(group)
+    if len(entries) != len(poset):
+        raise GwittError(f"expected {len(poset)} {what} in poset order "
+                         f"{','.join(poset.labels())}, got {len(entries)}")
+    out = []
     for c in entries:
-        if not isinstance(c, (int, Poly)):
+        if isinstance(c, Poly):
+            if c.is_constant():
+                c = c.constant_value()
+        elif not isinstance(c, int):
             raise GwittError(f"{what} must be integers or polynomials, got {c!r}")
+        out.append(c)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -99,10 +112,7 @@ class BurnsideElement:
     coeffs: tuple
 
     def __post_init__(self):
-        poset = subconjugacy_poset(self.group)
-        if len(self.coeffs) != len(poset):
-            raise GwittError("coefficient vector has wrong length")
-        check_exact(self.coeffs, "coefficients")
+        object.__setattr__(self, "coeffs", class_entries(self.group, self.coeffs, "coefficients"))
 
     def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
         self._check(other)
@@ -196,22 +206,22 @@ def column_solve(vector, columns: MarkColumns, powered: bool = False) -> list:
     return coeffs
 
 
+def solve_marks(group: Group, vector, what: str, powered: bool = False) -> list:
+    """column_solve over the mark columns of G; an IntegralityError names
+    the failing class by its label, as "{what} not integral at class L"."""
+    try:
+        return column_solve(vector, mark_columns(group), powered)
+    except IntegralityError as exc:
+        label = subconjugacy_poset(group).label(exc.where)
+        raise IntegralityError(f"{what} not integral at class {label}", where=label) from None
+
+
 def unmarks(group: Group, vector) -> BurnsideElement:
     """The unique preimage under marks, by exact triangular solve along the
     poset order; raises IntegralityError when the vector is not a mark
     vector of a virtual G-set."""
-    poset = subconjugacy_poset(group)
-    if len(vector) != len(poset):
-        raise GwittError("mark vector has wrong length")
-    check_exact(vector, "mark vector entries")
-    try:
-        coeffs = column_solve(vector, mark_columns(group))
-    except IntegralityError as exc:
-        label = poset.label(exc.where)
-        raise IntegralityError(
-            f"mark vector not integral at class {label}", where=label
-        ) from None
-    return BurnsideElement(group, tuple(coeffs))
+    vector = class_entries(group, vector, "mark vector entries")
+    return BurnsideElement(group, solve_marks(group, vector, "mark vector"))
 
 
 def burnside_mul(b1: BurnsideElement, b2: BurnsideElement) -> BurnsideElement:

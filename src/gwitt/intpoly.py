@@ -28,7 +28,7 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
 class Poly:
     """An element of Z[x_1, ..., x_n] for a finite set of named variables."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, int] | None = None):
         self.terms: dict[Monomial, int] = {}
@@ -38,7 +38,6 @@ class Poly:
                     raise GwittError(f"coefficient {coeff!r} is not an integer")
                 if coeff:
                     self.terms[mono] = coeff
-        self._hash: int | None = None
 
     @staticmethod
     def const(n: int) -> Poly:
@@ -68,7 +67,8 @@ class Poly:
         return tuple(sorted(seen))
 
     def is_constant(self) -> bool:
-        return all(mono == () for mono in self.terms)
+        # the monomials are distinct keys, so a constant has at most one
+        return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def constant_value(self) -> int:
         if not self.is_constant():
@@ -202,10 +202,9 @@ class Poly:
 
     def __hash__(self) -> int:
         # a constant equals its int, so it hashes as that int
-        if self._hash is None:
-            self._hash = (hash(self.constant_value()) if self.is_constant()
-                          else hash(frozenset(self.terms.items())))
-        return self._hash
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash(frozenset(self.terms.items()))
 
     def _sorted_terms(self) -> list[tuple[Monomial, int]]:
         # lex-descending on exponent vectors over the sorted variable universe

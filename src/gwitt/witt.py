@@ -14,11 +14,11 @@ from .burnside import (
     MarkColumns,
     burnside_basis,
     burnside_one,
-    check_exact,
-    column_solve,
+    class_entries,
     column_sums,
     mark_columns,
     marks,
+    solve_marks,
     transferred_norms,
 )
 from .errors import GwittError, IntegralityError
@@ -34,27 +34,23 @@ _GHOST_OPS = {"add": operator.add, "mul": operator.mul, "neg": lambda x, _: -x}
 
 @dataclass(frozen=True)
 class _PosetVector:
-    """One ring element per subconjugacy class, in poset order (trivial
-    class first, [G] last); equal when the elements are."""
+    """One element of Z or Z[X] per subconjugacy class, in poset order
+    (trivial class first, [G] last), checked by `class_entries`; equal when
+    the elements are."""
 
     group: Group
     components: tuple
 
     def __post_init__(self):
-        # the dataclass __eq__ and __hash__ compare components as a tuple
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) != len(subconjugacy_poset(self.group)):
-            raise GwittError("component count does not match the poset")
+        # a tuple, so that the dataclass __eq__ and __hash__ compare elements
+        object.__setattr__(self, "components",
+                           class_entries(self.group, self.components, "components"))
 
 
 class WittVector(_PosetVector):
     """Witt components over the poset.  Coefficients live in Z or in a
     multivariate polynomial ring over Z; both are torsion free, which the
     injectivity of the ghost map needs."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        check_exact(self.components, "components")
 
 
 class GhostVector(_PosetVector):
@@ -81,13 +77,7 @@ class WittContext:
         return tuple(column_sums(comps, self.columns, powered=True))
 
     def unghost_components(self, vector: tuple) -> tuple:
-        try:
-            return tuple(column_solve(vector, self.columns, powered=True))
-        except IntegralityError as exc:
-            label = self.poset.label(exc.where)
-            raise IntegralityError(
-                f"ghost vector not integral at class {label}", where=label
-            ) from None
+        return tuple(solve_marks(self.group, vector, "ghost vector", powered=True))
 
 
 @cache
@@ -156,16 +146,9 @@ def teichmuller_tau(w: WittVector) -> BurnsideElement:
     `verify_ghost_factorization` checks the composite marks identity over
     Z[a_K].
     """
-    values = []
-    for comp in w.components:
-        if isinstance(comp, Poly):
-            if not comp.is_constant():
-                raise GwittError(
-                    "the Teichmuller homomorphism needs integer components"
-                )
-            comp = comp.constant_value()
-        values.append(comp)
-    return transferred_norms(w.group, values)
+    if not all(isinstance(c, int) for c in w.components):
+        raise GwittError("the Teichmuller homomorphism needs integer components")
+    return transferred_norms(w.group, w.components)
 
 
 # -- verification reports ------------------------------------------------------

@@ -217,6 +217,21 @@ def test_entries_outside_z_and_z_x_are_refused():
     x = Poly.var("x")
     assert marks(BurnsideElement(C2, (x, 2))) == (2 * x + 2, 2)
     assert unmarks(C2, (2 * x + 2, 2)) == BurnsideElement(C2, (x, 2))
+    # a constant polynomial is stored as its integer
+    coeffs = BurnsideElement(C2, (Poly.const(1), x)).coeffs
+    assert type(coeffs[0]) is int and coeffs == (1, x)
+
+
+def test_a_wrong_entry_count_names_the_classes():
+    for entries in ((1,), (1, 2, 3)):
+        with pytest.raises(GwittError) as exc:
+            BurnsideElement(S3, entries)
+        assert str(exc.value) == (f"expected 4 coefficients in poset order 1a,2a,3a,6a, "
+                                  f"got {len(entries)}")
+        with pytest.raises(GwittError) as exc:
+            unmarks(S3, entries)
+        assert str(exc.value) == (f"expected 4 mark vector entries in poset order "
+                                  f"1a,2a,3a,6a, got {len(entries)}")
 
 
 def test_burnside_mul_examples():

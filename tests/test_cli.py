@@ -279,6 +279,19 @@ def test_integers_past_the_digit_cap_are_usage_errors():
         assert text == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["witt", "verify", "factorization", "C(2)", "--seed"],
+    ["check", "tambara", "--group", "C(2)", "--budget"],
+    ["witt", "verify", "factorization", "C(2)", "--samples"],
+], ids=["seed", "budget", "samples"])
+def test_option_integers_past_the_digit_cap_name_the_cap(argv):
+    digits = "1" * (dsl.MAX_DIGITS + 1)
+    status, text = capture_error(argv + [digits])
+    assert status == 2
+    assert text.endswith(f"argument {argv[-1]}: more than 1000 digits\n")
+    assert digits not in text
+
+
 def test_integers_take_every_decimal_digit_the_dsl_takes():
     # as in `lattice 'C(٣)'`, which builds C3
     assert capture(["marks", "C(2)", " ١ , -٣ "]) == (

@@ -302,7 +302,7 @@ def test_injectivity_fails_on_a_wrong_unghost(monkeypatch):
     monkeypatch.setattr(witt, "unghost", lambda v: _bumped(exact(v)))
     report = verify_injectivity(C2, samples=2, seed=0)
     assert report.ok is False
-    assert report.failures == ["unghost(ghost((Poly(3), Poly(1)))) != input",
+    assert report.failures == ["unghost(ghost((3, 1))) != input",
                                "unghost(ghost((Poly(-x), Poly(-x - 1)))) != input"]
 
 
@@ -331,16 +331,23 @@ def test_negative_samples_are_rejected():
 
 
 def test_component_count_validation():
-    with pytest.raises(GwittError):
-        WittVector(C2, (1,))
-    for components in ((1,), (6, 2, 5)):
+    for vector in (WittVector, GhostVector):
+        for components in ((1,), (6, 2, 5)):
+            with pytest.raises(GwittError) as exc:
+                vector(C2, components)
+            assert str(exc.value) == (f"expected 2 components in poset order 1a,2a, "
+                                      f"got {len(components)}")
+        # a component outside Z[X] is refused by Poly, anything else by class_entries
         with pytest.raises(GwittError):
-            GhostVector(C2, components)
-    # a component outside Z[X] is refused by Poly, anything else by WittVector
+            vector(C2, (1, Poly.var("x") * Fraction(1, 2)))
+        for bad in (Fraction(1, 2), 1.5, "1"):
+            with pytest.raises(GwittError):
+                vector(C2, (1, bad))
+        # a constant polynomial is stored as its integer
+        stored = vector(C2, (Poly.const(3), Poly.var("x"))).components
+        assert type(stored[0]) is int and stored == (3, Poly.var("x"))
     with pytest.raises(GwittError):
-        WittVector(C2, (1, Poly.var("x") * Fraction(1, 2)))
-    with pytest.raises(GwittError):
-        WittVector(C2, (1, Fraction(1, 2)))
+        unghost(GhostVector(C2, (1.5, 2)))
 
 
 def test_tau_rejects_symbolic_components():
@@ -353,6 +360,8 @@ def test_tau_rejects_symbolic_components():
         assert type(exc.value) is GwittError
     # constant polynomial components are accepted as integers
     assert teichmuller_tau(WittVector(C2, (Poly.const(1), 0))).coeffs == (1, 0)
+    assert (teichmuller_tau(WittVector(C2, (Poly.const(1), Poly.const(2))))
+            == teichmuller_tau(WittVector(C2, (1, 2))))
 
 
 # -- classical 2-typical Witt vectors, independent oracle ----------------------
